@@ -108,18 +108,25 @@ int main() {
     const Variant dict = BuildVariant(a, b, fts::ColumnEncoding::kDictionary);
     const Variant packed = BuildVariant(a, b, fts::ColumnEncoding::kBitPacked);
 
-    // All three must agree before timing.
-    const auto expected = fts::ExecuteScanCount(plain.table, spec, engine);
-    FTS_CHECK(expected.ok());
-    FTS_CHECK(*fts::ExecuteScanCount(dict.table, spec, engine) == *expected);
-    FTS_CHECK(*fts::ExecuteScanCount(packed.table, spec, engine) ==
-              *expected);
-
-    auto time_variant = [&](const Variant& variant) {
+    auto count_variant = [&](const fts::TableScanner& scanner) {
+      return RunSerial(fts::ExecuteParallelScanCount, scanner, {engine, 0});
+    };
+    auto prepare_variant = [&](const Variant& variant) {
       auto scanner = fts::TableScanner::Prepare(variant.table, spec);
       FTS_CHECK(scanner.ok());
+      return std::move(*scanner);
+    };
+
+    // All three must agree before timing.
+    const auto expected = count_variant(prepare_variant(plain));
+    FTS_CHECK(expected.ok());
+    FTS_CHECK(*count_variant(prepare_variant(dict)) == *expected);
+    FTS_CHECK(*count_variant(prepare_variant(packed)) == *expected);
+
+    auto time_variant = [&](const Variant& variant) {
+      const fts::TableScanner scanner = prepare_variant(variant);
       return MedianMillis(reps, [&] {
-        fts::DoNotOptimizeAway(scanner->ExecuteCount(engine).ok());
+        fts::DoNotOptimizeAway(count_variant(scanner).ok());
       });
     };
 

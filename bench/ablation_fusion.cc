@@ -16,6 +16,11 @@
 namespace {
 using namespace fts::bench;
 using fts::ScanEngine;
+
+fts::StatusOr<uint64_t> Count(const fts::TableScanner& scanner,
+                              ScanEngine engine) {
+  return RunSerial(fts::ExecuteParallelScanCount, scanner, {engine, 0});
+}
 }  // namespace
 
 int main() {
@@ -46,14 +51,13 @@ int main() {
         {"c1", fts::CompareOp::kEq, fts::Value(generated.search_values[1])}};
     auto scanner = fts::TableScanner::Prepare(generated.table, spec);
     FTS_CHECK(scanner.ok());
-    FTS_CHECK(*scanner->ExecuteCount(fused) ==
-              *scanner->ExecuteCount(ScanEngine::kBlockwise));
+    FTS_CHECK(*Count(*scanner, fused) ==
+              *Count(*scanner, ScanEngine::kBlockwise));
     const double fused_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(scanner->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(Count(*scanner, fused).ok());
     });
     const double blockwise_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(
-          scanner->ExecuteCount(ScanEngine::kBlockwise).ok());
+      fts::DoNotOptimizeAway(Count(*scanner, ScanEngine::kBlockwise).ok());
     });
     std::printf("%-12g %18.3f %18.3f %9.2fx\n", selectivity * 100,
                 fused_ms, blockwise_ms, blockwise_ms / fused_ms);
@@ -78,13 +82,12 @@ int main() {
     auto plain_scan = fts::TableScanner::Prepare(plain.table, spec);
     auto dict_scan = fts::TableScanner::Prepare(dict.table, spec);
     FTS_CHECK(plain_scan.ok() && dict_scan.ok());
-    FTS_CHECK(*plain_scan->ExecuteCount(fused) ==
-              *dict_scan->ExecuteCount(fused));
+    FTS_CHECK(*Count(*plain_scan, fused) == *Count(*dict_scan, fused));
     const double plain_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(plain_scan->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(Count(*plain_scan, fused).ok());
     });
     const double dict_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(dict_scan->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(Count(*dict_scan, fused).ok());
     });
     std::printf("%-12g %18.3f %18.3f\n", selectivity * 100, plain_ms,
                 dict_ms);
@@ -107,13 +110,12 @@ int main() {
     auto good_scan = fts::TableScanner::Prepare(generated.table, good);
     auto bad_scan = fts::TableScanner::Prepare(generated.table, bad);
     FTS_CHECK(good_scan.ok() && bad_scan.ok());
-    FTS_CHECK(*good_scan->ExecuteCount(fused) ==
-              *bad_scan->ExecuteCount(fused));
+    FTS_CHECK(*Count(*good_scan, fused) == *Count(*bad_scan, fused));
     const double good_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(good_scan->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(Count(*good_scan, fused).ok());
     });
     const double bad_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(bad_scan->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(Count(*bad_scan, fused).ok());
     });
     std::printf("selective first: %.3f ms, unselective first: %.3f ms "
                 "(%.2fx)\n",

@@ -87,23 +87,26 @@ int main() {
     spec.predicates = {{"c0", fts::CompareOp::kEq, fts::Value(5)},
                        {"c1", fts::CompareOp::kEq, fts::Value(2)}};
 
+    auto scanner = fts::TableScanner::Prepare(table, spec);
+    FTS_CHECK(scanner.ok());
     const auto row_count = row_store.ScanCount(spec);
-    const auto column_count =
-        fts::ExecuteScanCount(table, spec, ScanEngine::kSisdNoVec);
+    const auto column_count = RunSerial(fts::ExecuteParallelScanCount,
+                                        *scanner, {ScanEngine::kSisdNoVec, 0});
     FTS_CHECK(row_count.ok() && column_count.ok());
     FTS_CHECK(*row_count == *column_count);
 
     const double row_ms = MedianMillis(reps, [&] {
       fts::DoNotOptimizeAway(row_store.ScanCount(spec).ok());
     });
-    auto scanner = fts::TableScanner::Prepare(table, spec);
-    FTS_CHECK(scanner.ok());
     const double sisd_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(
-          scanner->ExecuteCount(ScanEngine::kSisdNoVec).ok());
+      fts::DoNotOptimizeAway(RunSerial(fts::ExecuteParallelScanCount,
+                                       *scanner, {ScanEngine::kSisdNoVec, 0})
+                                 .ok());
     });
     const double fused_ms = MedianMillis(reps, [&] {
-      fts::DoNotOptimizeAway(scanner->ExecuteCount(fused).ok());
+      fts::DoNotOptimizeAway(
+          RunSerial(fts::ExecuteParallelScanCount, *scanner, {fused, 0})
+              .ok());
     });
     std::printf("%-14zu %14.3f %16.3f %16.3f\n", payload_columns, row_ms,
                 sisd_ms, fused_ms);

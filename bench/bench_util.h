@@ -22,6 +22,7 @@
 #include "fts/common/env.h"
 #include "fts/common/stats.h"
 #include "fts/common/timer.h"
+#include "fts/exec/parallel_scan.h"
 #include "fts/obs/json_writer.h"
 
 namespace fts::bench {
@@ -55,6 +56,22 @@ inline double MedianMillis(int reps, const std::function<void()>& fn) {
     samples.push_back(stopwatch.ElapsedMillis());
   }
   return Median(samples);
+}
+
+// Runs a prepared scan once on the morsel executor at 1 thread under
+// FallbackPolicy::kStrict: exactly `engine` on every chunk, morsels inline
+// on the calling thread, no ladder — the paper's single-threaded setup.
+// `execute` is ExecuteParallelScanCount or ExecuteParallelScan.
+template <typename T>
+StatusOr<T> RunSerial(StatusOr<T> (*execute)(const TableScanner&,
+                                             const ParallelScanOptions&,
+                                             ExecutionReport*),
+                      const TableScanner& scanner, EngineChoice engine) {
+  ParallelScanOptions options;
+  options.requested = engine;
+  options.fallback = FallbackPolicy::kStrict;
+  options.threads = 1;
+  return execute(scanner, options, nullptr);
 }
 
 // One machine-readable result line:

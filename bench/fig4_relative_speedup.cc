@@ -67,14 +67,18 @@ int main() {
                           fts::Value(generated.search_values[1])}};
       auto scanner = fts::TableScanner::Prepare(generated.table, spec);
       FTS_CHECK(scanner.ok());
-      FTS_CHECK(*scanner->ExecuteCount(fused) ==
-                generated.stage_matches.back());
+      FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
+                           {fused, 0}) == generated.stage_matches.back());
 
       const double sisd_ms = MedianMillis(reps, [&] {
-        fts::DoNotOptimizeAway(scanner->ExecuteCount(baseline).ok());
+        fts::DoNotOptimizeAway(
+            RunSerial(fts::ExecuteParallelScanCount, *scanner, {baseline, 0})
+                .ok());
       });
       const double fused_ms = MedianMillis(reps, [&] {
-        fts::DoNotOptimizeAway(scanner->ExecuteCount(fused).ok());
+        fts::DoNotOptimizeAway(
+            RunSerial(fts::ExecuteParallelScanCount, *scanner, {fused, 0})
+                .ok());
       });
       const double speedup = sisd_ms / fused_ms;
       ++cells;

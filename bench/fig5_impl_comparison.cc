@@ -69,12 +69,14 @@ int main() {
       auto scanner = fts::TableScanner::Prepare(generated.table, spec);
       FTS_CHECK(scanner.ok());
       // Correctness check once per configuration.
-      const auto count = scanner->ExecuteCount(engine);
+      const auto count =
+          RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0});
       FTS_CHECK(count.ok());
       FTS_CHECK_MSG(*count == generated.stage_matches.back(),
                     fts::ScanEngineToString(engine));
       const double ms = MedianMillis(reps, [&] {
-        const auto result = scanner->ExecuteCount(engine);
+        const auto result =
+            RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0});
         fts::DoNotOptimizeAway(result.ok());
       });
       std::printf("%22.3f", ms);

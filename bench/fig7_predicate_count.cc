@@ -66,10 +66,12 @@ int main() {
         std::printf("%24s", "n/a");
         continue;
       }
-      FTS_CHECK(*scanner->ExecuteCount(engine) ==
-                generated.stage_matches.back());
+      FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
+                           {engine, 0}) == generated.stage_matches.back());
       const double ms = MedianMillis(reps, [&] {
-        fts::DoNotOptimizeAway(scanner->ExecuteCount(engine).ok());
+        fts::DoNotOptimizeAway(
+            RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0})
+                .ok());
       });
       std::printf("%24.3f", ms);
       measured.emplace_back(engine, ms);

@@ -91,10 +91,11 @@ int main() {
   std::printf("%-10s%16s%12s\n", "threads", "median_ms", "speedup");
   PrintRule('-', 38);
 
-  // Serial reference: the plain single-threaded scan path, no morsel
-  // scheduling at all. The threads=1 sweep point must not regress it.
+  // Serial reference: morsels inline on the calling thread, no task pool
+  // at all. The threads=1 sweep point must not regress it.
   const double serial_ms = MedianMillis(reps, [&] {
-    const auto count = scanner->ExecuteCount(engine);
+    const auto count =
+        RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0});
     FTS_CHECK(count.ok() && *count == expected);
   });
   std::printf("%-10s%16.3f%12s\n", "serial", serial_ms, "1.00x");

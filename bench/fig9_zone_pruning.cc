@@ -125,12 +125,15 @@ int main() {
           layout.table, spec,
           fts::TableScanner::PrepareOptions{.use_zone_maps = false});
       FTS_CHECK(unpruned_scanner.ok());
-      const auto sisd = unpruned_scanner->ExecuteCount(ScanEngine::kSisdNoVec);
+      const auto sisd = RunSerial(fts::ExecuteParallelScanCount,
+                                  *unpruned_scanner,
+                                  {ScanEngine::kSisdNoVec, 0});
       FTS_CHECK(sisd.ok() && *sisd == range.expected);
       const auto pruned_scanner =
           fts::TableScanner::Prepare(layout.table, spec);
       FTS_CHECK(pruned_scanner.ok());
-      const auto pruned_count = pruned_scanner->ExecuteCount(engine);
+      const auto pruned_count = RunSerial(fts::ExecuteParallelScanCount,
+                                          *pruned_scanner, {engine, 0});
       FTS_CHECK(pruned_count.ok() && *pruned_count == range.expected);
       const fts::TableScanner::PruningSummary pruning =
           pruned_scanner->pruning();
@@ -146,7 +149,8 @@ int main() {
           fts::Stopwatch stopwatch;
           const auto scanner =
               fts::TableScanner::Prepare(layout.table, spec);
-          const auto count = scanner->ExecuteCount(engine);
+          const auto count =
+              RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0});
           FTS_CHECK(count.ok() && *count == range.expected);
           pruned_samples.push_back(stopwatch.ElapsedMillis());
         }
@@ -155,7 +159,8 @@ int main() {
           const auto scanner = fts::TableScanner::Prepare(
               layout.table, spec,
               fts::TableScanner::PrepareOptions{.use_zone_maps = false});
-          const auto count = scanner->ExecuteCount(engine);
+          const auto count =
+              RunSerial(fts::ExecuteParallelScanCount, *scanner, {engine, 0});
           FTS_CHECK(count.ok() && *count == range.expected);
           unpruned_samples.push_back(stopwatch.ElapsedMillis());
         }

@@ -139,7 +139,8 @@ uint64_t DecodeThenScan(const fts::TablePtr& encoded,
     DecodeColumn(encoded->chunk(chunk).column(0), scratch.data());
     fts::DoNotOptimizeAway(scratch[scratch.size() / 2]);
   }
-  const auto count = plain_scanner.ExecuteCount(engine);
+  const auto count =
+      RunSerial(fts::ExecuteParallelScanCount, plain_scanner, {engine, 0});
   FTS_CHECK(count.ok());
   return *count;
 }
@@ -223,8 +224,9 @@ int main() {
 
       const auto plain_scanner = fts::TableScanner::Prepare(plain, spec);
       FTS_CHECK(plain_scanner.ok());
-      const auto expected =
-          plain_scanner->ExecuteCount(ScanEngine::kSisdNoVec);
+      const auto expected = RunSerial(fts::ExecuteParallelScanCount,
+                                      *plain_scanner,
+                                      {ScanEngine::kSisdNoVec, 0});
       FTS_CHECK(expected.ok());
 
       // Self-verification: compressed-domain and decode-then-scan counts
@@ -232,7 +234,8 @@ int main() {
       const auto compressed_scanner =
           fts::TableScanner::Prepare(encoded, spec);
       FTS_CHECK(compressed_scanner.ok());
-      FTS_CHECK(*compressed_scanner->ExecuteCount(engine) == *expected);
+      FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *compressed_scanner,
+                           {engine, 0}) == *expected);
       AlignedVector<int64_t> scratch(kChunkSize);
       FTS_CHECK(DecodeThenScan(encoded, *plain_scanner, engine, scratch) ==
                 *expected);
@@ -244,13 +247,15 @@ int main() {
         {
           fts::Stopwatch stopwatch;
           const auto scanner = fts::TableScanner::Prepare(plain, spec);
-          FTS_CHECK(*scanner->ExecuteCount(engine) == *expected);
+          FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
+                               {engine, 0}) == *expected);
           plain_samples.push_back(stopwatch.ElapsedMillis());
         }
         {
           fts::Stopwatch stopwatch;
           const auto scanner = fts::TableScanner::Prepare(encoded, spec);
-          FTS_CHECK(*scanner->ExecuteCount(engine) == *expected);
+          FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
+                               {engine, 0}) == *expected);
           compressed_samples.push_back(stopwatch.ElapsedMillis());
         }
         {

@@ -66,7 +66,8 @@ TableScanner PrepareWith(const TablePtr& table, const ScanSpec& spec,
 }
 
 uint64_t MustCount(const TableScanner& scanner, ScanEngine engine) {
-  const auto count = scanner.ExecuteCount(engine);
+  const auto count =
+      RunSerial(fts::ExecuteParallelScanCount, scanner, {engine, 0});
   FTS_CHECK(count.ok());
   return *count;
 }
@@ -119,7 +120,8 @@ PairedMillis PairedScanMillis(const TablePtr& table, const ScanSpec& spec,
                               ScanEngine engine, int reps) {
   const auto once = [&](bool adaptive_env) {
     const TableScanner scanner = PrepareWith(table, spec, adaptive_env);
-    const auto matches = scanner.Execute(engine);
+    const auto matches =
+        RunSerial(fts::ExecuteParallelScan, scanner, {engine, 0});
     FTS_CHECK(matches.ok());
     fts::DoNotOptimizeAway(matches->TotalMatches());
   };
@@ -371,7 +373,8 @@ int main() {
           estimator.EstimateScanNanos(e, fts::cost::ScanMode::kMaterialize) /
           1e6;
       const double measured_ms = MedianMillis(reps, [&] {
-        const auto matches = measured_scan.Execute(e);
+        const auto matches =
+            RunSerial(fts::ExecuteParallelScan, measured_scan, {e, 0});
         FTS_CHECK(matches.ok());
         fts::DoNotOptimizeAway(matches->TotalMatches());
       });

@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
 
@@ -80,20 +79,25 @@ int main() {
 
   auto scanner = fts::TableScanner::Prepare(generated.table, spec);
   FTS_CHECK(scanner.ok());
+  const fts::EngineChoice static_engine{fts::ScanEngine::kAvx512Fused512, 0};
   const double static_ms = MedianMillis(reps, [&] {
     fts::DoNotOptimizeAway(
-        scanner->ExecuteCount(fts::ScanEngine::kAvx512Fused512).ok());
+        RunSerial(fts::ExecuteParallelScanCount, *scanner, static_engine)
+            .ok());
   });
 
-  fts::JitScanEngine jit(512);
-  FTS_CHECK(*jit.ExecuteCount(generated.table, spec) ==
+  const fts::EngineChoice jit{fts::ScanEngine::kJit, 512};
+  FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner, jit) ==
             generated.stage_matches.back());
   const double jit_count_ms = MedianMillis(reps, [&] {
-    fts::DoNotOptimizeAway(jit.ExecuteCount(generated.table, spec).ok());
+    fts::DoNotOptimizeAway(
+        RunSerial(fts::ExecuteParallelScanCount, *scanner, jit).ok());
   });
-  FTS_CHECK(jit.Execute(generated.table, spec).ok());  // Warm the cache.
+  // Warm the cache.
+  FTS_CHECK(RunSerial(fts::ExecuteParallelScan, *scanner, jit).ok());
   const double jit_ms = MedianMillis(reps, [&] {
-    fts::DoNotOptimizeAway(jit.Execute(generated.table, spec).ok());
+    fts::DoNotOptimizeAway(
+        RunSerial(fts::ExecuteParallelScan, *scanner, jit).ok());
   });
 
   std::printf("%-34s %10.3f ms\n", "static AVX-512 Fused (512)", static_ms);

@@ -601,11 +601,13 @@ void RunSql(ShellState& state, const std::string& sql) {
       timing += fts::StrFormat(" (scan %.3f ms)", report.scan_millis);
     }
     if (report.morsel_count > 0) {
-      std::printf("(%llu rows matched, %s, %s, %d workers / %zu "
-                  "morsels%s)\n",
+      std::printf("(%llu rows matched, %s, %s, %d worker%s / %zu "
+                  "morsel%s%s)\n",
                   static_cast<unsigned long long>(result->matched_rows),
                   timing.c_str(), report.executed.ToString().c_str(),
-                  report.worker_count, report.morsel_count, pruned.c_str());
+                  report.worker_count, report.worker_count == 1 ? "" : "s",
+                  report.morsel_count, report.morsel_count == 1 ? "" : "s",
+                  pruned.c_str());
     } else {
       std::printf("(%llu rows matched, %s, %s%s)\n",
                   static_cast<unsigned long long>(result->matched_rows),

@@ -13,8 +13,8 @@
 
 #include "fts/common/string_util.h"
 #include "fts/common/timer.h"
+#include "fts/exec/parallel_scan.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/storage/data_generator.h"
 
 namespace {
@@ -96,12 +96,18 @@ int main(int argc, char** argv) {
     options.rows = 4'000'000;
     options.selectivities = {0.01, 0.5};
     const auto generated = fts::MakeScanTable(options);
-    fts::JitScanEngine engine(512, &cache);
     fts::ScanSpec scan;
     scan.predicates = {{"c0", CompareOp::kEq, fts::Value(int32_t{5})},
                        {"c1", CompareOp::kEq, fts::Value(int32_t{2})}};
     fts::Stopwatch run;
-    auto matches = engine.Execute(generated.table, scan);
+    const auto scanner = fts::TableScanner::Prepare(generated.table, scan);
+    FTS_CHECK(scanner.ok());
+    fts::ParallelScanOptions scan_options;
+    scan_options.requested = {fts::ScanEngine::kJit, 512};
+    scan_options.fallback = fts::FallbackPolicy::kStrict;
+    scan_options.threads = 1;
+    scan_options.cache = &cache;
+    auto matches = fts::ExecuteParallelScan(*scanner, scan_options);
     FTS_CHECK(matches.ok());
     std::printf(
         "\nexecuted on 4M rows: %llu matches in %.3f ms "

@@ -41,9 +41,10 @@ class Database {
     bool reorder_predicates = true;
     // Worker threads for the scan: morsel-driven chunk parallelism via the
     // work-stealing TaskPool (fts/exec). 0 = FTS_THREADS env, defaulting
-    // to single-threaded; N > 1 = N workers. Results are byte-identical
-    // for every value; QueryResult::execution_report records the worker
-    // count and per-morsel engine decisions.
+    // to 1 (morsels run inline on the calling thread); N > 1 = N workers.
+    // Results are byte-identical for every value;
+    // QueryResult::execution_report records the worker count and
+    // per-morsel engine decisions.
     int threads = 0;
     // Fold eligible aggregate projections inside the scan kernels instead
     // of materializing a position list (see TranslatorOptions). Disable to

@@ -42,6 +42,67 @@ struct MorselOutcome {
   int64_t thread_rank = -1;
 };
 
+// Copies the scanner's PruningSummary into the report's zone-map fields
+// and counts the scan in the metrics registry. Called once per scan.
+void FillPruningReport(const TableScanner& scanner, ExecutionReport* report) {
+  const TableScanner::PruningSummary& pruning = scanner.pruning();
+  report->chunks_total = pruning.chunks_total;
+  report->chunks_pruned = pruning.chunks_pruned;
+  report->stages_dropped = pruning.stages_dropped;
+  report->bytes_skipped = pruning.bytes_skipped;
+  uint64_t rows_scanned = 0;
+  for (const TableScanner::ChunkPlan& plan : scanner.chunk_plans()) {
+    if (!plan.impossible) rows_scanned += plan.row_count;
+  }
+  report->rows_scanned = rows_scanned;
+  // RunMorsels fills this exactly once per scan, so this is also where
+  // pruning lands in the process-lifetime registry.
+  const obs::EngineMetrics& metrics = obs::Metrics();
+  metrics.scans_total->Increment();
+  if (pruning.chunks_pruned > 0) {
+    metrics.chunks_pruned_total->Add(pruning.chunks_pruned);
+  }
+  if (pruning.stages_dropped > 0) {
+    metrics.stages_dropped_total->Add(pruning.stages_dropped);
+  }
+}
+
+// Copies the scanner's per-stage encoding mix and the compressed-domain
+// run/block counters its chunk executions accumulated.
+void FillCompressedReport(const TableScanner& scanner,
+                          ExecutionReport* report) {
+  const std::array<uint64_t, 6>& mix = scanner.stage_encodings();
+  for (size_t e = 0; e < mix.size(); ++e) {
+    report->stage_encodings[e] = mix[e];
+  }
+  const AtomicCompressedStats& stats = *scanner.compressed_stats();
+  report->rle_runs_classified =
+      stats.rle_runs_classified.load(std::memory_order_relaxed);
+  report->rle_runs_skipped =
+      stats.rle_runs_skipped.load(std::memory_order_relaxed);
+  report->delta_blocks_pruned =
+      stats.delta_blocks_pruned.load(std::memory_order_relaxed);
+  report->delta_blocks_decoded =
+      stats.delta_blocks_decoded.load(std::memory_order_relaxed);
+}
+
+// Copies the scanner's cost-model state (model on/off, chunks re-ranked,
+// estimated rows, per-chunk engine mix, switch count).
+void FillAdaptiveReport(const TableScanner& scanner,
+                        ExecutionReport* report) {
+  report->model_active = scanner.model_active();
+  report->adaptive_engines = scanner.adaptive();
+  report->chunks_reordered = scanner.chunks_reordered();
+  report->est_rows = scanner.est_rows();
+  const TableScanner::AdaptiveStats& stats = *scanner.adaptive_stats();
+  report->adaptive_engine_switches =
+      stats.engine_switches.load(std::memory_order_relaxed);
+  for (size_t e = 0; e < cost::kNumEngines; ++e) {
+    report->adaptive_chunk_engines[e] =
+        stats.chunk_engines[e].load(std::memory_order_relaxed);
+  }
+}
+
 std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
   if (options.fallback == FallbackPolicy::kLadder) {
     return DegradationLadder(options.requested.engine,
@@ -50,10 +111,10 @@ std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
   return {options.requested};
 }
 
-// Walks the ladder for one chunk. Mirrors JitScanEngine::RunLadder, but at
-// morsel granularity: a kUnavailable JIT failure (no AVX-512, no usable
-// compiler) dooms every JIT width for this morsel, so skip straight to the
-// precompiled rungs instead of burning a compile attempt per width.
+// Walks the ladder for one chunk — the only ladder walk in the engine. A
+// kUnavailable JIT failure (no AVX-512, no usable compiler) dooms every JIT
+// width for this morsel, so skip straight to the precompiled rungs instead
+// of burning a compile attempt per width.
 void RunMorsel(const TableScanner& scanner, JitCache& cache,
                const std::vector<EngineChoice>& rungs, MorselMode mode,
                ChunkId chunk_id, QueryContext* ctx, bool collect_counters,
@@ -230,25 +291,19 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
   }
 }
 
-// Schedules every runnable chunk as one morsel, merges outcomes, and fills
-// the report. Chunks the prepared scanner proved impossible (dictionary
-// translation or zone-map bounds) and 0-row chunks are excluded BEFORE
-// morsel creation, so pruned chunks cost no scheduling, no thread
+// Schedules every runnable chunk as one morsel and merges the outcomes
+// into the report's execution fields. Chunks the prepared scanner proved
+// impossible (dictionary translation or zone-map bounds) and 0-row chunks
+// are excluded BEFORE morsel creation, so pruned chunks cost no
+// scheduling, no thread
 // hand-off, and no ladder walk — their outcome slots simply stay empty,
 // which the merge reads as zero matches. On failure the first failed
 // morsel in chunk order decides the returned status (deterministic
 // regardless of scheduling).
-Status RunMorsels(const TableScanner& scanner,
-                  const ParallelScanOptions& options, MorselMode mode,
-                  std::vector<MorselOutcome>* outcomes,
-                  ExecutionReport* report) {
-  ExecutionReport local;
-  if (report == nullptr) report = &local;
-  report->requested = options.requested;
-  FillPruningReport(scanner, report);
-  FillCompressedReport(scanner, report);
-  FillAdaptiveReport(scanner, report);
-
+Status ScheduleMorsels(const TableScanner& scanner,
+                       const ParallelScanOptions& options, MorselMode mode,
+                       std::vector<MorselOutcome>* outcomes,
+                       ExecutionReport* report) {
   QueryContext* ctx =
       options.context != nullptr ? options.context : scanner.context();
   if (ctx != nullptr) report->deadline_millis = ctx->deadline_millis();
@@ -396,11 +451,26 @@ Status RunMorsels(const TableScanner& scanner,
   // that ran because an earlier one failed counts as degraded.
   report->degraded = !(report->executed == report->requested) &&
                      !(*outcomes)[deepest].adapted;
-  // Refresh: run/block counters and adaptive engine-mix counters
-  // accumulated across the finished morsels.
+  return Status::Ok();
+}
+
+// The one driver of a prepared scan, at every thread count and for every
+// engine: fills the report's scan fields, runs the morsels, then refreshes
+// the counters the finished morsels accumulated (on every return path, so
+// a failed or canceled scan reports the work it did).
+Status RunMorsels(const TableScanner& scanner,
+                  const ParallelScanOptions& options, MorselMode mode,
+                  std::vector<MorselOutcome>* outcomes,
+                  ExecutionReport* report) {
+  ExecutionReport local;
+  if (report == nullptr) report = &local;
+  report->requested = options.requested;
+  FillPruningReport(scanner, report);
+  const Status status =
+      ScheduleMorsels(scanner, options, mode, outcomes, report);
   FillCompressedReport(scanner, report);
   FillAdaptiveReport(scanner, report);
-  return Status::Ok();
+  return status;
 }
 
 }  // namespace

@@ -10,12 +10,13 @@
 
 namespace fts {
 
-// Morsel-driven parallel execution of a prepared scan (Hyrise-style
-// chunk-granular parallelism). Each chunk is one morsel; a TaskPool
-// worker runs the selected engine rung over its morsels into a
-// thread-local PosList, and the per-chunk lists are stitched together in
-// chunk order — the output is byte-identical to the single-threaded path
-// for every thread count.
+// Morsel-driven execution of a prepared scan (Hyrise-style chunk-granular
+// parallelism) — the only driver of a prepared scan, for every engine
+// (kJit included) and every thread count. Each chunk is one morsel; a
+// TaskPool worker (or, at 1 thread, the calling thread inline) runs the
+// selected engine rung over its morsels into a thread-local PosList, and
+// the per-chunk lists are stitched together in chunk order — the output is
+// byte-identical for every thread count.
 //
 // Degradation is per-morsel: under FallbackPolicy::kLadder each morsel
 // walks DegradationLadder() independently, so one chunk's JIT compile
@@ -55,7 +56,8 @@ struct ParallelScanOptions {
 };
 
 // Runs the prepared scan morsel-by-morsel and materializes matching
-// positions per chunk (same result shape as TableScanner::Execute).
+// positions per chunk (one ChunkMatches per chunk, in chunk order; pruned
+// chunks carry no positions).
 StatusOr<TableMatches> ExecuteParallelScan(const TableScanner& scanner,
                                            const ParallelScanOptions& options,
                                            ExecutionReport* report = nullptr);
@@ -69,8 +71,8 @@ StatusOr<uint64_t> ExecuteParallelScanCount(
 // Aggregate-pushdown twin: every morsel folds the spec's aggregates inside
 // its kernel loop (JIT morsels compile a specialized aggregate operator)
 // and the per-morsel partial accumulators are merged in chunk order — the
-// result is byte-identical to the single-threaded path for every thread
-// count and worker interleaving. Requires the scanner's spec to carry
+// result is byte-identical for every thread count and worker
+// interleaving. Requires the scanner's spec to carry
 // aggregates.
 StatusOr<TableScanner::AggResult> ExecuteParallelScanAggregate(
     const TableScanner& scanner, const ParallelScanOptions& options,

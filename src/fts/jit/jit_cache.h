@@ -132,7 +132,8 @@ class JitCache {
   Stats stats_;
 };
 
-// Process-wide cache instance used by JitScanEngine by default.
+// Process-wide cache instance the scan executor's kJit rungs use by
+// default (ParallelScanOptions::cache).
 JitCache& GlobalJitCache();
 
 }  // namespace fts

@@ -295,279 +295,4 @@ StatusOr<size_t> JitExecuteChunkGather(JitCache& cache,
   return count;
 }
 
-JitScanEngine::JitScanEngine(int register_bits, JitCache* cache,
-                             FallbackPolicy fallback)
-    : register_bits_(register_bits), cache_(cache), fallback_(fallback) {
-  FTS_CHECK(register_bits == 128 || register_bits == 256 ||
-            register_bits == 512);
-  FTS_CHECK(cache != nullptr);
-}
-
-template <typename T, typename Run>
-StatusOr<T> JitScanEngine::RunLadder(QueryContext* ctx,
-                                     ExecutionReport* report,
-                                     const Run& run) {
-  ExecutionReport local;
-  if (report == nullptr) report = &local;
-  report->requested = {ScanEngine::kJit, register_bits_};
-
-  std::vector<EngineChoice> rungs;
-  if (fallback_ == FallbackPolicy::kLadder) {
-    rungs = DegradationLadder(ScanEngine::kJit, register_bits_);
-  } else {
-    rungs = {{ScanEngine::kJit, register_bits_}};
-  }
-
-  // A kUnavailable JIT failure (no AVX-512, no usable compiler) dooms every
-  // JIT width; skip straight to the precompiled rungs in that case instead
-  // of burning a compile attempt per width.
-  bool jit_unavailable = false;
-  Status last = Status::Unavailable("no scan engine could run");
-  for (const EngineChoice& choice : rungs) {
-    if (choice.engine == ScanEngine::kJit && jit_unavailable) {
-      report->RecordFailure(choice, last);
-      continue;
-    }
-    StatusOr<T> result = run(choice);
-    if (result.ok()) {
-      report->RecordSuccess(choice);
-      return result;
-    }
-    report->RecordFailure(choice, result.status());
-    // A canceled context stops the walk: lower rungs would fail at their
-    // first cancellation point too. This is distinct from the compile-
-    // budget floor, which returns kDeadlineExceeded *without* canceling
-    // the context precisely so the ladder demotes past it.
-    if (ctx != nullptr && ctx->cancelled()) {
-      return result.status();
-    }
-    if (choice.engine == ScanEngine::kJit &&
-        result.status().code() == StatusCode::kUnavailable) {
-      jit_unavailable = true;
-    }
-    last = result.status();
-  }
-  return last;
-}
-
-StatusOr<TableMatches> JitScanEngine::ExecuteJit(const TableScanner& scanner,
-                                                 int register_bits,
-                                                 JitChunkStats* stats) {
-  if (!GetCpuFeatures().HasFusedScanAvx512()) {
-    return Status::Unavailable(
-        "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
-  }
-  QueryContext* ctx = scanner.context();
-  TableMatches result;
-  result.chunks.reserve(scanner.chunk_plans().size());
-  // Once one chunk's chain has compiled, further chunks with kernel chains
-  // are near-certain cache hits (chunks of one table share the chain
-  // signature unless re-ranking split them), so the model stops charging
-  // them the amortized compile cost.
-  bool jit_warm = false;
-  for (ChunkId chunk_id = 0; chunk_id < scanner.chunk_plans().size();
-       ++chunk_id) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(ctx));
-    const TableScanner::ChunkPlan& plan = scanner.chunk_plans()[chunk_id];
-    ChunkMatches matches;
-    matches.chunk_id = chunk_id;
-    if (!plan.impossible && plan.row_count > 0) {
-      ScopedMemoryReservation reservation;
-      FTS_RETURN_IF_ERROR(reservation.Reserve(
-          ctx, static_cast<uint64_t>(plan.row_count + kScanOutputSlack) *
-                   sizeof(ChunkOffset)));
-      PosList positions(plan.row_count + kScanOutputSlack);
-      const EngineChoice pick = scanner.AdaptEngine(
-          EngineChoice{ScanEngine::kJit, register_bits}, chunk_id,
-          cost::ScanMode::kMaterialize, jit_warm);
-      size_t count = 0;
-      if (pick.engine == ScanEngine::kJit) {
-        FTS_ASSIGN_OR_RETURN(
-            count,
-            JitExecuteChunk(*cache_, plan, register_bits,
-                            /*count_only=*/false, positions.data(), stats,
-                            ctx, scanner.compressed_stats().get()));
-        if (!plan.stages.empty()) jit_warm = true;
-      } else {
-        FTS_ASSIGN_OR_RETURN(
-            count, scanner.ExecuteChunk(pick.engine, chunk_id,
-                                        positions.data()));
-      }
-      positions.resize(count);
-      matches.positions = std::move(positions);
-    }
-    result.chunks.push_back(std::move(matches));
-  }
-  return result;
-}
-
-StatusOr<uint64_t> JitScanEngine::ExecuteJitCount(const TableScanner& scanner,
-                                                  int register_bits,
-                                                  JitChunkStats* stats) {
-  // COUNT(*) compiles a dedicated count-only operator (no compress-store,
-  // no output buffer) — the precise shape of the paper's benchmark query.
-  if (!GetCpuFeatures().HasFusedScanAvx512()) {
-    return Status::Unavailable(
-        "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
-  }
-  QueryContext* ctx = scanner.context();
-  uint64_t total = 0;
-  bool jit_warm = false;
-  for (ChunkId chunk_id = 0; chunk_id < scanner.chunk_plans().size();
-       ++chunk_id) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(ctx));
-    const TableScanner::ChunkPlan& plan = scanner.chunk_plans()[chunk_id];
-    const EngineChoice pick = scanner.AdaptEngine(
-        EngineChoice{ScanEngine::kJit, register_bits}, chunk_id,
-        cost::ScanMode::kCount, jit_warm);
-    size_t count = 0;
-    if (pick.engine == ScanEngine::kJit) {
-      FTS_ASSIGN_OR_RETURN(
-          count, JitExecuteChunk(*cache_, plan, register_bits,
-                                 /*count_only=*/true, nullptr, stats, ctx,
-                                 scanner.compressed_stats().get()));
-      if (!plan.impossible && !plan.stages.empty()) jit_warm = true;
-    } else {
-      FTS_ASSIGN_OR_RETURN(count,
-                           scanner.ExecuteChunkCount(pick.engine, chunk_id));
-    }
-    total += count;
-  }
-  return total;
-}
-
-StatusOr<TableScanner::AggResult> JitScanEngine::ExecuteJitAggregate(
-    const TableScanner& scanner, int register_bits, JitChunkStats* stats) {
-  if (!GetCpuFeatures().HasFusedScanAvx512()) {
-    return Status::Unavailable(
-        "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
-  }
-  QueryContext* ctx = scanner.context();
-  TableScanner::AggResult result;
-  result.accumulators.resize(scanner.num_agg_terms());
-  std::vector<AggAccumulator> partial(scanner.num_agg_terms());
-  bool jit_warm = false;
-  for (ChunkId chunk_id = 0; chunk_id < scanner.chunk_plans().size();
-       ++chunk_id) {
-    const TableScanner::ChunkPlan& plan = scanner.chunk_plans()[chunk_id];
-    if (plan.impossible || plan.row_count == 0) continue;
-    FTS_RETURN_IF_ERROR(CheckCancellation(ctx));
-    const EngineChoice pick = scanner.AdaptEngine(
-        EngineChoice{ScanEngine::kJit, register_bits}, chunk_id,
-        cost::ScanMode::kAggregate, jit_warm);
-    size_t count = 0;
-    if (pick.engine == ScanEngine::kJit) {
-      FTS_ASSIGN_OR_RETURN(
-          count, JitExecuteChunkAggregate(*cache_, plan, register_bits,
-                                          partial.data(), stats, ctx));
-      if (!plan.stages.empty()) jit_warm = true;
-    } else {
-      FTS_ASSIGN_OR_RETURN(
-          count, scanner.ExecuteChunkAggregate(pick.engine, chunk_id,
-                                               partial.data()));
-    }
-    result.matched += count;
-    for (size_t i = 0; i < partial.size(); ++i) {
-      result.accumulators[i].Merge(partial[i]);
-    }
-  }
-  return result;
-}
-
-StatusOr<TableMatches> JitScanEngine::Execute(TablePtr table,
-                                              const ScanSpec& spec,
-                                              ExecutionReport* report) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(std::move(table), spec));
-  if (report != nullptr) {
-    FillPruningReport(scanner, report);
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  JitChunkStats stats;
-  StatusOr<TableMatches> result = RunLadder<TableMatches>(
-      scanner.context(), report,
-      [&](const EngineChoice& choice) -> StatusOr<TableMatches> {
-        if (choice.engine == ScanEngine::kJit) {
-          return ExecuteJit(scanner, choice.jit_register_bits, &stats);
-        }
-        return scanner.Execute(choice.engine);
-      });
-  if (report != nullptr) {
-    report->jit_compile_millis += stats.compile_millis;
-    report->jit_cache_hits += stats.cache_hits;
-    report->jit_cache_misses += stats.cache_misses;
-    // Refresh: run counters accumulated during execution.
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  return result;
-}
-
-StatusOr<uint64_t> JitScanEngine::ExecuteCount(TablePtr table,
-                                               const ScanSpec& spec,
-                                               ExecutionReport* report) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(std::move(table), spec));
-  if (report != nullptr) {
-    FillPruningReport(scanner, report);
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  JitChunkStats stats;
-  StatusOr<uint64_t> result = RunLadder<uint64_t>(
-      scanner.context(), report,
-      [&](const EngineChoice& choice) -> StatusOr<uint64_t> {
-        if (choice.engine == ScanEngine::kJit) {
-          return ExecuteJitCount(scanner, choice.jit_register_bits, &stats);
-        }
-        return scanner.ExecuteCount(choice.engine);
-      });
-  if (report != nullptr) {
-    report->jit_compile_millis += stats.compile_millis;
-    report->jit_cache_hits += stats.cache_hits;
-    report->jit_cache_misses += stats.cache_misses;
-    // Refresh: run counters accumulated during execution.
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  return result;
-}
-
-StatusOr<TableScanner::AggResult> JitScanEngine::ExecuteAggregate(
-    TablePtr table, const ScanSpec& spec, ExecutionReport* report) {
-  if (spec.aggregates.empty()) {
-    return Status::InvalidArgument(
-        "ExecuteAggregate requires at least one aggregate");
-  }
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(std::move(table), spec));
-  if (report != nullptr) {
-    FillPruningReport(scanner, report);
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  JitChunkStats stats;
-  StatusOr<TableScanner::AggResult> result =
-      RunLadder<TableScanner::AggResult>(
-          scanner.context(), report,
-          [&](const EngineChoice& choice)
-              -> StatusOr<TableScanner::AggResult> {
-            if (choice.engine == ScanEngine::kJit) {
-              return ExecuteJitAggregate(scanner, choice.jit_register_bits,
-                                         &stats);
-            }
-            return scanner.ExecuteAggregate(choice.engine);
-          });
-  if (report != nullptr) {
-    report->jit_compile_millis += stats.compile_millis;
-    report->jit_cache_hits += stats.cache_hits;
-    report->jit_cache_misses += stats.cache_misses;
-    // Refresh: run counters accumulated during execution.
-    FillCompressedReport(scanner, report);
-    FillAdaptiveReport(scanner, report);
-  }
-  return result;
-}
-
 }  // namespace fts

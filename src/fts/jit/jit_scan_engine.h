@@ -26,8 +26,8 @@ struct JitChunkStats {
 };
 
 // Runs one chunk's prepared plan through a JIT-compiled operator — the
-// morsel primitive shared by JitScanEngine and the parallel executor
-// (fts/exec/parallel_scan.h). Compiles (or fetches from `cache`) the
+// morsel primitive the scan executor (fts/exec/parallel_scan.h) runs for
+// every kJit rung. Compiles (or fetches from `cache`) the
 // operator for the chunk's chain signature at `register_bits`. In
 // count-only mode `out` may be null and the return value is the match
 // count; otherwise `out` must have capacity for row_count +
@@ -83,68 +83,6 @@ StatusOr<size_t> JitExecuteChunkGather(JitCache& cache,
                                        void* const* outs,
                                        JitChunkStats* stats = nullptr,
                                        QueryContext* ctx = nullptr);
-
-// Executes conjunctive scans through runtime-generated code (Section V).
-// Reuses TableScanner::Prepare for column resolution / value casting /
-// dictionary predicate rewriting, then compiles (or fetches from the
-// cache) one specialized operator per distinct chain signature and runs it
-// per chunk.
-//
-// With FallbackPolicy::kLadder (default) a failing JIT path — compiler
-// missing, compile error/timeout, dlopen failure, CPU without AVX-512 —
-// degrades instead of failing the scan: narrower JIT widths first, then
-// the precompiled engines (AVX-512 fused -> AVX2 -> scalar fused -> SISD).
-// Every demotion is recorded in the caller-provided ExecutionReport. With
-// FallbackPolicy::kStrict the first failure is returned as-is.
-class JitScanEngine {
- public:
-  // `register_bits` selects the generated code's register width
-  // (128/256/512); `cache` defaults to the process-wide cache.
-  explicit JitScanEngine(int register_bits = 512,
-                         JitCache* cache = &GlobalJitCache(),
-                         FallbackPolicy fallback = FallbackPolicy::kLadder);
-
-  StatusOr<TableMatches> Execute(TablePtr table, const ScanSpec& spec,
-                                 ExecutionReport* report = nullptr);
-
-  StatusOr<uint64_t> ExecuteCount(TablePtr table, const ScanSpec& spec,
-                                  ExecutionReport* report = nullptr);
-
-  // Aggregate pushdown: spec.aggregates must be non-empty. JIT morsels
-  // compile specialized aggregate operators; ladder rungs below JIT run
-  // the static aggregate kernels.
-  StatusOr<TableScanner::AggResult> ExecuteAggregate(
-      TablePtr table, const ScanSpec& spec,
-      ExecutionReport* report = nullptr);
-
-  int register_bits() const { return register_bits_; }
-  FallbackPolicy fallback() const { return fallback_; }
-  JitCache& cache() { return *cache_; }
-
- private:
-  // The pure JIT path at one register width; fails without fallback.
-  // `stats` accumulates cache/compile attribution across chunks.
-  StatusOr<TableMatches> ExecuteJit(const TableScanner& scanner,
-                                    int register_bits, JitChunkStats* stats);
-  StatusOr<uint64_t> ExecuteJitCount(const TableScanner& scanner,
-                                     int register_bits, JitChunkStats* stats);
-  StatusOr<TableScanner::AggResult> ExecuteJitAggregate(
-      const TableScanner& scanner, int register_bits, JitChunkStats* stats);
-
-  // Walks the ladder (or just the first rung under kStrict), recording
-  // attempts into `report`. `run` maps an EngineChoice to a result.
-  // `ctx` (nullable) separates demotion from abort: a rung failing with
-  // the compile-budget floor demotes, but a context actually canceled
-  // (explicit cancel or expired deadline) stops the walk — retrying lower
-  // rungs for a dead query would just re-fail at their first boundary.
-  template <typename T, typename Run>
-  StatusOr<T> RunLadder(QueryContext* ctx, ExecutionReport* report,
-                        const Run& run);
-
-  int register_bits_;
-  JitCache* cache_;
-  FallbackPolicy fallback_;
-};
 
 }  // namespace fts
 

@@ -24,8 +24,8 @@ namespace fts {
 namespace {
 
 // Worker threads for a scan step: the step's spec hint, then the plan
-// default, then FTS_THREADS; an unset chain stays single-threaded so
-// plain queries keep the serial execution path (and its reports) exactly.
+// default, then FTS_THREADS; an unset chain runs its morsels inline on the
+// calling thread.
 int ResolveStepThreads(const PhysicalPlan& plan,
                        const PhysicalPlan::ScanStep& step) {
   int threads = step.spec.threads != 0 ? step.spec.threads : plan.threads;
@@ -33,7 +33,7 @@ int ResolveStepThreads(const PhysicalPlan& plan,
   return threads;
 }
 
-// The requested rung for the parallel executor. Static engines carry no
+// The requested rung for the morsel executor. Static engines carry no
 // register width (EngineChoice contract).
 EngineChoice StepEngineChoice(const PhysicalPlan::ScanStep& step) {
   return {step.engine,
@@ -165,12 +165,11 @@ std::vector<Value> ComputeAggregates(
   return results;
 }
 
-// Folds one serial (calling-thread) measured region into the report's
-// whole-query counters. `choice` attributes the region to the engine that
-// executed it; null for engine-less regions (refine steps). No-op when the
-// region produced no valid delta (PMU absent or a read failed).
-void AccumulateSerialCounters(const CounterDelta& delta,
-                              const EngineChoice* choice,
+// Folds one refine step's measured region (on the calling thread) into the
+// report's whole-query counters. Refine steps run no engine, so the region
+// is attributed to the stage only. No-op when the region produced no valid
+// delta (PMU absent or a read failed).
+void AccumulateRefineCounters(const CounterDelta& delta,
                               ExecutionReport* report) {
   if (!delta.valid) return;
   ScanCounters& sc = report->counters;
@@ -180,181 +179,28 @@ void AccumulateSerialCounters(const CounterDelta& delta,
   sc.instructions += delta.instructions;
   sc.branches += delta.branches;
   sc.branch_misses += delta.branch_misses;
-  if (choice != nullptr) {
-    report->AttributeEngineCounters(*choice, delta.cycles, delta.instructions,
-                                    delta.branches, delta.branch_misses);
-  }
 }
 
-// Runs the plan's first (full-chunk) scan step under the fallback policy,
-// demoting along DegradationLadder() when the requested engine fails and
-// recording every attempt in `report`. The JIT engine carries its own
-// internal ladder (narrow widths before static kernels); static engines
-// walk the ladder here. When `collect` is set, the parallel path measures
-// per worker per morsel and the serial/JIT paths run inside a counter
-// region on the calling thread.
-StatusOr<TableMatches> RunFirstStep(const TablePtr& table,
-                                    const PhysicalPlan::ScanStep& step,
-                                    FallbackPolicy policy, int threads,
-                                    bool collect, ExecutionReport* report) {
-  if (threads > 1 && table->chunk_count() > 1) {
-    // Morsel-driven parallel path: per-chunk morsels on the task pool,
-    // per-morsel degradation, byte-identical output (fts/exec).
-    FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                         TableScanner::Prepare(table, step.spec));
-    ParallelScanOptions options;
-    options.requested = StepEngineChoice(step);
-    options.fallback = policy;
-    options.threads = threads;
-    options.collect_counters = collect;
-    return ExecuteParallelScan(scanner, options, report);
-  }
-  if (step.engine == ScanEngine::kJit) {
-    JitScanEngine engine(step.jit_register_bits, &GlobalJitCache(), policy);
-    CounterRegion region(collect);
-    StatusOr<TableMatches> result = engine.Execute(table, step.spec, report);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &report->executed, report);
-    }
-    return result;
-  }
+// Runs the plan's first (full-chunk) scan step: prepares the scanner once
+// and hands it to the morsel executor, which walks the degradation ladder
+// per morsel at every thread count (morsels run inline at 1 thread) and
+// fills `report`. `execute` is ExecuteParallelScan, ExecuteParallelScanCount
+// or ExecuteParallelScanAggregate.
+template <typename T>
+StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
+                         const PhysicalPlan::ScanStep& step,
+                         StatusOr<T> (*execute)(const TableScanner&,
+                                                const ParallelScanOptions&,
+                                                ExecutionReport*),
+                         ExecutionReport* report) {
   FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(table, step.spec));
-  report->requested = {step.engine, 0};
-  FillPruningReport(scanner, report);
-  FillCompressedReport(scanner, report);
-  FillAdaptiveReport(scanner, report);
-  const std::vector<EngineChoice> rungs =
-      policy == FallbackPolicy::kLadder
-          ? DegradationLadder(step.engine, 0)
-          : std::vector<EngineChoice>{{step.engine, 0}};
-  Status last = Status::Unavailable("no scan engine could run");
-  for (const EngineChoice& choice : rungs) {
-    // Per-rung region: a failed rung's work never contaminates the
-    // successful rung's attribution.
-    CounterRegion region(collect);
-    StatusOr<TableMatches> result = scanner.Execute(choice.engine);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &choice, report);
-      report->RecordSuccess(choice);
-      // Refresh: counters accumulated during the successful rung.
-      FillCompressedReport(scanner, report);
-      FillAdaptiveReport(scanner, report);
-      return result;
-    }
-    report->RecordFailure(choice, result.status());
-    last = result.status();
-  }
-  return last;
-}
-
-// Count-only twin of RunFirstStep for the COUNT(*) fast path.
-StatusOr<uint64_t> RunFirstStepCount(const TablePtr& table,
-                                     const PhysicalPlan::ScanStep& step,
-                                     FallbackPolicy policy, int threads,
-                                     bool collect, ExecutionReport* report) {
-  if (threads > 1 && table->chunk_count() > 1) {
-    FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                         TableScanner::Prepare(table, step.spec));
-    ParallelScanOptions options;
-    options.requested = StepEngineChoice(step);
-    options.fallback = policy;
-    options.threads = threads;
-    options.collect_counters = collect;
-    return ExecuteParallelScanCount(scanner, options, report);
-  }
-  if (step.engine == ScanEngine::kJit) {
-    JitScanEngine engine(step.jit_register_bits, &GlobalJitCache(), policy);
-    CounterRegion region(collect);
-    StatusOr<uint64_t> result = engine.ExecuteCount(table, step.spec, report);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &report->executed, report);
-    }
-    return result;
-  }
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(table, step.spec));
-  report->requested = {step.engine, 0};
-  FillPruningReport(scanner, report);
-  FillCompressedReport(scanner, report);
-  FillAdaptiveReport(scanner, report);
-  const std::vector<EngineChoice> rungs =
-      policy == FallbackPolicy::kLadder
-          ? DegradationLadder(step.engine, 0)
-          : std::vector<EngineChoice>{{step.engine, 0}};
-  Status last = Status::Unavailable("no scan engine could run");
-  for (const EngineChoice& choice : rungs) {
-    CounterRegion region(collect);
-    StatusOr<uint64_t> result = scanner.ExecuteCount(choice.engine);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &choice, report);
-      report->RecordSuccess(choice);
-      // Refresh: counters accumulated during the successful rung.
-      FillCompressedReport(scanner, report);
-      FillAdaptiveReport(scanner, report);
-      return result;
-    }
-    report->RecordFailure(choice, result.status());
-    last = result.status();
-  }
-  return last;
-}
-
-// Aggregate-pushdown twin of RunFirstStep: the scan step's spec carries
-// fold terms (spec.aggregates), so every rung computes partial
-// accumulators per chunk and merges them in chunk order — no position
-// list exists at any point.
-StatusOr<TableScanner::AggResult> RunFirstStepAggregate(
-    const TablePtr& table, const PhysicalPlan::ScanStep& step,
-    FallbackPolicy policy, int threads, bool collect,
-    ExecutionReport* report) {
-  if (threads > 1 && table->chunk_count() > 1) {
-    FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                         TableScanner::Prepare(table, step.spec));
-    ParallelScanOptions options;
-    options.requested = StepEngineChoice(step);
-    options.fallback = policy;
-    options.threads = threads;
-    options.collect_counters = collect;
-    return ExecuteParallelScanAggregate(scanner, options, report);
-  }
-  if (step.engine == ScanEngine::kJit) {
-    JitScanEngine engine(step.jit_register_bits, &GlobalJitCache(), policy);
-    CounterRegion region(collect);
-    StatusOr<TableScanner::AggResult> result =
-        engine.ExecuteAggregate(table, step.spec, report);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &report->executed, report);
-    }
-    return result;
-  }
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(table, step.spec));
-  report->requested = {step.engine, 0};
-  FillPruningReport(scanner, report);
-  FillCompressedReport(scanner, report);
-  FillAdaptiveReport(scanner, report);
-  const std::vector<EngineChoice> rungs =
-      policy == FallbackPolicy::kLadder
-          ? DegradationLadder(step.engine, 0)
-          : std::vector<EngineChoice>{{step.engine, 0}};
-  Status last = Status::Unavailable("no scan engine could run");
-  for (const EngineChoice& choice : rungs) {
-    CounterRegion region(collect);
-    StatusOr<TableScanner::AggResult> result =
-        scanner.ExecuteAggregate(choice.engine);
-    if (result.ok()) {
-      AccumulateSerialCounters(region.Finish(), &choice, report);
-      report->RecordSuccess(choice);
-      // Refresh: counters accumulated during the successful rung.
-      FillCompressedReport(scanner, report);
-      FillAdaptiveReport(scanner, report);
-      return result;
-    }
-    report->RecordFailure(choice, result.status());
-    last = result.status();
-  }
-  return last;
+                       TableScanner::Prepare(plan.table, step.spec));
+  ParallelScanOptions options;
+  options.requested = StepEngineChoice(step);
+  options.fallback = plan.fallback;
+  options.threads = ResolveStepThreads(plan, step);
+  options.collect_counters = plan.collect_counters;
+  return execute(scanner, options, report);
 }
 
 // Turns the merged accumulators into the aggregate projection's output
@@ -444,26 +290,25 @@ StatusOr<std::vector<Value>> FinalizeAggregates(
   return results;
 }
 
-StatusOr<TableMatches> RunStep(const TablePtr& table,
+StatusOr<TableMatches> RunStep(const PhysicalPlan& plan,
                                const PhysicalPlan::ScanStep& step,
                                const std::optional<TableMatches>& previous,
-                               FallbackPolicy policy, int threads,
-                               bool collect, size_t* measured_refines,
+                               size_t* measured_refines,
                                ExecutionReport* report,
                                double* refine_selectivity) {
   if (!previous.has_value()) {
-    return RunFirstStep(table, step, policy, threads, collect, report);
+    return RunFirstStep(plan, step, ExecuteParallelScan, report);
   }
   // Later steps refine position lists tuple-at-a-time; no engine involved
   // — the measured region (always on the calling thread) is attributed to
   // the stage, not an engine.
-  CounterRegion region(collect);
+  CounterRegion region(plan.collect_counters);
   StatusOr<TableMatches> refined =
-      RefineMatches(table, step.spec, *previous, refine_selectivity);
+      RefineMatches(plan.table, step.spec, *previous, refine_selectivity);
   if (refined.ok()) {
     const CounterDelta delta = region.Finish();
     if (delta.valid) {
-      AccumulateSerialCounters(delta, nullptr, report);
+      AccumulateRefineCounters(delta, report);
       if (measured_refines != nullptr) ++*measured_refines;
     }
   }
@@ -553,13 +398,13 @@ void LabelCounterCoverage(const PhysicalPlan& plan, size_t measured_refines,
   if (sc.source != CounterSource::kHardware) return;
   std::string scope;
   if (report->morsel_count > 0) {
-    scope = StrFormat("%llu/%llu morsels on %d threads",
+    scope = StrFormat("%llu/%llu morsels on %d thread%s",
                       static_cast<unsigned long long>(sc.morsels_covered),
                       static_cast<unsigned long long>(sc.morsels_measurable),
-                      sc.threads_covered);
+                      sc.threads_covered, sc.threads_covered == 1 ? "" : "s");
     if (sc.morsels_covered < sc.morsels_measurable) sc.partial = true;
   } else {
-    scope = "serial scan";
+    scope = "0 morsels (every chunk pruned or empty)";
   }
   const size_t total_refines =
       plan.scan_steps.empty() ? 0 : plan.scan_steps.size() - 1;
@@ -617,9 +462,7 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan) {
   report.aggregate_pushdown = true;
   Stopwatch timer;
   const StatusOr<TableScanner::AggResult> agg =
-      RunFirstStepAggregate(plan.table, step, plan.fallback,
-                            ResolveStepThreads(plan, step),
-                            plan.collect_counters, &report);
+      RunFirstStep(plan, step, ExecuteParallelScanAggregate, &report);
   const double millis = timer.ElapsedMillis();
   FTS_RETURN_IF_ERROR(agg.status());
   FinishCounters(plan, 0, &report);
@@ -816,10 +659,10 @@ Status ProjectTopK(const PhysicalPlan& plan, const TableMatches& matches,
 // JIT-mirrored projection: every chunk's survivors materialized by the
 // generated fused gather operator — all projected columns in one pass
 // over the position list, each column's encoding burned into the code
-// (fts/jit/code_generator.h). Serial by design: JIT-executed plans run
-// chunks serially, and the compiled module is shared across chunks via
-// the global cache. Any failure other than cancellation falls back to
-// the static kernels in the caller.
+// (fts/jit/code_generator.h). Serial by design: it serves 1-thread plans,
+// and the compiled module is shared across chunks via the global cache.
+// Any failure other than cancellation falls back to the static kernels in
+// the caller.
 Status ProjectJitGather(const PhysicalPlan& plan, const TableMatches& matches,
                         const ProjectionGatherer& gatherer,
                         QueryResult* result, GatherStats* stats) {
@@ -899,11 +742,11 @@ Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
     FTS_RETURN_IF_ERROR(
         ProjectTopK(plan, matches, gatherer, options, result, &stats));
   } else {
-    // JIT-executed serial plans mirror the projection in generated code:
+    // JIT-executed 1-thread plans mirror the projection in generated code:
     // one fused pass over each chunk's positions, compiled per column-
-    // shape signature. Eligibility matches the scan's serial execution
-    // (morsel-parallel plans keep the static kernels' disjoint-slice
-    // fan-out) and requires every column-chunk on the kernel path.
+    // shape signature. Multi-thread plans keep the static kernels'
+    // disjoint-slice fan-out; every column-chunk must be on the kernel
+    // path.
     if (result->execution_report.executed.engine == ScanEngine::kJit &&
         options.threads <= 1 && gatherer.column_count() > 0 &&
         gatherer.column_count() <= kMaxGatherTerms &&
@@ -1070,9 +913,7 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     ExecutionReport& report = result.execution_report;
     Stopwatch timer;
     const StatusOr<uint64_t> count =
-        RunFirstStepCount(plan.table, step, plan.fallback,
-                          ResolveStepThreads(plan, step),
-                          plan.collect_counters, &report);
+        RunFirstStep(plan, step, ExecuteParallelScanCount, &report);
     const double millis = timer.ElapsedMillis();
     FTS_RETURN_IF_ERROR(count.status());
     FinishCounters(plan, 0, &report);
@@ -1108,9 +949,7 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     double refine_selectivity = 1.0;
     FTS_ASSIGN_OR_RETURN(
         TableMatches next,
-        RunStep(plan.table, step, matches, plan.fallback,
-                ResolveStepThreads(plan, step), plan.collect_counters,
-                &measured_refines, &report,
+        RunStep(plan, step, matches, &measured_refines, &report,
                 first ? nullptr : &refine_selectivity));
     const double millis = timer.ElapsedMillis();
     report.scan_millis += millis;

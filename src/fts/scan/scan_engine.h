@@ -88,25 +88,25 @@ const char* CounterSourceToString(CounterSource source);
 // the plan executor (EXPLAIN ANALYZE, or any query when the PMU opens).
 //
 // Coverage labeling (DESIGN.md §15): the numbers are only meaningful
-// together with the scope they were measured over. A parallel query is
-// measured per worker per morsel; a serial query per plan stage on the
-// calling thread; the simulator fallback replays only the first scan
-// step. `coverage` says which, `partial` flags any measurement that does
-// NOT cover every executed scan region, and the morsel/thread counts make
-// the parallel coverage auditable.
+// together with the scope they were measured over. The first scan step is
+// measured per worker per morsel (at every thread count); refine steps per
+// step on the calling thread; the simulator fallback replays only the
+// first scan step. `coverage` says which, `partial` flags any measurement
+// that does NOT cover every executed scan region, and the morsel/thread
+// counts make the coverage auditable.
 struct ScanCounters {
   CounterSource source = CounterSource::kUnavailable;
   // Which PMU events or which simulator produced the numbers, e.g.
   // "perf_event_open" or "gshare(14)".
   std::string detail;
-  // Human-readable scope, e.g. "12/12 morsels on 4 workers",
-  // "serial scan + 1 refine step", "first scan step only".
+  // Human-readable scope, e.g. "12/12 morsels on 4 threads",
+  // "3/3 morsels on 1 thread + 1/1 refine steps", "first scan step only".
   std::string coverage;
   // True when some executed scan work was not measured (e.g. a morsel
   // whose PMU read failed, or the simulated first-step-only fallback on a
   // multi-step plan). EXPLAIN ANALYZE renders partial numbers as such.
   bool partial = false;
-  // Parallel-path coverage accounting (0 on serial paths).
+  // Morsel coverage accounting of the first scan step.
   uint64_t morsels_covered = 0;
   uint64_t morsels_measurable = 0;
   int threads_covered = 0;
@@ -118,13 +118,13 @@ struct ScanCounters {
   std::string ToString() const;
 };
 
-// Counter totals attributed to one engine choice across the morsels (or
-// serial stages) it executed. Lets EXPLAIN ANALYZE separate e.g. the
+// Counter totals attributed to one engine choice across the morsels it
+// executed. Lets EXPLAIN ANALYZE separate e.g. the
 // cycles/row of JIT morsels from the chunks the cost model demoted to a
 // SISD rung within the same query.
 struct EngineCounters {
   EngineChoice choice;
-  uint64_t regions = 0;  // Morsels (parallel) or stages (serial) measured.
+  uint64_t regions = 0;  // Morsels measured.
   uint64_t cycles = 0;
   uint64_t instructions = 0;
   uint64_t branches = 0;
@@ -154,9 +154,9 @@ struct StageReport {
 // Which engine a scan actually executed and why. Every QueryResult carries
 // one, so degradations are observable instead of silent.
 //
-// The morsel-driven parallel path (fts/exec/parallel_scan.h) walks the
-// degradation ladder independently per morsel (= chunk), so one chunk's
-// JIT compile failure demotes only that chunk. `executed` is then the
+// The morsel executor (fts/exec/parallel_scan.h) walks the degradation
+// ladder independently per morsel (= chunk) at every thread count, so one
+// chunk's JIT compile failure demotes only that chunk. `executed` is then the
 // deepest rung any morsel ran, `attempts` is that morsel's ladder trail,
 // and `morsel_choices` records every morsel's decision in chunk order.
 struct ExecutionReport {
@@ -166,14 +166,15 @@ struct ExecutionReport {
   bool degraded = false;
   // Every rung tried, in order; the last entry is the one that ran.
   std::vector<EngineAttempt> attempts;
-  // Worker threads that executed the scan (1 = single-threaded path).
+  // Worker threads that executed the scan (1 = morsels ran inline on the
+  // calling thread).
   int worker_count = 1;
-  // Morsels (chunk-granular work units) the scan was split into. 0 for the
-  // single-threaded path, which runs chunks inline without a scheduler.
+  // Morsels (chunk-granular work units) the scan was split into: one per
+  // runnable chunk, so 0 only when every chunk was pruned or empty.
   size_t morsel_count = 0;
-  // Engine that ran each morsel, in chunk order. Empty unless the parallel
-  // path executed. Byte-identical output is guaranteed regardless of the
-  // per-morsel choices (all rungs compute the same positions).
+  // Engine that ran each morsel, in chunk order. Byte-identical output is
+  // guaranteed regardless of the per-morsel choices (all rungs compute the
+  // same positions).
   std::vector<EngineChoice> morsel_choices;
   // Zone-map accounting (fts/storage/zone_map.h), filled from the prepared
   // scanner's PruningSummary by every execution path. `chunks_pruned`
@@ -264,9 +265,9 @@ struct ExecutionReport {
   // Per-stage breakdown for EXPLAIN ANALYZE; one entry per executed plan
   // stage in execution order.
   std::vector<StageReport> stages;
-  // Whole-query microarchitectural counters with coverage labeling. On the
-  // parallel path these aggregate per-worker per-morsel PMU reads; on the
-  // serial path, per-stage reads on the calling thread.
+  // Whole-query microarchitectural counters with coverage labeling: the
+  // first scan step's per-worker per-morsel PMU reads plus per-step reads
+  // of the refine steps on the calling thread.
   ScanCounters counters;
   // Counter totals split by the engine that executed each measured region,
   // in first-seen order. Empty without hardware coverage.
@@ -278,9 +279,6 @@ struct ExecutionReport {
                                uint64_t instructions, uint64_t branches,
                                uint64_t branch_misses);
 
-  void RecordFailure(const EngineChoice& choice, const Status& status) {
-    attempts.push_back({choice, status});
-  }
   void RecordSuccess(const EngineChoice& choice) {
     attempts.push_back({choice, Status::Ok()});
     executed = choice;

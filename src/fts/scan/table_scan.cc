@@ -468,7 +468,7 @@ FusedScanFn FusedFnForEngine(ScanEngine engine) {
 Status ValidateEngine(ScanEngine engine) {
   if (engine == ScanEngine::kJit) {
     return Status::InvalidArgument(
-        "the JIT engine is driven by fts::JitScanEngine (fts/jit)");
+        "the JIT engine runs through the fts/jit chunk primitives");
   }
   if (!ScanEngineAvailable(engine)) {
     return Status::Unavailable(StrFormat(
@@ -937,82 +937,9 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
   return count;
 }
 
-StatusOr<TableScanner::AggResult> TableScanner::ExecuteAggregate(
-    ScanEngine engine) const {
-  FTS_RETURN_IF_ERROR(ValidateEngine(engine));
-  if (num_agg_terms_ == 0) {
-    return Status::InvalidArgument(
-        "scan spec carries no aggregates; use Execute");
-  }
-  AggResult result;
-  result.accumulators.resize(num_agg_terms_);
-  std::vector<AggAccumulator> partial(num_agg_terms_);
-  for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(context_));
-    const ScanEngine chunk_engine =
-        AdaptEngine(EngineChoice{engine, 0}, chunk_id,
-                    cost::ScanMode::kAggregate)
-            .engine;
-    FTS_ASSIGN_OR_RETURN(
-        const size_t count,
-        ExecuteChunkAggregate(chunk_engine, chunk_id, partial.data()));
-    result.matched += count;
-    for (size_t i = 0; i < num_agg_terms_; ++i) {
-      result.accumulators[i].Merge(partial[i]);
-    }
-  }
-  return result;
-}
-
-StatusOr<TableMatches> TableScanner::Execute(ScanEngine engine) const {
-  FTS_RETURN_IF_ERROR(ValidateEngine(engine));
-  TableMatches result;
-  result.chunks.reserve(chunk_plans_.size());
-  for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    // Cancellation points sit between chunks, never inside a kernel: a
-    // chunk in flight always runs to completion (DESIGN.md §12).
-    FTS_RETURN_IF_ERROR(CheckCancellation(context_));
-    const ChunkPlan& plan = chunk_plans_[chunk_id];
-    ChunkMatches matches;
-    matches.chunk_id = chunk_id;
-    if (!plan.impossible && plan.row_count > 0) {
-      ScopedMemoryReservation reservation;
-      FTS_RETURN_IF_ERROR(
-          reservation.Reserve(context_, PosListBytes(plan.row_count)));
-      PosList positions(plan.row_count + kScanOutputSlack);
-      const ScanEngine chunk_engine =
-          AdaptEngine(EngineChoice{engine, 0}, chunk_id,
-                      cost::ScanMode::kMaterialize)
-              .engine;
-      FTS_ASSIGN_OR_RETURN(
-          const size_t count,
-          ExecuteChunk(chunk_engine, chunk_id, positions.data()));
-      positions.resize(count);
-      matches.positions = std::move(positions);
-    }
-    result.chunks.push_back(std::move(matches));
-  }
-  return result;
-}
-
-StatusOr<uint64_t> TableScanner::ExecuteCount(ScanEngine engine) const {
-  FTS_RETURN_IF_ERROR(ValidateEngine(engine));
-  uint64_t total = 0;
-  for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(context_));
-    const ScanEngine chunk_engine =
-        AdaptEngine(EngineChoice{engine, 0}, chunk_id, cost::ScanMode::kCount)
-            .engine;
-    FTS_ASSIGN_OR_RETURN(const uint64_t count,
-                         ExecuteChunkCount(chunk_engine, chunk_id));
-    total += count;
-  }
-  return total;
-}
-
 EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
-                                       ChunkId chunk_id, cost::ScanMode mode,
-                                       bool jit_warm) const {
+                                       ChunkId chunk_id,
+                                       cost::ScanMode mode) const {
   if (!adaptive_engine_ || profile_ == nullptr ||
       chunk_id >= chunk_plans_.size()) {
     return requested;
@@ -1029,10 +956,10 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
     return requested;
   }
   double requested_ns = EstimateChunkNanos(requested.engine, chunk_id, mode);
-  if (requested.engine == ScanEngine::kJit && !jit_warm) {
-    // Cold signature: a JIT pick pays its share of one compile spread over
-    // the scan's runnable chunks (each chunk decides independently, so the
-    // per-chunk share is the fair accounting).
+  if (requested.engine == ScanEngine::kJit) {
+    // A JIT pick pays its share of one compile spread over the scan's
+    // runnable chunks (each chunk decides independently, so the per-chunk
+    // share is the fair accounting).
     requested_ns +=
         profile_->jit_compile_millis * 1e6 /
         static_cast<double>(std::max<size_t>(size_t{1}, runnable_chunks_));
@@ -1127,75 +1054,6 @@ double TableScanner::EstimateScanNanos(ScanEngine engine,
     total += EstimateChunkNanos(engine, chunk_id, mode);
   }
   return total;
-}
-
-void FillPruningReport(const TableScanner& scanner, ExecutionReport* report) {
-  const TableScanner::PruningSummary& pruning = scanner.pruning();
-  report->chunks_total = pruning.chunks_total;
-  report->chunks_pruned = pruning.chunks_pruned;
-  report->stages_dropped = pruning.stages_dropped;
-  report->bytes_skipped = pruning.bytes_skipped;
-  uint64_t rows_scanned = 0;
-  for (const TableScanner::ChunkPlan& plan : scanner.chunk_plans()) {
-    if (!plan.impossible) rows_scanned += plan.row_count;
-  }
-  report->rows_scanned = rows_scanned;
-  // Each execution path fills its report exactly once per scan, so this is
-  // also where pruning lands in the process-lifetime registry.
-  const obs::EngineMetrics& metrics = obs::Metrics();
-  metrics.scans_total->Increment();
-  if (pruning.chunks_pruned > 0) {
-    metrics.chunks_pruned_total->Add(pruning.chunks_pruned);
-  }
-  if (pruning.stages_dropped > 0) {
-    metrics.stages_dropped_total->Add(pruning.stages_dropped);
-  }
-}
-
-void FillCompressedReport(const TableScanner& scanner,
-                          ExecutionReport* report) {
-  const std::array<uint64_t, 6>& mix = scanner.stage_encodings();
-  for (size_t e = 0; e < mix.size(); ++e) {
-    report->stage_encodings[e] = mix[e];
-  }
-  const AtomicCompressedStats& stats = *scanner.compressed_stats();
-  report->rle_runs_classified =
-      stats.rle_runs_classified.load(std::memory_order_relaxed);
-  report->rle_runs_skipped =
-      stats.rle_runs_skipped.load(std::memory_order_relaxed);
-  report->delta_blocks_pruned =
-      stats.delta_blocks_pruned.load(std::memory_order_relaxed);
-  report->delta_blocks_decoded =
-      stats.delta_blocks_decoded.load(std::memory_order_relaxed);
-}
-
-void FillAdaptiveReport(const TableScanner& scanner,
-                        ExecutionReport* report) {
-  report->model_active = scanner.model_active();
-  report->adaptive_engines = scanner.adaptive();
-  report->chunks_reordered = scanner.chunks_reordered();
-  report->est_rows = scanner.est_rows();
-  const TableScanner::AdaptiveStats& stats = *scanner.adaptive_stats();
-  report->adaptive_engine_switches =
-      stats.engine_switches.load(std::memory_order_relaxed);
-  for (size_t e = 0; e < cost::kNumEngines; ++e) {
-    report->adaptive_chunk_engines[e] =
-        stats.chunk_engines[e].load(std::memory_order_relaxed);
-  }
-}
-
-StatusOr<TableMatches> ExecuteScan(TablePtr table, const ScanSpec& spec,
-                                   ScanEngine engine) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(std::move(table), spec));
-  return scanner.Execute(engine);
-}
-
-StatusOr<uint64_t> ExecuteScanCount(TablePtr table, const ScanSpec& spec,
-                                    ScanEngine engine) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(std::move(table), spec));
-  return scanner.ExecuteCount(engine);
 }
 
 }  // namespace fts

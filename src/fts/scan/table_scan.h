@@ -22,8 +22,9 @@ namespace fts {
 // Executable form of a conjunctive scan over one table. Prepare() resolves
 // column names, casts search values to column types, and rewrites
 // predicates on dictionary-encoded columns into code-space predicates
-// (fts/storage/dictionary_column.h). Execute() then runs any ScanEngine
-// over the prepared per-chunk stage arrays.
+// (fts/storage/dictionary_column.h). The ExecuteChunk* primitives then run
+// any static ScanEngine over one prepared chunk; the scan executor
+// (fts/exec/parallel_scan.h) drives them chunk by chunk.
 //
 // The prepared scanner borrows the table's column data; the table must
 // outlive it (it holds a TablePtr, so normal shared_ptr usage is safe).
@@ -85,9 +86,9 @@ class TableScanner {
     std::vector<AggAccumulator> agg_zone_partials;
   };
 
-  // Result of an aggregate-pushdown execution: one partial accumulator per
-  // ScanSpec aggregate (already merged across chunks for the whole-table
-  // entry point) plus the conjunction's match count.
+  // Result of an aggregate-pushdown execution: one accumulator per
+  // ScanSpec aggregate, merged across chunks in chunk order, plus the
+  // conjunction's match count.
   struct AggResult {
     std::vector<AggAccumulator> accumulators;
     uint64_t matched = 0;
@@ -115,26 +116,19 @@ class TableScanner {
   static StatusOr<TableScanner> Prepare(TablePtr table, const ScanSpec& spec,
                                         const PrepareOptions& options);
 
-  // Runs the scan and materializes matching positions per chunk.
-  // Fails when `engine` is not available on this CPU or is kJit (the JIT
-  // engine lives in fts/jit and has its own entry point).
-  StatusOr<TableMatches> Execute(ScanEngine engine) const;
-
-  // Count-only execution. For the SISD engines this skips position
-  // materialization entirely — the paper's naive COUNT(*) loop; fused
-  // engines count their materialized position lists, which is exactly the
-  // paper's comparison setup.
-  StatusOr<uint64_t> ExecuteCount(ScanEngine engine) const;
-
-  // Runs one chunk's plan — the morsel primitive the parallel executor
+  // Runs one chunk's plan — the morsel primitive the scan executor
   // (fts/exec/parallel_scan.h) schedules. `out` must have capacity for
   // row_count + kScanOutputSlack positions; returns the match count.
   // Impossible chunks return 0; predicate-free chunks emit every row.
+  // Fails when `engine` is not available on this CPU or is kJit (the JIT
+  // chunk primitives live in fts/jit).
   StatusOr<size_t> ExecuteChunk(ScanEngine engine, ChunkId chunk_id,
                                 ChunkOffset* out) const;
 
-  // Count-only morsel primitive. SISD engines count without materializing;
-  // the others materialize into a scratch list and return its size.
+  // Count-only morsel primitive. SISD engines count without materializing
+  // (the paper's naive COUNT(*) loop); the others materialize into a
+  // scratch list and return its size, which is the paper's comparison
+  // setup.
   StatusOr<uint64_t> ExecuteChunkCount(ScanEngine engine,
                                        ChunkId chunk_id) const;
 
@@ -149,13 +143,8 @@ class TableScanner {
   StatusOr<size_t> ExecuteChunkAggregate(ScanEngine engine, ChunkId chunk_id,
                                          AggAccumulator* accs) const;
 
-  // Whole-table aggregate pushdown: runs every chunk through
-  // ExecuteChunkAggregate and merges partials in chunk order (the
-  // deterministic merge order the parallel executor reproduces).
-  StatusOr<AggResult> ExecuteAggregate(ScanEngine engine) const;
-
   // Number of aggregate terms the prepared spec carries (0 = the spec had
-  // no aggregates and the Execute*Aggregate entry points will fail).
+  // no aggregates and the aggregate entry points will fail).
   size_t num_agg_terms() const { return num_agg_terms_; }
 
   const std::vector<ChunkPlan>& chunk_plans() const { return chunk_plans_; }
@@ -178,9 +167,9 @@ class TableScanner {
   }
 
   // The query lifecycle context captured from the spec at Prepare() (null
-  // when the spec carried none). Whole-table execution loops check it at
-  // chunk boundaries and account scratch buffers against its memory
-  // budget; the parallel executor reads it for its morsel boundaries.
+  // when the spec carried none). Chunk primitives account scratch buffers
+  // against its memory budget; the scan executor reads it for its morsel
+  // boundaries.
   QueryContext* context() const { return context_; }
 
   // ---- Calibrated cost model (fts/cost, DESIGN.md §14) ----
@@ -212,12 +201,11 @@ class TableScanner {
   // `requested` (never an ISA upgrade), keeping `requested` unless a
   // candidate is predicted at least 1.25x faster. Returns `requested`
   // unchanged when adaptation is off, the chunk runs in the compressed
-  // domain (engine-independent there), or the chunk has no stages.
-  // `jit_warm` tells the model the chunk's chain signature is already
-  // compiled, zeroing the amortized compile cost a kJit request
-  // otherwise pays. Records the decision in adaptive_stats().
+  // domain (engine-independent there), or the chunk has no stages. A kJit
+  // request is charged its share of one compile amortized over the
+  // runnable chunks. Records the decision in adaptive_stats().
   EngineChoice AdaptEngine(const EngineChoice& requested, ChunkId chunk_id,
-                           cost::ScanMode mode, bool jit_warm = false) const;
+                           cost::ScanMode mode) const;
 
   // Predicted execution cost of one chunk / the whole scan on `engine`,
   // from the calibrated constants and the per-chunk estimates. Compressed
@@ -264,35 +252,6 @@ class TableScanner {
   std::shared_ptr<AdaptiveStats> adaptive_stats_ =
       std::make_shared<AdaptiveStats>();
 };
-
-// Copies the scanner's PruningSummary into the report's zone-map fields.
-// Every execution path (serial ladder, JIT, morsel-parallel) calls this so
-// pruning is observable uniformly.
-void FillPruningReport(const TableScanner& scanner, ExecutionReport* report);
-
-// Copies the scanner's per-stage encoding mix and accumulated
-// compressed-domain counters into the report. Assignment semantics
-// (idempotent), so paths that fill reports at multiple points stay
-// consistent; called wherever FillPruningReport is, plus at the end of
-// executions so run/block counters reflect the finished scan.
-void FillCompressedReport(const TableScanner& scanner,
-                          ExecutionReport* report);
-
-// Copies the scanner's cost-model state (model on/off, chunks re-ranked,
-// estimated rows, per-chunk engine mix, switch count) into the report.
-// Assignment semantics like FillCompressedReport; called wherever
-// FillPruningReport is, plus at end of execution so the engine-mix
-// counters reflect the finished scan.
-void FillAdaptiveReport(const TableScanner& scanner,
-                        ExecutionReport* report);
-
-// Convenience wrapper: Prepare + Execute.
-StatusOr<TableMatches> ExecuteScan(TablePtr table, const ScanSpec& spec,
-                                   ScanEngine engine);
-
-// Convenience wrapper: Prepare + ExecuteCount.
-StatusOr<uint64_t> ExecuteScanCount(TablePtr table, const ScanSpec& spec,
-                                    ScanEngine engine);
 
 }  // namespace fts
 

@@ -35,7 +35,6 @@
 #include "fts/common/string_util.h"
 #include "fts/db/database.h"
 #include "fts/exec/parallel_scan.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/simd/agg_spec.h"
 #include "fts/storage/compare_op.h"
@@ -54,11 +53,20 @@ constexpr ScanEngine kAllEngines[] = {
     ScanEngine::kAvx512Fused512, ScanEngine::kBlockwise,
 };
 
-// Materialize-then-fold reference: SISD position list, then FoldRowScalar
+// One engine's aggregate pushdown on the morsel executor (1 thread,
+// kStrict: exactly `engine`, no ladder).
+StatusOr<TableScanner::AggResult> AggregateWith(const TableScanner& scanner,
+                                                ScanEngine engine) {
+  return ExecuteParallelScanAggregate(scanner,
+                                      testing::StrictOptions({engine, 0}));
+}
+
+// Materialize-then-fold reference: the chunk-loop SISD position list
+// (testing::ReferenceScan), then FoldRowScalar
 // per matching row, partials merged in chunk order — the exact dataflow
 // the pushdown replaces.
 TableScanner::AggResult FoldReference(const TableScanner& scanner) {
-  const auto matches = scanner.Execute(ScanEngine::kSisdNoVec);
+  const auto matches = testing::ReferenceScan(scanner);
   FTS_CHECK(matches.ok());
   TableScanner::AggResult result;
   result.accumulators.resize(scanner.num_agg_terms());
@@ -157,7 +165,7 @@ TEST(AggPushdownEdgeTest, SumWidensPastThirtyTwoBits) {
 
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateWith(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     EXPECT_EQ(result->matched, matched) << ScanEngineToString(engine);
     EXPECT_EQ(static_cast<int64_t>(result->accumulators[0].sum_bits),
@@ -199,7 +207,7 @@ TEST(AggPushdownEdgeTest, ZeroAndFullSurvivorMasks) {
 
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateWith(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     EXPECT_EQ(result->matched, matched) << ScanEngineToString(engine);
     EXPECT_EQ(static_cast<int64_t>(result->accumulators[0].sum_bits),
@@ -253,7 +261,7 @@ TEST(AggPushdownEdgeTest, ZoneShortcutAndStageFreeChunks) {
     const TableScanner::AggResult reference = FoldReference(*scanner);
     for (const ScanEngine engine : kAllEngines) {
       if (!ScanEngineAvailable(engine)) continue;
-      const auto result = scanner->ExecuteAggregate(engine);
+      const auto result = AggregateWith(*scanner, engine);
       ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
       ExpectAggEqual(reference, *result,
                      StrFormat("%s with_sum=%d", ScanEngineToString(engine),
@@ -297,18 +305,18 @@ TEST(AggPushdownEdgeTest, DictionaryAndBitPackedTerms) {
   ASSERT_GT(reference.matched, 0u);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateWith(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     ExpectAggEqual(reference, *result, ScanEngineToString(engine));
   }
 
 #if !defined(__SANITIZE_THREAD__)
-  // The JIT engine ladder-demotes the whole scan (generated aggregate
-  // loops only handle plain terms) but must still return the same result.
+  // The JIT engine ladder-demotes every morsel (generated aggregate loops
+  // only handle plain terms) but must still return the same result.
   if (GetCpuFeatures().HasFusedScanAvx512()) {
-    JitScanEngine engine(512);
     ExecutionReport report;
-    const auto result = engine.ExecuteAggregate(table, spec, &report);
+    const auto result = ExecuteParallelScanAggregate(
+        *scanner, testing::JitOptions(512), &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectAggEqual(reference, *result, "jit512(dict/packed)");
     EXPECT_TRUE(report.degraded) << report.ToString();
@@ -471,7 +479,7 @@ TEST_P(AggPushdownDifferentialTest, EnginesMatchMaterializeReference) {
   const TableScanner::AggResult reference = FoldReference(*scanner);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateWith(*scanner, engine);
     ASSERT_TRUE(result.ok())
         << ScanEngineToString(engine) << ": " << result.status().ToString()
         << "\n" << testing::ReplayCommand(kBinary, seed);
@@ -484,8 +492,8 @@ TEST_P(AggPushdownDifferentialTest, EnginesMatchMaterializeReference) {
   }
 }
 
-// The morsel-driven aggregate path is byte-identical to the serial path
-// for the same engine at 1/2/4 threads, and matches the reference.
+// The morsel-driven aggregate path is byte-identical across 1/2/4 threads
+// for the same engine, and matches the reference.
 TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
   const uint64_t seed = GetParam();
   const FuzzCase fuzz = MakeAggCase(seed);
@@ -498,7 +506,7 @@ TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
       GetCpuFeatures().HasFusedScanAvx512() ? ScanEngine::kAvx512Fused512
                                             : ScanEngine::kSisdAutoVec};
   for (const ScanEngine engine : engines) {
-    const auto serial = scanner->ExecuteAggregate(engine);
+    const auto serial = AggregateWith(*scanner, engine);
     ASSERT_TRUE(serial.ok()) << testing::ReplayCommand(kBinary, seed);
     ExpectAggEqual(reference, *serial,
                    StrFormat("serial(%s) seed=%llu\n%s",
@@ -547,27 +555,18 @@ TEST_P(JitAggDifferentialTest, JitMatchesMaterializeReference) {
   if (!scanner.ok()) return;
 
   const TableScanner::AggResult reference = FoldReference(*scanner);
-  JitScanEngine engine(512);
-  const auto serial = engine.ExecuteAggregate(fuzz.table, fuzz.spec);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString() << "\n"
-                           << testing::ReplayCommand(kBinary, seed);
-  ExpectAggEqual(reference, *serial,
-                 StrFormat("jit512 seed=%llu spec=%s\n%s",
-                           static_cast<unsigned long long>(seed),
-                           fuzz.spec.ToString().c_str(),
-                           testing::ReplayCommand(kBinary, seed).c_str()));
-
-  for (const int threads : {2, 4}) {
-    ParallelScanOptions options;
-    options.requested = {ScanEngine::kJit, 512};
+  for (const int threads : {1, 2, 4}) {
+    ParallelScanOptions options = testing::JitOptions(512);
     options.threads = threads;
     const auto parallel = ExecuteParallelScanAggregate(*scanner, options);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString() << "\n"
                                << testing::ReplayCommand(kBinary, seed);
     ExpectAggEqual(reference, *parallel,
-                   StrFormat("parallel(jit512, threads=%d) seed=%llu\n%s",
+                   StrFormat("parallel(jit512, threads=%d) seed=%llu "
+                             "spec=%s\n%s",
                              threads,
                              static_cast<unsigned long long>(seed),
+                             fuzz.spec.ToString().c_str(),
                              testing::ReplayCommand(kBinary, seed).c_str()));
   }
 }

@@ -97,7 +97,7 @@ TEST_P(CancellationFuzzTest, CancelAtRandomMorselBoundary) {
 
   const auto prepared = TableScanner::Prepare(fuzz.generated.table, fuzz.spec);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  const auto reference = prepared->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared);
   ASSERT_TRUE(reference.ok());
 
   uint64_t rng = seed;
@@ -157,7 +157,7 @@ TEST_P(CancellationFuzzTest, CancelCountPath) {
   const FuzzTable fuzz = MakeFuzzTable(seed);
   const auto prepared = TableScanner::Prepare(fuzz.generated.table, fuzz.spec);
   ASSERT_TRUE(prepared.ok());
-  const auto reference = prepared->ExecuteCount(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceCount(*prepared);
   ASSERT_TRUE(reference.ok());
 
   uint64_t rng = Mix(seed ^ 0xc0ffee);

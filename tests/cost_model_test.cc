@@ -13,6 +13,7 @@
 #include "fts/cost/cost_profile.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -309,8 +310,9 @@ TEST_F(AdversarialSkewTest, ReorderedChainIsByteIdenticalToStatic) {
         ScanEngine::kScalarFused, ScanEngine::kAvx2Fused128,
         ScanEngine::kAvx512Fused512}) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto static_matches = off->Execute(engine);
-    const auto ranked_matches = on->Execute(engine);
+    const ParallelScanOptions options = testing::StrictOptions({engine, 0});
+    const auto static_matches = ExecuteParallelScan(*off, options);
+    const auto ranked_matches = ExecuteParallelScan(*on, options);
     ASSERT_TRUE(static_matches.ok()) << ScanEngineToString(engine);
     ASSERT_TRUE(ranked_matches.ok()) << ScanEngineToString(engine);
     ASSERT_EQ(static_matches->chunks.size(), ranked_matches->chunks.size());
@@ -319,8 +321,8 @@ TEST_F(AdversarialSkewTest, ReorderedChainIsByteIdenticalToStatic) {
                 ranked_matches->chunks[i].positions)
           << ScanEngineToString(engine) << " chunk " << i;
     }
-    const auto static_count = off->ExecuteCount(engine);
-    const auto ranked_count = on->ExecuteCount(engine);
+    const auto static_count = ExecuteParallelScanCount(*off, options);
+    const auto ranked_count = ExecuteParallelScanCount(*on, options);
     ASSERT_TRUE(static_count.ok() && ranked_count.ok());
     EXPECT_EQ(*static_count, *ranked_count) << ScanEngineToString(engine);
   }
@@ -371,8 +373,9 @@ TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
     before += counter.load();
   }
 
-  const auto pinned_matches = pinned_scan->Execute(requested);
-  const auto adaptive_matches = adaptive_scan->Execute(requested);
+  const ParallelScanOptions options = testing::StrictOptions({requested, 0});
+  const auto pinned_matches = ExecuteParallelScan(*pinned_scan, options);
+  const auto adaptive_matches = ExecuteParallelScan(*adaptive_scan, options);
   ASSERT_TRUE(pinned_matches.ok());
   ASSERT_TRUE(adaptive_matches.ok());
   ASSERT_EQ(pinned_matches->chunks.size(), adaptive_matches->chunks.size());

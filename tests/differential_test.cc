@@ -3,16 +3,18 @@
 // harness stresses the parts oracles gloss over: row counts that are not
 // multiples of the 16/8-lane register widths, boundary values
 // (INT32_MIN/MAX and friends), every compare op, predicate chains up to
-// the kMaxScanStages limit, mixed encodings — and the morsel-driven
-// parallel path at 1/2/4 threads, which must return output
-// position-for-position identical to the single-threaded SISD reference.
+// the kMaxScanStages limit, mixed encodings — and the morsel executor at
+// 1/2/4 threads, which must return output position-for-position identical
+// to the SISD reference.
 //
-// The reference is the kSisdNoVec engine scanning a *plain twin* of the
-// table (same cells, same chunk boundaries, every column decoded), so
-// int64/uint32 boundary values that double cannot represent exactly are
-// fair game, and every comparison proves the compressed-domain paths
-// (RLE/FoR/delta) byte-identical to SISD over decoded data — precisely
-// the equivalence the paper's fused kernels and JIT must preserve.
+// The reference is the chunk-loop SISD oracle (testing::ReferenceScan,
+// which shares no driver code with the morsel executor) scanning a *plain
+// twin* of the table (same cells, same chunk boundaries, every column
+// decoded), so int64/uint32 boundary values that double cannot represent
+// exactly are fair game, and every comparison proves the compressed-domain
+// paths (RLE/FoR/delta) byte-identical to SISD over decoded data —
+// precisely the equivalence the paper's fused kernels and JIT must
+// preserve.
 //
 // Every failure message carries the seed and a one-line replay command;
 // FTS_TEST_SEED=<seed> reruns exactly that case (see tests/test_util.h).
@@ -28,7 +30,6 @@
 #include "fts/common/string_util.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/exec/task_pool.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/compare_op.h"
 #include "fts/storage/table_builder.h"
@@ -256,23 +257,22 @@ TEST_P(DifferentialTest, StaticEnginesMatchSisdReference) {
          {ScanEngine::kSisdNoVec, ScanEngine::kScalarFused,
           ScanEngine::kAvx512Fused512}) {
       if (!ScanEngineAvailable(engine)) continue;
-      EXPECT_FALSE(ExecuteScan(fuzz.table, fuzz.spec, engine).ok())
+      EXPECT_FALSE(testing::ScanWith(fuzz.table, fuzz.spec, engine).ok())
           << testing::ReplayCommand(kBinary, seed);
     }
     return;
   }
 
   // SISD over the decoded plain twin is the ground truth.
-  const auto reference = prepared_plain->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared_plain);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString() << "\n"
                               << testing::ReplayCommand(kBinary, seed);
-  const auto reference_count =
-      prepared_plain->ExecuteCount(ScanEngine::kSisdNoVec);
+  const auto reference_count = testing::ReferenceCount(*prepared_plain);
   ASSERT_TRUE(reference_count.ok());
 
   // The SISD rung over the *encoded* table must already agree with it.
   {
-    const auto encoded_sisd = prepared->Execute(ScanEngine::kSisdNoVec);
+    const auto encoded_sisd = testing::ReferenceScan(*prepared);
     ASSERT_TRUE(encoded_sisd.ok()) << encoded_sisd.status().ToString()
                                    << "\n"
                                    << testing::ReplayCommand(kBinary, seed);
@@ -286,13 +286,14 @@ TEST_P(DifferentialTest, StaticEnginesMatchSisdReference) {
         ScanEngine::kAvx512Fused256, ScanEngine::kAvx512Fused512,
         ScanEngine::kBlockwise}) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto matches = prepared->Execute(engine);
+    const ParallelScanOptions options = testing::StrictOptions({engine, 0});
+    const auto matches = ExecuteParallelScan(*prepared, options);
     ASSERT_TRUE(matches.ok())
         << ScanEngineToString(engine) << ": " << matches.status().ToString()
         << "\n" << testing::ReplayCommand(kBinary, seed);
     ExpectSameMatches(*reference, *matches, ScanEngineToString(engine),
                       seed, fuzz.spec);
-    const auto count = prepared->ExecuteCount(engine);
+    const auto count = ExecuteParallelScanCount(*prepared, options);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, *reference_count)
         << ScanEngineToString(engine) << " "
@@ -313,10 +314,9 @@ TEST_P(DifferentialTest, ParallelPathMatchesSisdReference) {
   // over the encoded table and must merge to the identical output.
   const auto prepared_plain = TableScanner::Prepare(fuzz.plain_table, fuzz.spec);
   ASSERT_TRUE(prepared_plain.ok());
-  const auto reference = prepared_plain->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared_plain);
   ASSERT_TRUE(reference.ok());
-  const auto reference_count =
-      prepared_plain->ExecuteCount(ScanEngine::kSisdNoVec);
+  const auto reference_count = testing::ReferenceCount(*prepared_plain);
   ASSERT_TRUE(reference_count.ok());
 
   const ScanEngine requested_engines[] = {
@@ -357,9 +357,10 @@ TEST_P(DifferentialTest, ParallelPathMatchesSisdReference) {
 // The cost model must be invisible in the output: the same fuzz case run
 // with FTS_ADAPTIVE=0 (no re-ranking, no engine adaptation) and with
 // FTS_ADAPTIVE=1 + spec.adaptive (chains re-ranked per chunk, engines
-// free to switch) returns byte-identical positions on the serial path and
-// on the morsel path at every thread count. AdaptiveEnabled() is re-read
-// per Prepare, so one process can prepare both variants.
+// free to switch) returns positions byte-identical to the chunk-loop
+// reference, under kStrict and under the ladder at every thread count.
+// AdaptiveEnabled() is re-read per Prepare, so one process can prepare
+// both variants.
 TEST_P(DifferentialTest, AdaptiveOnOffByteIdentical) {
   const uint64_t seed = GetParam();
   FuzzCase fuzz = MakeCase(seed);
@@ -382,18 +383,24 @@ TEST_P(DifferentialTest, AdaptiveOnOffByteIdentical) {
       ScanEngine::kSisdNoVec, ScanEngine::kScalarFused,
       GetCpuFeatures().HasFusedScanAvx512() ? ScanEngine::kAvx512Fused512
                                             : ScanEngine::kSisdAutoVec};
+  const auto reference = testing::ReferenceScan(*off);
+  ASSERT_TRUE(reference.ok()) << testing::ReplayCommand(kBinary, seed);
   for (const ScanEngine engine : engines) {
-    const auto reference = off->Execute(engine);
-    ASSERT_TRUE(reference.ok()) << ScanEngineToString(engine) << "\n"
+    const ParallelScanOptions strict = testing::StrictOptions({engine, 0});
+    const auto unadapted = ExecuteParallelScan(*off, strict);
+    ASSERT_TRUE(unadapted.ok()) << ScanEngineToString(engine) << "\n"
                                 << testing::ReplayCommand(kBinary, seed);
-    const auto adapted = on->Execute(engine);
+    ExpectSameMatches(*reference, *unadapted,
+                      StrFormat("static(%s)", ScanEngineToString(engine)),
+                      seed, fuzz.spec);
+    const auto adapted = ExecuteParallelScan(*on, strict);
     ASSERT_TRUE(adapted.ok()) << ScanEngineToString(engine) << "\n"
                               << testing::ReplayCommand(kBinary, seed);
     ExpectSameMatches(*reference, *adapted,
                       StrFormat("adaptive(%s)", ScanEngineToString(engine)),
                       seed, fuzz.spec);
-    const auto reference_count = off->ExecuteCount(engine);
-    const auto adapted_count = on->ExecuteCount(engine);
+    const auto reference_count = ExecuteParallelScanCount(*off, strict);
+    const auto adapted_count = ExecuteParallelScanCount(*on, strict);
     ASSERT_TRUE(reference_count.ok() && adapted_count.ok());
     EXPECT_EQ(*reference_count, *adapted_count)
         << ScanEngineToString(engine) << " "
@@ -428,8 +435,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
 // Deterministic narrow-dictionary table: each chunk's c0 holds exactly one
 // value (the chunk index), so for `c0 >= 3 AND c0 <= 5 AND c1 >= 2` the
 // prepared plans must mark chunks 0-2 and 6-7 impossible and drop both c0
-// stages from chunks 3-5 — identically on the serial path and the morsel
-// path at every thread count, on every rung.
+// stages from chunks 3-5 — identically on the morsel executor at every
+// thread count, on every rung.
 TEST(NarrowDictionaryDifferentialTest, PerChunkDropAndImpossibleEveryRung) {
   constexpr size_t kChunks = 8;
   constexpr size_t kRowsPerChunk = 257;  // Awkward: not a lane multiple.
@@ -468,7 +475,7 @@ TEST(NarrowDictionaryDifferentialTest, PerChunkDropAndImpossibleEveryRung) {
   EXPECT_EQ(prepared->pruning().stages_dropped, 3u * 2u);
   EXPECT_EQ(RunnableChunks(*prepared), 3u);
 
-  const auto reference = prepared->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared);
   ASSERT_TRUE(reference.ok());
   // 3 chunks survive; c1 >= 2 keeps r%5 in {2,3,4}, 51 rows each in 0..256.
   EXPECT_EQ(reference->TotalMatches(), 3u * 3u * (kRowsPerChunk / 5));
@@ -479,10 +486,6 @@ TEST(NarrowDictionaryDifferentialTest, PerChunkDropAndImpossibleEveryRung) {
         ScanEngine::kAvx512Fused128, ScanEngine::kAvx512Fused256,
         ScanEngine::kAvx512Fused512, ScanEngine::kBlockwise}) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto serial = prepared->Execute(engine);
-    ASSERT_TRUE(serial.ok()) << ScanEngineToString(engine);
-    ExpectSameMatches(*reference, *serial, ScanEngineToString(engine),
-                      /*seed=*/0, spec);
     for (const int threads : {1, 2, 4}) {
       ParallelScanOptions options;
       options.requested = {engine, 0};
@@ -522,21 +525,13 @@ TEST_P(JitDifferentialTest, JitEnginesMatchSisdReference) {
   if (!prepared.ok()) return;
   const auto prepared_plain = TableScanner::Prepare(fuzz.plain_table, fuzz.spec);
   ASSERT_TRUE(prepared_plain.ok());
-  const auto reference = prepared_plain->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared_plain);
   ASSERT_TRUE(reference.ok());
 
-  // Serial JIT engine...
-  JitScanEngine engine(512);
-  const auto serial = engine.Execute(fuzz.table, fuzz.spec);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString() << "\n"
-                           << testing::ReplayCommand(kBinary, seed);
-  ExpectSameMatches(*reference, *serial, "jit512", seed, fuzz.spec);
-
-  // ... and the parallel path running the JIT rung per morsel, where
-  // concurrent compiles of the same signature must single-flight.
-  for (const int threads : {2, 4}) {
-    ParallelScanOptions options;
-    options.requested = {ScanEngine::kJit, 512};
+  // The JIT rung per morsel, inline at 1 thread and on the pool at 2 and 4,
+  // where concurrent compiles of the same signature must single-flight.
+  for (const int threads : {1, 2, 4}) {
+    ParallelScanOptions options = testing::JitOptions(512);
     options.threads = threads;
     ExecutionReport report;
     const auto parallel = ExecuteParallelScan(*prepared, options, &report);
@@ -577,7 +572,7 @@ TEST_P(JitDifferentialTest, AdaptiveOnOffByteIdenticalUnderJit) {
   ASSERT_EQ(off.ok(), on.ok());
   if (!off.ok()) return;
 
-  const auto reference = off->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*off);
   ASSERT_TRUE(reference.ok());
 
   for (const int threads : {1, 2, 4}) {
@@ -615,7 +610,7 @@ TEST(DifferentialFaultTest, MidQueryCompileFailureKeepsOutputIdentical) {
   ASSERT_TRUE(prepared.ok());
   const auto prepared_plain = TableScanner::Prepare(fuzz.plain_table, fuzz.spec);
   ASSERT_TRUE(prepared_plain.ok());
-  const auto reference = prepared_plain->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*prepared_plain);
   ASSERT_TRUE(reference.ok());
 
   JitCache cache;  // Fresh cache so the armed fault hits a real compile.

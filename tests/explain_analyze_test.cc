@@ -243,6 +243,45 @@ TEST_F(ExplainAnalyzeTest, AnalyzeParallelScanReportsWorkers) {
   }
 }
 
+// A 1-thread query runs its morsels inline on the calling thread and
+// reports them like any morsel scan: one worker, one morsel per runnable
+// chunk. The answer and the scan/pruning accounting match a 4-thread run
+// of the same query.
+TEST_F(ExplainAnalyzeTest, AnalyzeSingleThreadScanReportsMorsels) {
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM tbl WHERE c0 = 5 AND c1 = 2";
+  Database::QueryOptions one_thread;
+  one_thread.threads = 1;
+  const auto serial = db_.Query(sql, one_thread);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const ExecutionReport& report = serial->execution_report;
+  EXPECT_EQ(report.worker_count, 1);
+  EXPECT_EQ(report.morsel_count, report.chunks_total - report.chunks_pruned);
+  EXPECT_EQ(report.morsel_choices.size(), report.morsel_count);
+  const std::string& text = serial->explain_text;
+  EXPECT_NE(text.find(StrFormat("parallel: workers=1 morsels=%zu engines={",
+                                report.morsel_count)),
+            std::string::npos)
+      << text;
+  if (report.counters.source == CounterSource::kHardware) {
+    EXPECT_NE(report.counters.coverage.find("morsels on 1 thread"),
+              std::string::npos)
+        << report.counters.coverage;
+    EXPECT_EQ(report.counters.coverage.find("threads"), std::string::npos)
+        << report.counters.coverage;
+  }
+
+  Database::QueryOptions four_threads;
+  four_threads.threads = 4;
+  const auto parallel = db_.Query(sql, four_threads);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(*serial->count, generated_.stage_matches.back());
+  EXPECT_EQ(*serial->count, *parallel->count);
+  EXPECT_EQ(report.rows_scanned, parallel->execution_report.rows_scanned);
+  EXPECT_EQ(report.chunks_pruned, parallel->execution_report.chunks_pruned);
+  EXPECT_EQ(report.morsel_count, parallel->execution_report.morsel_count);
+}
+
 TEST_F(ExplainAnalyzeTest, AnalyzeReportsZoneMapPruning) {
   // c0 is non-negative in generated tables, so c0 = -1 prunes everything.
   const auto result =
@@ -250,6 +289,7 @@ TEST_F(ExplainAnalyzeTest, AnalyzeReportsZoneMapPruning) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const ExecutionReport& report = result->execution_report;
   EXPECT_EQ(report.chunks_pruned, report.chunks_total);
+  EXPECT_EQ(report.morsel_count, 0u);
   EXPECT_EQ(*result->count, 0u);
   EXPECT_NE(result->explain_text.find(
                 StrFormat("pruned=%zu", report.chunks_pruned)),

@@ -2,12 +2,15 @@
 
 #include "fts/common/cpu_info.h"
 #include "fts/common/fault_injection.h"
+#include "fts/exec/parallel_scan.h"
+#include "fts/jit/code_generator.h"
+#include "fts/jit/compiler_driver.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/bitpacked_column.h"
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -50,9 +53,9 @@ TEST_F(JitEngineTest, MatchesGroundTruthAllWidths) {
 
   for (const int width : {128, 256, 512}) {
     JitCache cache;
-    JitScanEngine engine(width, &cache);
     const auto matches =
-        engine.Execute(generated.table, TwoPredicateSpec(generated));
+        testing::ScanWith(generated.table, TwoPredicateSpec(generated),
+                          testing::JitOptions(width, &cache));
     ASSERT_TRUE(matches.ok()) << matches.status().ToString();
     EXPECT_EQ(matches->TotalMatches(), generated.stage_matches.back())
         << "width " << width;
@@ -74,11 +77,10 @@ TEST_F(JitEngineTest, AgreesWithStaticKernelOnChunkedDictionaryTable) {
   const GeneratedScanTable generated = MakeScanTable(options);
   const ScanSpec spec = TwoPredicateSpec(generated);
 
-  JitScanEngine engine(512);
-  const auto jit = engine.Execute(generated.table, spec);
+  const auto jit =
+      testing::ScanWith(generated.table, spec, testing::JitOptions(512));
   ASSERT_TRUE(jit.ok()) << jit.status().ToString();
-  const auto reference =
-      ExecuteScan(generated.table, spec, ScanEngine::kScalarFused);
+  const auto reference = testing::ReferenceScan(generated.table, spec);
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(jit->chunks.size(), reference->chunks.size());
   for (size_t c = 0; c < jit->chunks.size(); ++c) {
@@ -89,27 +91,28 @@ TEST_F(JitEngineTest, AgreesWithStaticKernelOnChunkedDictionaryTable) {
 TEST_F(JitEngineTest, CacheHitsAcrossQueriesWithSameShape) {
   FTS_SKIP_IF_FAULTS_ARMED();
   JitCache cache;
-  JitScanEngine engine(512, &cache);
 
   ScanTableOptions options;
   options.rows = 1000;
   options.selectivities = {0.5, 0.5};
   const GeneratedScanTable generated = MakeScanTable(options);
 
-  ASSERT_TRUE(engine.Execute(generated.table,
-                             TwoPredicateSpec(generated)).ok());
+  const ParallelScanOptions jit = testing::JitOptions(512, &cache);
+  ASSERT_TRUE(
+      testing::ScanWith(generated.table, TwoPredicateSpec(generated), jit)
+          .ok());
   EXPECT_EQ(cache.stats().misses, 1u);
 
   // Same shape, different values: must be a cache hit.
   ScanSpec other = TwoPredicateSpec(generated);
   other.predicates[0].value = Value(12345);
-  ASSERT_TRUE(engine.Execute(generated.table, other).ok());
+  ASSERT_TRUE(testing::ScanWith(generated.table, other, jit).ok());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_GE(cache.stats().hits, 1u);
 
   // Different comparator: new signature, new compile.
   other.predicates[0].op = CompareOp::kLt;
-  ASSERT_TRUE(engine.Execute(generated.table, other).ok());
+  ASSERT_TRUE(testing::ScanWith(generated.table, other, jit).ok());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -150,14 +153,16 @@ TEST_F(JitEngineTest, CountOnlyOperatorMatchesMaterializingOne) {
   const GeneratedScanTable generated = MakeScanTable(options);
 
   JitCache cache;
-  JitScanEngine engine(512, &cache);
   const ScanSpec spec = TwoPredicateSpec(generated);
-  const auto count = engine.ExecuteCount(generated.table, spec);
+  const auto scanner = TableScanner::Prepare(generated.table, spec);
+  ASSERT_TRUE(scanner.ok());
+  const ParallelScanOptions jit = testing::JitOptions(512, &cache);
+  const auto count = ExecuteParallelScanCount(*scanner, jit);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, generated.stage_matches.back());
 
   // The count-only signature is distinct from the materializing one.
-  const auto matches = engine.Execute(generated.table, spec);
+  const auto matches = ExecuteParallelScan(*scanner, jit);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->TotalMatches(), *count);
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -186,11 +191,10 @@ TEST_F(JitEngineTest, BitPackedTableEndToEnd) {
   ScanSpec spec;
   spec.predicates = {{"a", CompareOp::kLt, Value(30)},
                      {"b", CompareOp::kGe, Value(500)}};
-  const auto reference = ExecuteScan(table, spec, ScanEngine::kScalarFused);
+  const auto reference = testing::ReferenceScan(table, spec);
   ASSERT_TRUE(reference.ok());
 
-  JitScanEngine engine(512);
-  const auto jit = engine.Execute(table, spec);
+  const auto jit = testing::ScanWith(table, spec, testing::JitOptions(512));
   ASSERT_TRUE(jit.ok()) << jit.status().ToString();
   ASSERT_EQ(jit->chunks.size(), reference->chunks.size());
   EXPECT_EQ(jit->chunks[0].positions, reference->chunks[0].positions);

@@ -17,6 +17,7 @@
 #include "fts/perf/counter_attribution.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -41,7 +42,8 @@ TEST(ObsOverheadTest, UnattachedTracingCostsNoMoreThanDisabled) {
   const uint64_t expected = generated.stage_matches.back();
 
   auto run_once = [&] {
-    const auto count = scanner->ExecuteCount(engine);
+    const auto count =
+        ExecuteParallelScanCount(*scanner, testing::StrictOptions({engine, 0}));
     ASSERT_TRUE(count.ok());
     ASSERT_EQ(*count, expected);
   };
@@ -104,7 +106,8 @@ TEST(ObsOverheadTest, AlwaysOnQueryStatsStayUnderOnePercentOfScan) {
   obs::QueryLog log(256);
 
   auto scan_once = [&] {
-    const auto count = scanner->ExecuteCount(engine);
+    const auto count =
+        ExecuteParallelScanCount(*scanner, testing::StrictOptions({engine, 0}));
     ASSERT_TRUE(count.ok());
     ASSERT_EQ(*count, expected);
   };

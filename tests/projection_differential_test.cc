@@ -196,7 +196,7 @@ TEST_P(ProjectionDifferentialTest, GatherMatchesBoxedReference) {
   // Non-representable literal for the column type: rejection behavior is
   // differential_test's turf; nothing to project here.
   if (!prepared.ok()) return;
-  const auto matches = prepared->Execute(ScanEngine::kSisdNoVec);
+  const auto matches = testing::ReferenceScan(*prepared);
   ASSERT_TRUE(matches.ok()) << replay;
   const std::vector<std::vector<Value>> reference =
       ReferenceRows(fuzz.table, fuzz.projection, *matches);

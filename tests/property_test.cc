@@ -8,7 +8,7 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
 #include "fts/common/string_util.h"
-#include "fts/jit/jit_scan_engine.h"
+#include "fts/exec/parallel_scan.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/table_builder.h"
 #include "test_util.h"
@@ -144,25 +144,38 @@ TEST_P(PropertyTest, AllEnginesMatchOracle) {
          {ScanEngine::kSisdNoVec, ScanEngine::kAvx512Fused512}) {
       if (!ScanEngineAvailable(engine)) continue;
       EXPECT_FALSE(
-          ExecuteScan(test_case.table, test_case.spec, engine).ok());
+          testing::ScanWith(test_case.table, test_case.spec, engine)
+              .ok());
     }
     return;
   }
 
+  // The chunk-loop reference must agree with the brute-force oracle, and
+  // every engine on the morsel executor with both, at every thread count.
+  const auto reference = testing::ReferenceScan(*prepared);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(Flatten(*reference, *test_case.table), test_case.oracle_rows)
+      << "reference seed=" << GetParam()
+      << " spec=" << test_case.spec.ToString() << "\n"
+      << testing::ReplayCommand("property_test", GetParam());
   for (const ScanEngine engine :
        {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec,
         ScanEngine::kScalarFused, ScanEngine::kAvx2Fused128,
         ScanEngine::kAvx512Fused128, ScanEngine::kAvx512Fused256,
         ScanEngine::kAvx512Fused512, ScanEngine::kBlockwise}) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto matches = prepared->Execute(engine);
-    ASSERT_TRUE(matches.ok())
-        << ScanEngineToString(engine) << ": " << matches.status().ToString();
-    const auto rows = Flatten(*matches, *test_case.table);
-    ASSERT_EQ(rows, test_case.oracle_rows)
-        << ScanEngineToString(engine) << " seed=" << GetParam()
-        << " spec=" << test_case.spec.ToString() << "\n"
-        << testing::ReplayCommand("property_test", GetParam());
+    for (const int threads : {1, 2, 4}) {
+      const auto matches = ExecuteParallelScan(
+          *prepared, testing::StrictOptions({engine, 0}, threads));
+      ASSERT_TRUE(matches.ok()) << ScanEngineToString(engine) << ": "
+                                << matches.status().ToString();
+      const auto rows = Flatten(*matches, *test_case.table);
+      ASSERT_EQ(rows, test_case.oracle_rows)
+          << ScanEngineToString(engine) << " threads=" << threads
+          << " seed=" << GetParam()
+          << " spec=" << test_case.spec.ToString() << "\n"
+          << testing::ReplayCommand("property_test", GetParam());
+    }
   }
 }
 
@@ -182,8 +195,8 @@ TEST_P(JitPropertyTest, JitMatchesOracle) {
       TableScanner::Prepare(test_case.table, test_case.spec);
   if (!prepared.ok()) return;
 
-  JitScanEngine engine(512);
-  const auto matches = engine.Execute(test_case.table, test_case.spec);
+  const auto matches =
+      ExecuteParallelScan(*prepared, testing::JitOptions(512));
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(Flatten(*matches, *test_case.table), test_case.oracle_rows)
       << " seed=" << GetParam() << " spec=" << test_case.spec.ToString()

@@ -6,6 +6,7 @@
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
 #include "fts/storage/value_column.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -66,8 +67,7 @@ TEST(RowStoreTest, ScanMatchesColumnStore) {
     spec.predicates = {{"a", op, Value(5)}, {"b", CompareOp::kNe, Value(3)}};
     const auto row_matches = store.Scan(spec);
     ASSERT_TRUE(row_matches.ok());
-    const auto column_matches =
-        ExecuteScan(table, spec, ScanEngine::kScalarFused);
+    const auto column_matches = testing::ReferenceScan(table, spec);
     ASSERT_TRUE(column_matches.ok());
     const PosList& expected = column_matches->chunks[0].positions;
     ASSERT_EQ(row_matches->size(), expected.size())

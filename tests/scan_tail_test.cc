@@ -13,10 +13,10 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/string_util.h"
 #include "fts/exec/parallel_scan.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/compare_op.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -35,14 +35,14 @@ bool JitUsable() {
 #endif
 }
 
-// Runs `spec` through every available engine (static rungs, JIT when
-// usable, and the parallel path at 2 threads) and checks each against the
-// SISD reference, position for position.
+// Runs `spec` through every available engine at 1 thread (static rungs,
+// JIT when usable) and at 2 threads, and checks each against the
+// chunk-loop SISD reference, position for position.
 void ExpectAllEnginesAgree(const TablePtr& table, const ScanSpec& spec,
                            const std::string& what) {
   const auto scanner = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(scanner.ok()) << what << ": " << scanner.status().ToString();
-  const auto reference = scanner->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*scanner);
   ASSERT_TRUE(reference.ok()) << what;
 
   const auto check = [&](const TableMatches& got, const std::string& who) {
@@ -55,12 +55,13 @@ void ExpectAllEnginesAgree(const TablePtr& table, const ScanSpec& spec,
 
   for (const ScanEngine engine : kStaticEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto matches = scanner->Execute(engine);
+    const ParallelScanOptions options = testing::StrictOptions({engine, 0});
+    const auto matches = ExecuteParallelScan(*scanner, options);
     ASSERT_TRUE(matches.ok())
         << what << " " << ScanEngineToString(engine) << ": "
         << matches.status().ToString();
     check(*matches, ScanEngineToString(engine));
-    const auto count = scanner->ExecuteCount(engine);
+    const auto count = ExecuteParallelScanCount(*scanner, options);
     ASSERT_TRUE(count.ok());
     uint64_t reference_total = 0;
     for (const auto& chunk : reference->chunks) {
@@ -71,8 +72,8 @@ void ExpectAllEnginesAgree(const TablePtr& table, const ScanSpec& spec,
   }
 
   if (JitUsable()) {
-    JitScanEngine jit(512);
-    const auto matches = jit.Execute(table, spec);
+    const auto matches =
+        ExecuteParallelScan(*scanner, testing::JitOptions(512));
     ASSERT_TRUE(matches.ok()) << what << ": " << matches.status().ToString();
     check(*matches, "jit512");
   }
@@ -112,21 +113,21 @@ TEST(ScanTailTest, EmptyTableReturnsNoChunks) {
 
   for (const ScanEngine engine : kStaticEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto matches = ExecuteScan(table, spec, engine);
+    const auto matches = testing::ScanWith(table, spec, engine);
     ASSERT_TRUE(matches.ok()) << ScanEngineToString(engine);
     EXPECT_TRUE(matches->chunks.empty()) << ScanEngineToString(engine);
-    const auto count = ExecuteScanCount(table, spec, engine);
+    const auto count = testing::CountWith(table, spec, engine);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, 0u);
   }
+  const auto scanner = TableScanner::Prepare(table, spec);
+  ASSERT_TRUE(scanner.ok());
   if (JitUsable()) {
-    JitScanEngine jit(512);
-    const auto matches = jit.Execute(table, spec);
+    const auto matches =
+        ExecuteParallelScan(*scanner, testing::JitOptions(512));
     ASSERT_TRUE(matches.ok());
     EXPECT_TRUE(matches->chunks.empty());
   }
-  const auto scanner = TableScanner::Prepare(table, spec);
-  ASSERT_TRUE(scanner.ok());
   ParallelScanOptions options;
   options.requested = {ScanEngine::kScalarFused, 0};
   options.threads = 2;

@@ -3,6 +3,7 @@
 #include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -36,8 +37,8 @@ TEST_P(TableScanEngineTest, MatchesGroundTruth) {
   options.seed = 31;
   const GeneratedScanTable generated = MakeScanTable(options);
 
-  const auto matches =
-      ExecuteScan(generated.table, TwoPredicateSpec(generated), GetParam());
+  const auto matches = testing::ScanWith(
+      generated.table, TwoPredicateSpec(generated), GetParam());
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(matches->TotalMatches(), generated.stage_matches.back());
 
@@ -57,8 +58,8 @@ TEST_P(TableScanEngineTest, ChunkedTableAgrees) {
   options.chunk_size = 1234;
   const GeneratedScanTable generated = MakeScanTable(options);
 
-  const auto matches =
-      ExecuteScan(generated.table, TwoPredicateSpec(generated), GetParam());
+  const auto matches = testing::ScanWith(
+      generated.table, TwoPredicateSpec(generated), GetParam());
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(matches->chunks.size(), generated.table->chunk_count());
   EXPECT_EQ(matches->TotalMatches(), generated.stage_matches.back());
@@ -72,8 +73,8 @@ TEST_P(TableScanEngineTest, DictionaryEncodedAgrees) {
   options.dictionary_encode = true;
   const GeneratedScanTable generated = MakeScanTable(options);
 
-  const auto matches =
-      ExecuteScan(generated.table, TwoPredicateSpec(generated), GetParam());
+  const auto matches = testing::ScanWith(
+      generated.table, TwoPredicateSpec(generated), GetParam());
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(matches->TotalMatches(), generated.stage_matches.back());
 }
@@ -86,7 +87,7 @@ TEST_P(TableScanEngineTest, CountAgreesWithCollect) {
   const GeneratedScanTable generated = MakeScanTable(options);
 
   const ScanSpec spec = TwoPredicateSpec(generated);
-  const auto count = ExecuteScanCount(generated.table, spec, GetParam());
+  const auto count = testing::CountWith(generated.table, spec, GetParam());
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, generated.stage_matches.back());
 }
@@ -139,8 +140,8 @@ TEST(TableScannerTest, EmptyPredicateListMatchesAllRows) {
   options.rows = 500;
   options.selectivities = {0.5};
   const auto generated = MakeScanTable(options);
-  const auto matches = ExecuteScan(generated.table, ScanSpec{},
-                                   ScanEngine::kAvx512Fused512);
+  const auto matches = testing::ScanWith(generated.table, ScanSpec{},
+                                         {ScanEngine::kAvx512Fused512, 0});
   if (!matches.ok()) GTEST_SKIP() << matches.status().ToString();
   EXPECT_EQ(matches->TotalMatches(), 500u);
 }
@@ -159,7 +160,8 @@ TEST(TableScannerTest, ImpossibleDictionaryPredicateShortCircuits) {
   const auto scanner = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(scanner.ok());
   EXPECT_TRUE(scanner->chunk_plans()[0].impossible);
-  const auto matches = scanner->Execute(ScanEngine::kScalarFused);
+  const auto matches = ExecuteParallelScan(
+      *scanner, testing::StrictOptions({ScanEngine::kScalarFused, 0}));
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->TotalMatches(), 0u);
 }
@@ -177,7 +179,8 @@ TEST(TableScannerTest, TautologicalDictionaryPredicateIsDropped) {
   const auto scanner = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(scanner.ok());
   EXPECT_EQ(scanner->chunk_plans()[0].stages.size(), 1u);
-  const auto matches = scanner->Execute(ScanEngine::kScalarFused);
+  const auto matches = ExecuteParallelScan(
+      *scanner, testing::StrictOptions({ScanEngine::kScalarFused, 0}));
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->TotalMatches(), 2u);
 }
@@ -191,7 +194,8 @@ TEST(TableScannerTest, JitEngineRedirects) {
   spec.predicates = {{"c0", CompareOp::kEq, Value(5)}};
   const auto scanner = TableScanner::Prepare(generated.table, spec);
   ASSERT_TRUE(scanner.ok());
-  EXPECT_FALSE(scanner->Execute(ScanEngine::kJit).ok());
+  PosList out(generated.table->chunk(0).row_count() + kScanOutputSlack);
+  EXPECT_FALSE(scanner->ExecuteChunk(ScanEngine::kJit, 0, out.data()).ok());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "fts/exec/task_pool.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -139,9 +140,12 @@ TEST(ParallelScanTest, ManySmallMorselsMatchSerialExecution) {
   const auto scanner = TableScanner::Prepare(generated.table, spec);
   ASSERT_TRUE(scanner.ok());
 
-  const auto serial = scanner->Execute(ScanEngine::kScalarFused);
+  // Serial = the same engine with the morsels inline on the caller.
+  const ParallelScanOptions inline_options =
+      testing::StrictOptions({ScanEngine::kScalarFused, 0});
+  const auto serial = ExecuteParallelScan(*scanner, inline_options);
   ASSERT_TRUE(serial.ok());
-  const auto serial_count = scanner->ExecuteCount(ScanEngine::kScalarFused);
+  const auto serial_count = ExecuteParallelScanCount(*scanner, inline_options);
   ASSERT_TRUE(serial_count.ok());
   EXPECT_EQ(*serial_count, generated.stage_matches.back());
 
@@ -176,8 +180,9 @@ TEST(ParallelScanTest, StrictUnavailableEngineFailsDeterministically) {
       TableScanner::Prepare(generated.table, SpecFor(generated));
   ASSERT_TRUE(scanner.ok());
 
-  // kJit under kStrict needs JitScanEngine; the morsel runner reports the
-  // first chunk's failure no matter which worker hit it first.
+  // kJit under kStrict on a CPU without AVX-512: every morsel fails, and
+  // the morsel runner reports the first chunk's failure no matter which
+  // worker hit it first.
   ParallelScanOptions options;
   options.requested = {ScanEngine::kJit, 512};
   options.fallback = FallbackPolicy::kStrict;
@@ -199,7 +204,7 @@ TEST(ParallelScanTest, LadderDemotesPerMorselWithoutChangingOutput) {
   const ScanSpec spec = SpecFor(generated);
   const auto scanner = TableScanner::Prepare(generated.table, spec);
   ASSERT_TRUE(scanner.ok());
-  const auto reference = scanner->Execute(ScanEngine::kSisdNoVec);
+  const auto reference = testing::ReferenceScan(*scanner);
   ASSERT_TRUE(reference.ok());
 
   // Request the deepest static rung with the ladder on. On AVX-512

@@ -23,6 +23,7 @@
 #include "fts/storage/table_builder.h"
 #include "fts/storage/value_column.h"
 #include "fts/storage/zone_map.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -328,7 +329,7 @@ TEST(ZoneMapBuilderTest, ZeroRowChunkIsAlwaysPruned) {
   EXPECT_TRUE(prepared->chunk_plans()[1].impossible);
   EXPECT_EQ(prepared->pruning().chunks_pruned, 1u);
 
-  const auto matches = prepared->Execute(ScanEngine::kSisdNoVec);
+  const auto matches = testing::ReferenceScan(*prepared);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->TotalMatches(), 2u);  // Rows 6 and 7 in chunk 0 only.
 }

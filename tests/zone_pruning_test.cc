@@ -15,6 +15,7 @@
 #include "fts/scan/table_scan.h"
 #include "fts/storage/table_builder.h"
 #include "fts/storage/value_column.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -91,13 +92,14 @@ void CheckPrunedEqualsUnpruned(const TablePtr& table,
     if (!ScanEngineAvailable(engine)) continue;
     const std::string what =
         std::string(ScanEngineToString(engine)) + " " + spec.ToString();
-    const auto with = pruned->Execute(engine);
-    const auto without = unpruned->Execute(engine);
+    const ParallelScanOptions options = testing::StrictOptions({engine, 0});
+    const auto with = ExecuteParallelScan(*pruned, options);
+    const auto without = ExecuteParallelScan(*unpruned, options);
     ASSERT_TRUE(with.ok()) << what << ": " << with.status().ToString();
     ASSERT_TRUE(without.ok()) << what << ": " << without.status().ToString();
     ExpectSameMatches(*with, *without, what.c_str());
     EXPECT_EQ(with->TotalMatches(), expect_count) << what;
-    const auto count = pruned->ExecuteCount(engine);
+    const auto count = ExecuteParallelScanCount(*pruned, options);
     ASSERT_TRUE(count.ok()) << what;
     EXPECT_EQ(*count, expect_count) << what;
   }
@@ -243,8 +245,9 @@ TEST(ZonePruningTest, NaNDataDisablesPruningSoundly) {
     ASSERT_TRUE(unpruned.ok());
     for (const ScanEngine engine :
          {ScanEngine::kSisdNoVec, ScanEngine::kScalarFused}) {
-      const auto with = pruned->Execute(engine);
-      const auto without = unpruned->Execute(engine);
+      const ParallelScanOptions options = testing::StrictOptions({engine, 0});
+      const auto with = ExecuteParallelScan(*pruned, options);
+      const auto without = ExecuteParallelScan(*unpruned, options);
       ASSERT_TRUE(with.ok() && without.ok());
       ExpectSameMatches(*with, *without, spec.ToString().c_str());
     }
