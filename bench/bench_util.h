@@ -61,7 +61,10 @@ inline double MedianMillis(int reps, const std::function<void()>& fn) {
 // Runs a prepared scan once on the morsel executor at 1 thread under
 // FallbackPolicy::kStrict: exactly `engine` on every chunk, morsels inline
 // on the calling thread, no ladder — the paper's single-threaded setup.
-// `execute` is ExecuteParallelScanCount or ExecuteParallelScan.
+// `execute` is ExecuteParallelScanCount or ExecuteParallelScan. Counting
+// is materialize-and-size for every engine: the SISD engines collect
+// their positions too. fig1 and micro_kernels call the storeless
+// SisdScan*Count loops directly, and fig6 replays their branches.
 template <typename T>
 StatusOr<T> RunSerial(StatusOr<T> (*execute)(const TableScanner&,
                                              const ParallelScanOptions&,

@@ -369,9 +369,7 @@ int main() {
     const TableScanner estimator = PrepareWith(c.table, estimating, true);
     const TableScanner measured_scan = PrepareWith(c.table, c.spec, true);
     for (const ScanEngine e : engines) {
-      const double predicted_ms =
-          estimator.EstimateScanNanos(e, fts::cost::ScanMode::kMaterialize) /
-          1e6;
+      const double predicted_ms = estimator.EstimateScanNanos(e) / 1e6;
       const double measured_ms = MedianMillis(reps, [&] {
         const auto matches =
             RunSerial(fts::ExecuteParallelScan, measured_scan, {e, 0});

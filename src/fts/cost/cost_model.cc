@@ -16,8 +16,7 @@ double StageRank(const CostProfile& profile, ScanEngine ranking_engine,
 }
 
 double ChainCostNs(const CostProfile& profile, ScanEngine engine,
-                   const std::vector<StageCost>& stages, double rows,
-                   ScanMode mode) {
+                   const std::vector<StageCost>& stages, double rows) {
   const EngineCostConstants& e = profile.For(engine);
   if (!e.available || stages.empty()) return 0.0;
   double cost = rows * e.first_ns[static_cast<size_t>(stages[0].enc)];
@@ -26,15 +25,9 @@ double ChainCostNs(const CostProfile& profile, ScanEngine engine,
     cost += rows * prefix_sel * e.rest_ns[static_cast<size_t>(stages[i].enc)];
     prefix_sel *= stages[i].selectivity;
   }
-  const bool sisd = engine == ScanEngine::kSisdNoVec ||
-                    engine == ScanEngine::kSisdAutoVec;
-  // The SISD count fast path never materializes positions; every other
-  // engine (and every materializing mode) pays emit per match. The
-  // aggregate kernels fold instead of emitting, at comparable per-match
-  // cost, so the emit constant stands in for the fold.
-  const bool emits = !(sisd && mode == ScanMode::kCount);
-  if (emits) cost += rows * prefix_sel * e.emit_ns;
-  return cost;
+  // The aggregate kernels fold instead of emitting, at comparable
+  // per-match cost, so the emit constant stands in for the fold.
+  return cost + rows * prefix_sel * e.emit_ns;
 }
 
 double GatherCostNs(const CostProfile& profile, ScanEngine engine,

@@ -13,15 +13,6 @@
 namespace fts {
 namespace cost {
 
-// What the scan does with each match — selects the emit term of the chain
-// cost. kCount credits the SISD engines' no-materialization count loop;
-// kAggregate approximates the masked fold as one emit-sized op per match.
-enum class ScanMode : uint8_t {
-  kMaterialize = 0,
-  kCount,
-  kAggregate,
-};
-
 // One conjunct as the cost model sees it: the operand shape the kernels
 // read and the estimated fraction of rows (reaching it) that pass.
 struct StageCost {
@@ -95,14 +86,13 @@ double StageRank(const CostProfile& profile, ScanEngine ranking_engine,
 //
 //   rows * first_ns[enc_0]
 //   + sum_{i>0} rows * prefix_sel_i * rest_ns[enc_i]
-//   + rows * chain_sel * emit(mode)
+//   + rows * chain_sel * emit_ns
 //
-// `stages` must be in execution order. kCount zeroes the emit term for
-// the SISD engines (their count loop materializes nothing); every other
-// engine materializes positions regardless of mode.
+// `stages` must be in execution order. Every match pays the emit term:
+// a morsel either materializes its position or folds it into aggregate
+// terms, and the fold costs about one emit per match.
 double ChainCostNs(const CostProfile& profile, ScanEngine engine,
-                   const std::vector<StageCost>& stages, double rows,
-                   ScanMode mode);
+                   const std::vector<StageCost>& stages, double rows);
 
 // Expected nanoseconds to batch-gather a late-materialized projection.
 // `cells_by_encoding[e]` counts output cells whose source column carries

@@ -38,8 +38,8 @@ const char* EncClassName(EncClass enc);
 // first stage; `rest_ns` is the per-surviving-row cost of each later
 // stage (the fused kernels gather survivors, the SISD loops short-circuit
 // — both are linear in rows reaching the stage); `emit_ns` is the cost of
-// materializing one match position. The SISD count path skips
-// materialization entirely, which the model credits (ScanMode::kCount).
+// materializing one match position (or folding it into aggregate terms,
+// which the model prices the same).
 struct EngineCostConstants {
   bool available = false;
   std::array<double, kNumEncClasses> first_ns{};

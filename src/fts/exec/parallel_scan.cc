@@ -11,9 +11,9 @@
 namespace fts {
 namespace {
 
-// What a morsel computes: a materialized position list, a match count, or
-// folded aggregate partials (aggregate pushdown).
-enum class MorselMode { kMaterialize, kCount, kAggregate };
+// What a morsel computes: a materialized position list, or folded
+// aggregate partials (aggregate pushdown; COUNT(*) is a one-term fold).
+enum class MorselMode { kMaterialize, kAggregate };
 
 // Everything one morsel produces. Each task writes only its own slot of a
 // preallocated vector, so the scheduler needs no cross-task locking and
@@ -31,7 +31,7 @@ struct MorselOutcome {
   bool adapted = false;
   std::vector<EngineAttempt> attempts;
   PosList positions;  // Materialize mode.
-  uint64_t count = 0;  // Count and aggregate modes (the match count).
+  uint64_t count = 0;  // Aggregate mode: the match count.
   std::vector<AggAccumulator> aggs;  // Aggregate mode: per-term partials.
   // JIT cache/compile attribution for this morsel's ladder walk.
   JitChunkStats jit;
@@ -142,9 +142,10 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
   // outcome slot on success. Charged against the query's memory budget
   // while the morsel holds it: a budget overflow is a typed morsel
   // failure (kResourceExhausted), not a process abort.
+  const bool fold = mode == MorselMode::kAggregate;
   ScopedMemoryReservation reservation;
   PosList buffer;
-  if (mode == MorselMode::kMaterialize) {
+  if (!fold) {
     const Status reserved = reservation.Reserve(
         ctx, static_cast<uint64_t>(plan.row_count + kScanOutputSlack) *
                  sizeof(ChunkOffset));
@@ -155,9 +156,7 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
     buffer.resize(plan.row_count + kScanOutputSlack);
   }
   std::vector<AggAccumulator> aggs;
-  if (mode == MorselMode::kAggregate) {
-    aggs.resize(scanner.num_agg_terms());
-  }
+  if (fold) aggs.resize(scanner.num_agg_terms());
 
   // Per-morsel engine adaptation (DESIGN.md §14): when the scan opted in,
   // ask the cost model whether this chunk should run on a cheaper engine
@@ -168,12 +167,7 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
   const std::vector<EngineChoice>* walk_rungs = &rungs;
   bool adapted_first = false;
   if (scanner.adaptive() && !rungs.empty()) {
-    const cost::ScanMode cost_mode =
-        mode == MorselMode::kCount       ? cost::ScanMode::kCount
-        : mode == MorselMode::kAggregate ? cost::ScanMode::kAggregate
-                                         : cost::ScanMode::kMaterialize;
-    const EngineChoice adapted =
-        scanner.AdaptEngine(rungs.front(), chunk_id, cost_mode);
+    const EngineChoice adapted = scanner.AdaptEngine(rungs.front(), chunk_id);
     if (!(adapted == rungs.front())) {
       adapted_first = true;
       walk.reserve(rungs.size() + 1);
@@ -212,58 +206,28 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
       continue;
     }
 
-    Status status;
-    uint64_t value = 0;
-    if (choice.engine == ScanEngine::kJit) {
-      const StatusOr<size_t> result =
-          mode == MorselMode::kAggregate
-              ? JitExecuteChunkAggregate(cache, plan,
-                                         choice.jit_register_bits,
-                                         aggs.data(), &out->jit, ctx)
-              : JitExecuteChunk(cache, plan, choice.jit_register_bits,
-                                mode == MorselMode::kCount,
-                                mode == MorselMode::kCount ? nullptr
-                                                           : buffer.data(),
-                                &out->jit, ctx,
-                                scanner.compressed_stats().get());
-      if (result.ok()) {
-        value = *result;
-      } else {
-        status = result.status();
+    const StatusOr<size_t> result = [&]() -> StatusOr<size_t> {
+      if (choice.engine == ScanEngine::kJit) {
+        return fold ? JitExecuteChunkAggregate(
+                          cache, plan, choice.jit_register_bits, aggs.data(),
+                          &out->jit, ctx, scanner.compressed_stats().get())
+                    : JitExecuteChunk(cache, plan, choice.jit_register_bits,
+                                      buffer.data(), &out->jit, ctx,
+                                      scanner.compressed_stats().get());
       }
-    } else if (mode == MorselMode::kAggregate) {
-      const StatusOr<size_t> result =
-          scanner.ExecuteChunkAggregate(choice.engine, chunk_id, aggs.data());
-      if (result.ok()) {
-        value = *result;
-      } else {
-        status = result.status();
-      }
-    } else if (mode == MorselMode::kCount) {
-      const StatusOr<uint64_t> result =
-          scanner.ExecuteChunkCount(choice.engine, chunk_id);
-      if (result.ok()) {
-        value = *result;
-      } else {
-        status = result.status();
-      }
-    } else {
-      const StatusOr<size_t> result =
-          scanner.ExecuteChunk(choice.engine, chunk_id, buffer.data());
-      if (result.ok()) {
-        value = *result;
-      } else {
-        status = result.status();
-      }
-    }
+      return fold ? scanner.ExecuteChunkAggregate(choice.engine, chunk_id,
+                                                  aggs.data())
+                  : scanner.ExecuteChunk(choice.engine, chunk_id,
+                                         buffer.data());
+    }();
 
-    if (status.ok()) {
-      if (mode == MorselMode::kMaterialize) {
-        buffer.resize(static_cast<size_t>(value));
-        out->positions = std::move(buffer);
+    if (result.ok()) {
+      if (fold) {
+        out->count = *result;
+        out->aggs = std::move(aggs);
       } else {
-        out->count = value;
-        if (mode == MorselMode::kAggregate) out->aggs = std::move(aggs);
+        buffer.resize(*result);
+        out->positions = std::move(buffer);
       }
       out->attempts.push_back({choice, Status::Ok()});
       out->executed = choice;
@@ -275,12 +239,11 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
       out->counters = region.Finish();
       if (span.active()) {
         span.AddArg("engine", choice.ToString());
-        span.AddArg("matches", mode == MorselMode::kMaterialize
-                                   ? uint64_t{out->positions.size()}
-                                   : out->count);
+        span.AddArg("matches", uint64_t{*result});
       }
       return;
     }
+    const Status& status = result.status();
     out->attempts.push_back({choice, status});
     out->error = status;
     if (choice.engine == ScanEngine::kJit &&
@@ -495,12 +458,9 @@ StatusOr<TableMatches> ExecuteParallelScan(const TableScanner& scanner,
 StatusOr<uint64_t> ExecuteParallelScanCount(const TableScanner& scanner,
                                             const ParallelScanOptions& options,
                                             ExecutionReport* report) {
-  std::vector<MorselOutcome> outcomes;
-  FTS_RETURN_IF_ERROR(
-      RunMorsels(scanner, options, MorselMode::kCount, &outcomes, report));
-  uint64_t total = 0;
-  for (const MorselOutcome& outcome : outcomes) total += outcome.count;
-  return total;
+  FTS_ASSIGN_OR_RETURN(const TableMatches matches,
+                       ExecuteParallelScan(scanner, options, report));
+  return matches.TotalMatches();
 }
 
 StatusOr<TableScanner::AggResult> ExecuteParallelScanAggregate(

@@ -62,8 +62,10 @@ StatusOr<TableMatches> ExecuteParallelScan(const TableScanner& scanner,
                                            const ParallelScanOptions& options,
                                            ExecutionReport* report = nullptr);
 
-// Count-only twin: JIT morsels compile count-only operators, SISD morsels
-// run the paper's counting loop, fused morsels count a thread-local list.
+// Materialize-and-size: runs ExecuteParallelScan and returns the total
+// number of matching positions. Every engine, SISD included, collects its
+// positions first — the paper's position-list comparison setup. Queries
+// answer COUNT(*) as a one-term ExecuteParallelScanAggregate instead.
 StatusOr<uint64_t> ExecuteParallelScanCount(
     const TableScanner& scanner, const ParallelScanOptions& options,
     ExecutionReport* report = nullptr);

@@ -299,9 +299,9 @@ std::string AggFoldBody(const JitScanSignature& sig) {
 }
 
 // Final-stage emission statements: what happens to a surviving mask of
-// positions. Three shapes: count-only (popcount), aggregate pushdown
-// (compress-store survivors to a stack buffer, fold each, popcount), or
-// position materialization (compress-store to `out`).
+// positions. Three shapes: COUNT-only aggregate terms (popcount), value
+// aggregate terms (compress-store survivors to a stack buffer, fold each,
+// popcount), or position materialization (compress-store to `out`).
 std::string FinalEmitCode(const WidthStrings& w, const JitScanSignature& sig,
                           const std::string& mask, const std::string& pos,
                           const char* indent) {
@@ -313,7 +313,7 @@ std::string FinalEmitCode(const WidthStrings& w, const JitScanSignature& sig,
     out += StrFormat(
         "%sfold_rows(fold_buf, __builtin_popcount((unsigned)%s));\n", indent,
         mask.c_str());
-  } else if (sig.aggs.empty() && !sig.count_only) {
+  } else if (sig.aggs.empty()) {
     out += StrFormat("%s%s(out + out_count, %s, %s);\n", indent,
                      w.compressstore32, mask.c_str(), pos.c_str());
   }
@@ -596,6 +596,25 @@ std::string MainLoop(const WidthStrings& w, const JitScanSignature& sig) {
       compare_block.c_str(), on_match.c_str(), w.add32);
 }
 
+// Field-for-field mirror of fts::AggAccumulator (every member 8 bytes, no
+// padding — pinned by static_asserts on both sides) over the operator's
+// `out` argument.
+constexpr const char* kAccMirrorSource =
+    "  struct Acc {\n"
+    "    unsigned long long count;\n"
+    "    unsigned long long sum_bits;\n"
+    "    double sum_double;\n"
+    "    long long min_i;\n"
+    "    long long max_i;\n"
+    "    unsigned long long min_u;\n"
+    "    unsigned long long max_u;\n"
+    "    double min_d;\n"
+    "    double max_d;\n"
+    "  };\n"
+    "  static_assert(sizeof(Acc) == 72,\n"
+    "                \"mirror of fts::AggAccumulator\");\n"
+    "  Acc* const accs = reinterpret_cast<Acc*>(out);\n";
+
 bool AnyRleStage(const JitScanSignature& sig) {
   for (const JitStageSignature& s : sig.stages) {
     if (s.encoding == static_cast<uint8_t>(ColumnEncoding::kRle)) {
@@ -609,7 +628,8 @@ bool AnyRleStage(const JitScanSignature& sig) {
 // over row segments. Each segment is the span up to the nearest run
 // boundary of any stage, so every compare touches run values — O(total
 // runs) work regardless of row_count — and qualifying segments are
-// emitted (or counted) as whole position spans.
+// emitted as whole position spans, or only counted when every aggregate
+// term is COUNT (`out` is then the AggAccumulator array).
 StatusOr<std::string> GenerateRleScanSource(
     const JitScanSignature& signature) {
   for (const JitStageSignature& stage : signature.stages) {
@@ -619,10 +639,11 @@ StatusOr<std::string> GenerateRleScanSource(
           "RLE operators fuse all-RLE chains only");
     }
   }
-  if (!signature.aggs.empty()) {
+  if (AnyAggValueTerm(signature)) {
     return Status::InvalidArgument(
-        "RLE operators do not fold aggregate terms");
+        "RLE operators fold COUNT aggregate terms only");
   }
+  const bool fold_count = !signature.aggs.empty();
   const size_t n = signature.stages.size();
   std::string src;
   src += StrFormat(
@@ -681,7 +702,7 @@ StatusOr<std::string> GenerateRleScanSource(
                        CppOpFor(signature.stages[s].op), s);
   }
   src += StrFormat("    if (%s) {\n", match.c_str());
-  if (signature.count_only) {
+  if (fold_count) {
     src += "      out_count += seg_end - pos;\n";
   } else {
     src +=
@@ -692,8 +713,15 @@ StatusOr<std::string> GenerateRleScanSource(
   src +=
       "    }\n"
       "    pos = seg_end;\n"
-      "  }\n"
-      "  return out_count;\n}\n";
+      "  }\n";
+  if (fold_count) {
+    src += kAccMirrorSource;
+    for (size_t t = 0; t < signature.aggs.size(); ++t) {
+      src += StrFormat(
+          "  accs[%zu].count += (unsigned long long)out_count;\n", t);
+    }
+  }
+  src += "  return out_count;\n}\n";
   return src;
 }
 
@@ -712,10 +740,6 @@ StatusOr<std::string> GenerateFusedScanSource(
     return Status::InvalidArgument(
         StrFormat("signature has %zu stages; supported range is 1..%zu",
                   signature.stages.size(), kMaxScanStages));
-  }
-  if (!signature.aggs.empty() && signature.count_only) {
-    return Status::InvalidArgument(
-        "count_only and aggregate terms are mutually exclusive");
   }
   if (signature.aggs.size() > kMaxAggTerms) {
     return Status::InvalidArgument(
@@ -759,26 +783,11 @@ StatusOr<std::string> GenerateFusedScanSource(
       "  size_t out_count = 0;\n",
       signature.CacheKey().c_str(), kJitScanSymbol);
 
-  // Aggregate-pushdown state: a field-for-field mirror of
-  // fts::AggAccumulator (every member 8 bytes, no padding — pinned by
-  // static_asserts on both sides), the typed aggregate column pointers
-  // (appended after the stage columns), and the per-survivor fold loop.
+  // Aggregate-pushdown state: the accumulator mirror, the typed aggregate
+  // column pointers (appended after the stage columns), and the
+  // per-survivor fold loop.
   if (!signature.aggs.empty()) {
-    src +=
-        "  struct Acc {\n"
-        "    unsigned long long count;\n"
-        "    unsigned long long sum_bits;\n"
-        "    double sum_double;\n"
-        "    long long min_i;\n"
-        "    long long max_i;\n"
-        "    unsigned long long min_u;\n"
-        "    unsigned long long max_u;\n"
-        "    double min_d;\n"
-        "    double max_d;\n"
-        "  };\n"
-        "  static_assert(sizeof(Acc) == 72,\n"
-        "                \"mirror of fts::AggAccumulator\");\n"
-        "  Acc* const accs = reinterpret_cast<Acc*>(out);\n";
+    src += kAccMirrorSource;
     for (size_t t = 0; t < signature.aggs.size(); ++t) {
       if (signature.aggs[t].op == AggOp::kCount) continue;
       const char* type = CppTypeFor(signature.aggs[t].type);
@@ -856,11 +865,10 @@ StatusOr<std::string> GenerateGatherSource(
     return Status::InvalidArgument(
         "signature carries no gather terms; use GenerateFusedScanSource");
   }
-  if (!signature.stages.empty() || !signature.aggs.empty() ||
-      signature.count_only) {
+  if (!signature.stages.empty() || !signature.aggs.empty()) {
     return Status::InvalidArgument(
-        "gather operators are gather-only: stages, aggregates and "
-        "count_only do not combine with gather terms");
+        "gather operators are gather-only: stages and aggregates do not "
+        "combine with gather terms");
   }
   if (signature.gathers.size() > kMaxGatherTerms) {
     return Status::InvalidArgument(

@@ -55,7 +55,7 @@ struct JitGatherView {
 //   out:       unused
 // returns row_count.
 //
-// Fails for signatures that also carry stages/aggs/count_only, term
+// Fails for signatures that also carry stages or aggs, term
 // counts outside 1..kMaxGatherTerms, packed widths beyond 26 bits, or a
 // float frame-of-reference term.
 StatusOr<std::string> GenerateGatherSource(const JitScanSignature& signature);
@@ -73,9 +73,10 @@ StatusOr<std::string> GenerateGatherSource(const JitScanSignature& signature);
 // Signatures whose stages are all RLE-encoded (SignatureForRleChain)
 // instead generate the compressed-domain run-coiteration operator: each
 // `columns` slot is a JitRleView, every run value is classified once, and
-// qualifying row segments are emitted (or counted) without per-row
-// compares. Mixed RLE/kernel chains and RLE aggregate operators are
-// rejected — the ladder demotes those to the interpreted path.
+// qualifying row segments are emitted without per-row compares — or, when
+// every aggregate term is COUNT, only counted into the terms. Mixed
+// RLE/kernel chains and RLE operators with value-reading aggregate terms
+// are rejected — the ladder demotes those to the interpreted path.
 StatusOr<std::string> GenerateFusedScanSource(
     const JitScanSignature& signature);
 

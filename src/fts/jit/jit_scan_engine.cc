@@ -57,71 +57,12 @@ void CreditRleRuns(const TableScanner::ChunkPlan& plan,
   compressed_stats->Add(credit);
 }
 
-}  // namespace
-
-StatusOr<size_t> JitExecuteChunk(JitCache& cache,
-                                 const TableScanner::ChunkPlan& plan,
-                                 int register_bits, bool count_only,
-                                 ChunkOffset* out, JitChunkStats* stats,
-                                 QueryContext* ctx,
-                                 AtomicCompressedStats* compressed_stats) {
-  if (!GetCpuFeatures().HasFusedScanAvx512()) {
-    return Status::Unavailable(
-        "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
-  }
-  if (plan.impossible || plan.row_count == 0) return size_t{0};
-  if (!plan.compressed.empty()) {
-    if (!plan.stages.empty()) {
-      return Status::InvalidArgument(
-          "JIT compiles all-RLE chains only; mixed compressed/kernel "
-          "chunks run on the interpreted range path");
-    }
-    FTS_ASSIGN_OR_RETURN(
-        JitScanSignature signature,
-        SignatureForRleChain(plan.compressed, register_bits, count_only));
-    FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                         cache.GetOrCompile(signature, ctx));
-    if (stats != nullptr) {
-      stats->compile_millis += entry.compile_millis;
-      if (entry.cache_hit) {
-        ++stats->cache_hits;
-      } else {
-        ++stats->cache_misses;
-      }
-    }
-    JitRleView views[kMaxScanStages];
-    const void* columns[kMaxScanStages];
-    alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] =
-        {};
-    MarshalRleStages(plan, signature, views, columns, values);
-    obs::TraceSpan span("scan_chunk", "scan");
-    const size_t count = entry.fn(columns, values, plan.row_count,
-                                  count_only ? nullptr : out);
-    CreditRleRuns(plan, compressed_stats);
-    {
-      const obs::EngineMetrics& metrics = obs::Metrics();
-      metrics.rows_scanned_total->Add(plan.row_count);
-      metrics.rows_emitted_total->Add(count);
-      EngineExecutionCounter(ScanEngine::kJit)->Increment();
-    }
-    if (span.active()) {
-      span.AddArg("engine", "JIT Fused (RLE)");
-      span.AddArg("register_bits", static_cast<uint64_t>(register_bits));
-      span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
-      span.AddArg("matches", static_cast<uint64_t>(count));
-    }
-    return count;
-  }
-  if (plan.stages.empty()) {
-    if (!count_only) std::iota(out, out + plan.row_count, ChunkOffset{0});
-    return plan.row_count;
-  }
-
-  // One compiled operator per chain signature; chunks of the same table
-  // usually share it (dictionary rewrites can vary per chunk).
-  JitScanSignature signature = SignatureForStages(plan.stages, register_bits);
-  signature.count_only = count_only;
-  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
+// Fetches (or compiles) the operator for `signature` and credits the
+// lookup to `stats` (nullable).
+StatusOr<JitCache::Entry> Compile(JitCache& cache,
+                                  const JitScanSignature& signature,
+                                  JitChunkStats* stats, QueryContext* ctx) {
+  FTS_ASSIGN_OR_RETURN(JitCache::Entry entry,
                        cache.GetOrCompile(signature, ctx));
   if (stats != nullptr) {
     stats->compile_millis += entry.compile_millis;
@@ -131,6 +72,79 @@ StatusOr<size_t> JitExecuteChunk(JitCache& cache,
       ++stats->cache_misses;
     }
   }
+  return entry;
+}
+
+// Runs an all-RLE chain through the run-coiteration operator. Empty
+// `aggs` materializes positions into `out`; all-COUNT `aggs` only counts,
+// and `out` is the caller's AggAccumulator array. Mixed compressed/kernel
+// chains fail with InvalidArgument (the ladder demotes them to the
+// interpreted range path), as do non-RLE compressed stages.
+StatusOr<size_t> RunRleChain(JitCache& cache,
+                             const TableScanner::ChunkPlan& plan,
+                             int register_bits,
+                             std::vector<JitAggSignature> aggs, uint32_t* out,
+                             JitChunkStats* stats, QueryContext* ctx,
+                             AtomicCompressedStats* compressed_stats) {
+  if (!plan.stages.empty()) {
+    return Status::InvalidArgument(
+        "JIT compiles all-RLE chains only; mixed compressed/kernel "
+        "chunks run on the interpreted range path");
+  }
+  FTS_ASSIGN_OR_RETURN(JitScanSignature signature,
+                       SignatureForRleChain(plan.compressed, register_bits));
+  signature.aggs = std::move(aggs);
+  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
+                       Compile(cache, signature, stats, ctx));
+  JitRleView views[kMaxScanStages];
+  const void* columns[kMaxScanStages];
+  alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
+  MarshalRleStages(plan, signature, views, columns, values);
+  obs::TraceSpan span("scan_chunk", "scan");
+  const size_t count = entry.fn(columns, values, plan.row_count, out);
+  CreditRleRuns(plan, compressed_stats);
+  {
+    const obs::EngineMetrics& metrics = obs::Metrics();
+    metrics.rows_scanned_total->Add(plan.row_count);
+    metrics.rows_emitted_total->Add(count);
+    EngineExecutionCounter(ScanEngine::kJit)->Increment();
+  }
+  if (span.active()) {
+    span.AddArg("engine", "JIT Fused (RLE)");
+    span.AddArg("register_bits", static_cast<uint64_t>(register_bits));
+    span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
+    span.AddArg("matches", static_cast<uint64_t>(count));
+  }
+  return count;
+}
+
+}  // namespace
+
+StatusOr<size_t> JitExecuteChunk(JitCache& cache,
+                                 const TableScanner::ChunkPlan& plan,
+                                 int register_bits, ChunkOffset* out,
+                                 JitChunkStats* stats, QueryContext* ctx,
+                                 AtomicCompressedStats* compressed_stats) {
+  if (!GetCpuFeatures().HasFusedScanAvx512()) {
+    return Status::Unavailable(
+        "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
+  }
+  if (plan.impossible || plan.row_count == 0) return size_t{0};
+  if (!plan.compressed.empty()) {
+    return RunRleChain(cache, plan, register_bits, {}, out, stats, ctx,
+                       compressed_stats);
+  }
+  if (plan.stages.empty()) {
+    std::iota(out, out + plan.row_count, ChunkOffset{0});
+    return plan.row_count;
+  }
+
+  // One compiled operator per chain signature; chunks of the same table
+  // usually share it (dictionary rewrites can vary per chunk).
+  const JitScanSignature signature =
+      SignatureForStages(plan.stages, register_bits);
+  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
+                       Compile(cache, signature, stats, ctx));
 
   const void* columns[kMaxScanStages];
   alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
@@ -142,9 +156,7 @@ StatusOr<size_t> JitExecuteChunk(JitCache& cache,
                      kJitValueSlotBytes);
   }
   obs::TraceSpan span("scan_chunk", "scan");
-  // Count-only operators never touch the output buffer.
-  const size_t count =
-      entry.fn(columns, values, plan.row_count, count_only ? nullptr : out);
+  const size_t count = entry.fn(columns, values, plan.row_count, out);
   {
     const obs::EngineMetrics& metrics = obs::Metrics();
     metrics.rows_scanned_total->Add(plan.row_count);
@@ -165,7 +177,9 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
                                           int register_bits,
                                           AggAccumulator* accs,
                                           JitChunkStats* stats,
-                                          QueryContext* ctx) {
+                                          QueryContext* ctx,
+                                          AtomicCompressedStats*
+                                              compressed_stats) {
   if (!GetCpuFeatures().HasFusedScanAvx512()) {
     return Status::Unavailable(
         "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
@@ -181,11 +195,28 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
               accs);
     return plan.row_count;
   }
+  std::vector<JitAggSignature> aggs;
+  aggs.reserve(num_terms);
+  bool count_terms_only = true;
+  for (const AggTerm& term : plan.agg_terms) {
+    aggs.push_back({term.op, term.type, term.domain});
+    count_terms_only = count_terms_only && term.op == AggOp::kCount;
+  }
+  // The accumulator array doubles as the generated operator's `out`
+  // argument; its layout is mirrored field-for-field in generated code.
+  uint32_t* const out = reinterpret_cast<uint32_t*>(accs);
   if (!plan.compressed.empty()) {
-    // The static engines materialize the compressed chain's positions and
-    // fold row-wise; no generated aggregate operator covers that shape.
-    return Status::InvalidArgument(
-        "JIT aggregate operators do not cover compressed-domain chains");
+    // COUNT terms ride the all-RLE run-coiteration operator. Value terms
+    // need positions: the static engines materialize the compressed
+    // chain's positions and fold row-wise, and no generated aggregate
+    // operator covers that shape.
+    if (!count_terms_only) {
+      return Status::InvalidArgument(
+          "JIT aggregate operators over compressed-domain chains fold "
+          "COUNT terms only");
+    }
+    return RunRleChain(cache, plan, register_bits, std::move(aggs), out,
+                       stats, ctx, compressed_stats);
   }
   for (const AggTerm& term : plan.agg_terms) {
     if (term.dict != nullptr || term.packed_bits != 0) {
@@ -203,20 +234,9 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
   }
 
   JitScanSignature signature = SignatureForStages(plan.stages, register_bits);
-  signature.aggs.reserve(num_terms);
-  for (const AggTerm& term : plan.agg_terms) {
-    signature.aggs.push_back({term.op, term.type, term.domain});
-  }
+  signature.aggs = std::move(aggs);
   FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       cache.GetOrCompile(signature, ctx));
-  if (stats != nullptr) {
-    stats->compile_millis += entry.compile_millis;
-    if (entry.cache_hit) {
-      ++stats->cache_hits;
-    } else {
-      ++stats->cache_misses;
-    }
-  }
+                       Compile(cache, signature, stats, ctx));
 
   const void* columns[kMaxScanStages + kMaxAggTerms];
   alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
@@ -233,11 +253,7 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
     columns[plan.stages.size() + t] = plan.agg_terms[t].data;
   }
   obs::TraceSpan span("scan_chunk_agg", "scan");
-  // The accumulator array doubles as the generated operator's `out`
-  // argument; its layout is mirrored field-for-field in generated code.
-  const size_t count =
-      entry.fn(columns, values, plan.row_count,
-               reinterpret_cast<uint32_t*>(accs));
+  const size_t count = entry.fn(columns, values, plan.row_count, out);
   {
     const obs::EngineMetrics& metrics = obs::Metrics();
     metrics.rows_scanned_total->Add(plan.row_count);
@@ -263,15 +279,7 @@ StatusOr<size_t> JitExecuteChunkGather(JitCache& cache,
   FTS_ASSIGN_OR_RETURN(const JitScanSignature signature,
                        SignatureForGatherTerms(terms, num_terms));
   FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       cache.GetOrCompile(signature, ctx));
-  if (stats != nullptr) {
-    stats->compile_millis += entry.compile_millis;
-    if (entry.cache_hit) {
-      ++stats->cache_hits;
-    } else {
-      ++stats->cache_misses;
-    }
-  }
+                       Compile(cache, signature, stats, ctx));
   if (n == 0) return size_t{0};
 
   JitGatherView views[kMaxGatherTerms];

@@ -28,10 +28,9 @@ struct JitChunkStats {
 // Runs one chunk's prepared plan through a JIT-compiled operator — the
 // morsel primitive the scan executor (fts/exec/parallel_scan.h) runs for
 // every kJit rung. Compiles (or fetches from `cache`) the
-// operator for the chunk's chain signature at `register_bits`. In
-// count-only mode `out` may be null and the return value is the match
-// count; otherwise `out` must have capacity for row_count +
-// kScanOutputSlack positions. When `stats` is non-null, cache/compile
+// operator for the chunk's chain signature at `register_bits`. `out` must
+// have capacity for row_count + kScanOutputSlack positions; returns the
+// match count. When `stats` is non-null, cache/compile
 // attribution for this call is accumulated into it. Thread-safe: JitCache
 // single-flights concurrent compiles of one signature. `ctx` (nullable)
 // makes the compile lifecycle-aware (budget floor, kill on cancel); the
@@ -46,7 +45,7 @@ struct JitChunkStats {
 // pass the scanner's accumulator so EXPLAIN counters cover JIT morsels.
 StatusOr<size_t> JitExecuteChunk(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
-    bool count_only, ChunkOffset* out, JitChunkStats* stats = nullptr,
+    ChunkOffset* out, JitChunkStats* stats = nullptr,
     QueryContext* ctx = nullptr,
     AtomicCompressedStats* compressed_stats = nullptr);
 
@@ -56,12 +55,15 @@ StatusOr<size_t> JitExecuteChunk(
 // Zone-shortcut chunks are answered without compiling anything. Only plain
 // aggregate columns are JIT-eligible; dictionary / bit-packed terms return
 // InvalidArgument so the per-morsel ladder demotes to the static kernels.
-StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
-                                          const TableScanner::ChunkPlan& plan,
-                                          int register_bits,
-                                          AggAccumulator* accs,
-                                          JitChunkStats* stats = nullptr,
-                                          QueryContext* ctx = nullptr);
+// When every term is COUNT (SELECT COUNT(*)), the generated loop only
+// popcounts, and an all-RLE compressed chain compiles the counting
+// run-coiteration operator (crediting `compressed_stats` like
+// JitExecuteChunk); other compressed chains return InvalidArgument.
+StatusOr<size_t> JitExecuteChunkAggregate(
+    JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
+    AggAccumulator* accs, JitChunkStats* stats = nullptr,
+    QueryContext* ctx = nullptr,
+    AtomicCompressedStats* compressed_stats = nullptr);
 
 // Batch-gather morsel primitive of the late-materialization projection:
 // compiles (or fetches) the gather-only operator for `terms`' shape

@@ -18,7 +18,6 @@ std::string JitScanSignature::CacheKey() const {
       key += "~rle";
     }
   }
-  if (count_only) key += "#count";
   if (!gathers.empty()) {
     key += "#gather:";
     for (size_t i = 0; i < gathers.size(); ++i) {
@@ -64,11 +63,9 @@ JitScanSignature SignatureForStages(const std::vector<ScanStage>& stages,
 }
 
 StatusOr<JitScanSignature> SignatureForRleChain(
-    const std::vector<CompressedScanStage>& compressed, int register_bits,
-    bool count_only) {
+    const std::vector<CompressedScanStage>& compressed, int register_bits) {
   JitScanSignature signature;
   signature.register_bits = register_bits;
-  signature.count_only = count_only;
   signature.stages.reserve(compressed.size());
   for (const CompressedScanStage& stage : compressed) {
     if (stage.column->encoding() != ColumnEncoding::kRle) {

@@ -74,26 +74,23 @@ struct JitGatherSignature {
 struct JitScanSignature {
   std::vector<JitStageSignature> stages;
   int register_bits = 512;  // 128, 256 or 512.
-  // Count-only operators skip the compress-store of match positions and
-  // just accumulate popcounts — the exact shape of the paper's
-  // SELECT COUNT(*) query. The generated function ignores `out`.
-  bool count_only = false;
   // Aggregate-pushdown operators fold these terms at every emission site
   // instead of materializing positions; `out` is reinterpreted as an
   // AggAccumulator array (one 72-byte slot per term, already
-  // default-initialized by the caller). Mutually exclusive with
-  // `count_only`; aggregate column pointers follow the stage columns in
-  // the `columns` argument.
+  // default-initialized by the caller). Aggregate column pointers follow
+  // the stage columns in the `columns` argument. When every term is COUNT
+  // (the paper's SELECT COUNT(*)) the operator skips the compress-store of
+  // match positions and just accumulates popcounts.
   std::vector<JitAggSignature> aggs;
-  // Non-empty: the signature names a gather-only operator (stages/aggs
-  // empty, count_only false) that materializes these columns at a
-  // position list — the late-materialization projection fused into one
-  // generated pass. `values` is reinterpreted as the position array and
-  // each `columns` slot as a JitGatherView.
+  // Non-empty: the signature names a gather-only operator (stages and
+  // aggs empty) that materializes these columns at a position list — the
+  // late-materialization projection fused into one generated pass.
+  // `values` is reinterpreted as the position array and each `columns`
+  // slot as a JitGatherView.
   std::vector<JitGatherSignature> gathers;
 
   // Canonical cache key, e.g. "512:i32=;u32<;f64>=" or
-  // "512:i32=;i32=#count" or "512:i32<#agg:SUMi32s,MINf64f" or
+  // "512:i32=;i32=#agg:COUNTi32s" or "512:i32<#agg:SUMi32s,MINf64f" or
   // "512:#gather:i32,u32@7d,i64" for a gather-only operator.
   std::string CacheKey() const;
 
@@ -110,8 +107,7 @@ JitScanSignature SignatureForStages(const std::vector<ScanStage>& stages,
 // column is not RLE-encoded or its data type has no kernel element type —
 // the ladder then demotes the morsel to the interpreted range path.
 StatusOr<JitScanSignature> SignatureForRleChain(
-    const std::vector<CompressedScanStage>& compressed, int register_bits,
-    bool count_only);
+    const std::vector<CompressedScanStage>& compressed, int register_bits);
 
 // Builds the gather-only signature of `num_terms` kernel-eligible gather
 // terms (fts/simd/gather_spec.h) in output-column order. Fails with

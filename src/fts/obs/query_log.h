@@ -40,6 +40,7 @@ struct QueryLogEntry {
   uint64_t chunks_total = 0;
   uint64_t chunks_pruned = 0;
   bool degraded = false;
+  // The aggregates (a plain COUNT(*) included) were folded in the scan.
   bool aggregate_pushdown = false;
   bool model_active = false;
   // Cost-model drift: |est - actual| / max(actual, 1) in permille, valid

@@ -184,8 +184,8 @@ void AccumulateRefineCounters(const CounterDelta& delta,
 // Runs the plan's first (full-chunk) scan step: prepares the scanner once
 // and hands it to the morsel executor, which walks the degradation ladder
 // per morsel at every thread count (morsels run inline at 1 thread) and
-// fills `report`. `execute` is ExecuteParallelScan, ExecuteParallelScanCount
-// or ExecuteParallelScanAggregate.
+// fills `report`. `execute` is ExecuteParallelScan or
+// ExecuteParallelScanAggregate.
 template <typename T>
 StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
                          const PhysicalPlan::ScanStep& step,
@@ -453,8 +453,8 @@ void FillStageCounters(const ExecutionReport& report, uint64_t cycles_before,
 
 // The pushed-down aggregate path: one fused pass folds every term inside
 // the scan kernels, the per-chunk partials merge in chunk order, and the
-// accumulators finalize straight into the output row. No position list is
-// ever materialized.
+// accumulators finalize straight into the output row (or into
+// QueryResult::count for COUNT(*)). No position list is ever materialized.
 StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan) {
   QueryResult result;
   const PhysicalPlan::ScanStep& step = *plan.pushdown_step;
@@ -480,13 +480,18 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan) {
     report.stages.push_back(std::move(stage));
   }
   Stopwatch finalize_timer;
-  FTS_ASSIGN_OR_RETURN(
-      std::vector<Value> row,
-      FinalizeAggregates(*plan.table, plan.aggregate_items,
-                         plan.pushdown_bindings, *agg));
-  result.rows.push_back(std::move(row));
-  for (const AggregateItem& item : plan.aggregate_items) {
-    result.column_names.push_back(item.ToString());
+  if (plan.output == PhysicalPlan::Output::kCountStar) {
+    result.count = agg->matched;
+    result.column_names = {"count"};
+  } else {
+    FTS_ASSIGN_OR_RETURN(
+        std::vector<Value> row,
+        FinalizeAggregates(*plan.table, plan.aggregate_items,
+                           plan.pushdown_bindings, *agg));
+    result.rows.push_back(std::move(row));
+    for (const AggregateItem& item : plan.aggregate_items) {
+      result.column_names.push_back(item.ToString());
+    }
   }
   result.matched_rows = agg->matched;
   report.stages.push_back(StageReport{"Aggregate [pushdown]", agg->matched,
@@ -896,42 +901,10 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     return result;
   }
 
-  // Pushed-down aggregates skip position materialization entirely: the
-  // scan kernels fold every term under the final predicate mask.
-  if (plan.output == PhysicalPlan::Output::kAggregate &&
-      plan.pushdown_step.has_value()) {
-    return ExecuteAggregatePushdown(plan);
-  }
-
-  // COUNT(*) over a single scan step skips position materialization
-  // entirely: the SISD engines run their counting loop (the paper's
-  // Section II baseline) and the JIT compiles a count-only operator.
-  if (plan.output == PhysicalPlan::Output::kCountStar &&
-      plan.scan_steps.size() == 1) {
-    QueryResult result;
-    const PhysicalPlan::ScanStep& step = plan.scan_steps[0];
-    ExecutionReport& report = result.execution_report;
-    Stopwatch timer;
-    const StatusOr<uint64_t> count =
-        RunFirstStep(plan, step, ExecuteParallelScanCount, &report);
-    const double millis = timer.ElapsedMillis();
-    FTS_RETURN_IF_ERROR(count.status());
-    FinishCounters(plan, 0, &report);
-    report.rows_matched = *count;
-    report.scan_millis = millis;
-    StageReport stage{
-        StrFormat("%s [%s]", StepOpName(step),
-                  report.executed.ToString().c_str()),
-        report.rows_scanned, *count, millis};
-    stage.has_estimate = report.model_active;
-    stage.est_rows_out = report.est_rows;
-    FillStageCounters(report, 0, 0, &stage);
-    report.stages.push_back(std::move(stage));
-    result.matched_rows = *count;
-    result.count = *count;
-    result.column_names = {"count"};
-    return result;
-  }
+  // Pushed-down aggregates (COUNT(*) included) skip position
+  // materialization entirely: the scan kernels fold every term under the
+  // final predicate mask.
+  if (plan.pushdown_step.has_value()) return ExecuteAggregatePushdown(plan);
 
   ExecutionReport report;
   std::optional<TableMatches> matches;

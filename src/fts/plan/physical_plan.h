@@ -28,7 +28,8 @@ struct QueryResult {
   // Values are produced on demand at the API/shell boundary (ValueAt).
   ColumnarResult columnar;
   bool columnar_valid = false;
-  // COUNT(*) value when the query aggregates.
+  // The answer of a SELECT COUNT(*) (output kCountStar), whether it was
+  // folded by aggregate pushdown or counted from a position list.
   std::optional<uint64_t> count;
   // Rows matched by the scan pipeline (== rows.size() for projections).
   uint64_t matched_rows = 0;
@@ -96,6 +97,11 @@ struct PhysicalPlan {
   // simulator is O(rows), so this is opt-in (EXPLAIN ANALYZE sets it).
   bool collect_counters = false;
 
+  // Result shape. kCountStar (SELECT COUNT(*)) answers in
+  // QueryResult::count; kAggregate returns one row of aggregate values;
+  // kProject returns the projected rows. Both aggregate shapes execute the
+  // same way: pushed down as fold terms when `pushdown_step` is set, else
+  // materialize-then-aggregate.
   enum class Output : uint8_t { kCountStar, kAggregate, kProject };
   Output output = Output::kCountStar;
   // Set when the optimizer proved the conjunction contradictory: the plan
@@ -104,14 +110,16 @@ struct PhysicalPlan {
   // Resolved projection column indexes/names (output == kProject).
   std::vector<size_t> projection_indexes;
   std::vector<std::string> projection_names;
-  // Aggregate projection (output == kAggregate; kCountStar is the
-  // single-COUNT(*) special case with its own fast path).
+  // Aggregate projection (output == kAggregate, or kCountStar with the
+  // single item COUNT(*)). kCountStar differs only in its result shape:
+  // QueryResult::count and the one column name "count".
   std::vector<AggregateItem> aggregate_items;
-  // Aggregate pushdown (output == kAggregate, set by the translator for
-  // eligible plans): a copy of the single scan step (or a predicate-less
-  // step when the query has no WHERE) whose spec.aggregates carry the fold
-  // terms, deduplicated by (op, column) with AVG lowered to SUM — every
-  // term tracks its own match count, so AVG finalizes as sum/count.
+  // Aggregate pushdown (output == kAggregate or kCountStar, set by the
+  // translator for eligible plans): a copy of the single scan step (or a
+  // predicate-less step when the query has no WHERE) whose
+  // spec.aggregates carry the fold terms, deduplicated by (op, column)
+  // with AVG lowered to SUM — every term tracks its own match count, so
+  // AVG finalizes as sum/count and COUNT(*) is one COUNT term.
   // `pushdown_bindings[i]` is the term index answering aggregate_items[i].
   // When set, the executor folds aggregates inside the scan kernels and
   // never materializes a position list.

@@ -11,11 +11,12 @@ PredicateSpec ToPredicateSpec(const AstPredicate& predicate) {
   return PredicateSpec{predicate.column, predicate.op, predicate.literal};
 }
 
-// Routes an eligible aggregate projection onto the scan: the plan's single
-// scan step (or a synthesized predicate-less step when the query has no
-// WHERE) gains spec.aggregates, and the executor folds them inside the
-// kernel loop without materializing a position list. Ineligible plans are
-// left untouched and run materialize-then-aggregate:
+// Routes an eligible aggregate projection — COUNT(*) included, as a single
+// COUNT term — onto the scan: the plan's single scan step (or a
+// synthesized predicate-less step when the query has no WHERE) gains
+// spec.aggregates, and the executor folds them inside the kernel loop
+// without materializing a position list. Ineligible plans are left
+// untouched and run materialize-then-aggregate:
 //   - multi-step (non-fused) scan chains refine position lists, which the
 //     fold kernels never produce;
 //   - 8/16-bit plain columns have no fused fold (dictionary chunks widen
@@ -23,7 +24,7 @@ PredicateSpec ToPredicateSpec(const AstPredicate& predicate) {
 //   - more distinct (op, column) terms than kMaxAggTerms.
 void PlanAggregatePushdown(PhysicalPlan* plan,
                            const TranslatorOptions& options) {
-  if (plan->output != PhysicalPlan::Output::kAggregate) return;
+  if (plan->output == PhysicalPlan::Output::kProject) return;
   if (plan->empty_result || plan->scan_steps.size() > 1) return;
 
   std::vector<AggregateSpec> terms;

@@ -221,7 +221,8 @@ struct ExecutionReport {
   uint64_t gather_delta_blocks = 0;
   double project_est_millis = 0.0;
   // Aggregate pushdown: true when the plan folded its aggregates inside
-  // the scan kernels instead of materializing a position list;
+  // the scan kernels instead of materializing a position list (a
+  // pushed-down COUNT(*) is a one-term fold, so it sets this too);
   // `rows_folded` counts the matched rows folded into accumulators
   // (zone-shortcut chunks contribute without being scanned).
   bool aggregate_pushdown = false;

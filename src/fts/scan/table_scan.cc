@@ -503,9 +503,8 @@ size_t BlockwiseScan(const std::vector<ScanStage>& stages, size_t row_count,
   return count;
 }
 
-// Process-lifetime accounting for one chunk execution. The fused path of
-// ExecuteChunkCount delegates to ExecuteChunk, so only ExecuteChunk and the
-// SISD count fast paths call this — each chunk is counted exactly once.
+// Process-lifetime accounting for one chunk execution. ExecuteChunk and
+// ExecuteChunkAggregate each call this once per chunk they run.
 void RecordChunkExecution(ScanEngine engine, size_t rows, size_t matches) {
   const obs::EngineMetrics& metrics = obs::Metrics();
   metrics.rows_scanned_total->Add(rows);
@@ -837,49 +836,6 @@ StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
   return count;
 }
 
-StatusOr<uint64_t> TableScanner::ExecuteChunkCount(ScanEngine engine,
-                                                   ChunkId chunk_id) const {
-  FTS_RETURN_IF_ERROR(ValidateEngine(engine));
-  if (chunk_id >= chunk_plans_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("chunk %u out of range (%zu chunks)", chunk_id,
-                  chunk_plans_.size()));
-  }
-  const ChunkPlan& plan = chunk_plans_[chunk_id];
-  if (plan.impossible || plan.row_count == 0) return uint64_t{0};
-  if (plan.stages.empty() && plan.compressed.empty()) {
-    RecordChunkExecution(engine, plan.row_count, plan.row_count);
-    return plan.row_count;
-  }
-  // The SISD engines count without materializing — the paper's Section II
-  // baseline loop. Compressed-domain chunks take the materializing path
-  // below so every engine shares one range evaluation.
-  if (plan.compressed.empty() &&
-      (engine == ScanEngine::kSisdNoVec ||
-       engine == ScanEngine::kSisdAutoVec)) {
-    obs::TraceSpan span("scan_chunk", "scan");
-    const uint64_t count =
-        engine == ScanEngine::kSisdNoVec
-            ? SisdScanNoVecCount(plan.stages.data(), plan.stages.size(),
-                                 plan.row_count)
-            : SisdScanAutoVecCount(plan.stages.data(), plan.stages.size(),
-                                   plan.row_count);
-    RecordChunkExecution(engine, plan.row_count, count);
-    if (span.active()) {
-      span.AddArg("chunk", static_cast<uint64_t>(chunk_id));
-      span.AddArg("engine", ScanEngineToString(engine));
-      span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
-      span.AddArg("matches", count);
-    }
-    return count;
-  }
-  ScopedMemoryReservation reservation;
-  FTS_RETURN_IF_ERROR(
-      reservation.Reserve(context_, PosListBytes(plan.row_count)));
-  PosList scratch(plan.row_count + kScanOutputSlack);
-  return ExecuteChunk(engine, chunk_id, scratch.data());
-}
-
 StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
     ScanEngine engine, ChunkId chunk_id, AggAccumulator* accs) const {
   FTS_RETURN_IF_ERROR(ValidateEngine(engine));
@@ -938,8 +894,7 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
 }
 
 EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
-                                       ChunkId chunk_id,
-                                       cost::ScanMode mode) const {
+                                       ChunkId chunk_id) const {
   if (!adaptive_engine_ || profile_ == nullptr ||
       chunk_id >= chunk_plans_.size()) {
     return requested;
@@ -955,7 +910,7 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
         1, std::memory_order_relaxed);
     return requested;
   }
-  double requested_ns = EstimateChunkNanos(requested.engine, chunk_id, mode);
+  double requested_ns = EstimateChunkNanos(requested.engine, chunk_id);
   if (requested.engine == ScanEngine::kJit) {
     // A JIT pick pays its share of one compile spread over the scan's
     // runnable chunks (each chunk decides independently, so the per-chunk
@@ -978,7 +933,7 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
   double best_ns = requested_ns;
   for (size_t i = 0; i < num_candidates; ++i) {
     if (!ScanEngineAvailable(candidates[i])) continue;
-    const double ns = EstimateChunkNanos(candidates[i], chunk_id, mode);
+    const double ns = EstimateChunkNanos(candidates[i], chunk_id);
     if (ns < best_ns) {
       best = EngineChoice{candidates[i], 0};
       best_ns = ns;
@@ -998,8 +953,8 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
   return best;
 }
 
-double TableScanner::EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id,
-                                        cost::ScanMode mode) const {
+double TableScanner::EstimateChunkNanos(ScanEngine engine,
+                                        ChunkId chunk_id) const {
   if (profile_ == nullptr || chunk_id >= chunk_plans_.size()) return 0.0;
   const ChunkPlan& plan = chunk_plans_[chunk_id];
   if (plan.impossible || plan.row_count == 0) return 0.0;
@@ -1044,14 +999,13 @@ double TableScanner::EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id,
         {EncClassOf(plan.stages[s]),
          s < plan.stage_sel.size() ? plan.stage_sel[s] : 0.5});
   }
-  return cost::ChainCostNs(*profile_, engine, stages, rows, mode);
+  return cost::ChainCostNs(*profile_, engine, stages, rows);
 }
 
-double TableScanner::EstimateScanNanos(ScanEngine engine,
-                                       cost::ScanMode mode) const {
+double TableScanner::EstimateScanNanos(ScanEngine engine) const {
   double total = 0.0;
   for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    total += EstimateChunkNanos(engine, chunk_id, mode);
+    total += EstimateChunkNanos(engine, chunk_id);
   }
   return total;
 }

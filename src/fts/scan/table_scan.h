@@ -125,13 +125,6 @@ class TableScanner {
   StatusOr<size_t> ExecuteChunk(ScanEngine engine, ChunkId chunk_id,
                                 ChunkOffset* out) const;
 
-  // Count-only morsel primitive. SISD engines count without materializing
-  // (the paper's naive COUNT(*) loop); the others materialize into a
-  // scratch list and return its size, which is the paper's comparison
-  // setup.
-  StatusOr<uint64_t> ExecuteChunkCount(ScanEngine engine,
-                                       ChunkId chunk_id) const;
-
   // Aggregate-pushdown morsel primitive: evaluates the chunk's conjunction
   // and folds the spec's aggregates inside the kernel loop — no position
   // list is materialized. `accs` must hold spec.aggregates.size() slots;
@@ -204,16 +197,15 @@ class TableScanner {
   // domain (engine-independent there), or the chunk has no stages. A kJit
   // request is charged its share of one compile amortized over the
   // runnable chunks. Records the decision in adaptive_stats().
-  EngineChoice AdaptEngine(const EngineChoice& requested, ChunkId chunk_id,
-                           cost::ScanMode mode) const;
+  EngineChoice AdaptEngine(const EngineChoice& requested,
+                           ChunkId chunk_id) const;
 
   // Predicted execution cost of one chunk / the whole scan on `engine`,
   // from the calibrated constants and the per-chunk estimates. Compressed
   // chunks price the run/block range path; kJit adds nothing for compile
   // (callers amortize it themselves if relevant).
-  double EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id,
-                            cost::ScanMode mode) const;
-  double EstimateScanNanos(ScanEngine engine, cost::ScanMode mode) const;
+  double EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id) const;
+  double EstimateScanNanos(ScanEngine engine) const;
 
  private:
   TableScanner(TablePtr table, std::vector<ChunkPlan> chunk_plans,

@@ -31,10 +31,12 @@
 #include <vector>
 
 #include "fts/common/cpu_info.h"
+#include "fts/common/fault_injection.h"
 #include "fts/common/random.h"
 #include "fts/common/string_util.h"
 #include "fts/db/database.h"
 #include "fts/exec/parallel_scan.h"
+#include "fts/jit/compiler_driver.h"
 #include "fts/scan/table_scan.h"
 #include "fts/simd/agg_spec.h"
 #include "fts/storage/compare_op.h"
@@ -616,6 +618,171 @@ TEST(AggPushdownDatabaseTest, PushdownMatchesMaterializePath) {
             << sql << " column " << i << " threads " << threads;
       }
     }
+  }
+}
+
+// ---- SELECT COUNT(*) as a one-term pushdown ----
+
+constexpr ColumnEncoding kCountEncodings[] = {
+    ColumnEncoding::kPlain,     ColumnEncoding::kDictionary,
+    ColumnEncoding::kBitPacked, ColumnEncoding::kRle,
+    ColumnEncoding::kFor,       ColumnEncoding::kDelta};
+constexpr size_t kCountRows = 4000;
+
+// Value of column `c` at row `r` in the COUNT(*) table: runs of 8 equal
+// values (RLE-friendly, small deltas) cycling through 0..39 in every
+// chunk, so no zone map proves a `< 20` predicate either way.
+int32_t CountCell(size_t c, size_t r) {
+  return static_cast<int32_t>(((r / 8) * 7 + c * 3) % 40);
+}
+
+// One int32 column per encoding, named after it ("e_plain", "e_rle", ...),
+// in 1000-row chunks.
+TablePtr BuildCountTable() {
+  std::vector<ColumnDefinition> schema;
+  for (const ColumnEncoding encoding : kCountEncodings) {
+    schema.push_back({StrFormat("e_%s", ColumnEncodingName(encoding)),
+                      DataType::kInt32});
+  }
+  TableBuilder builder(schema, /*chunk_size=*/1000);
+  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
+    builder.SetEncoding(c, kCountEncodings[c]);
+  }
+  std::vector<Value> row(schema.size(), Value(int32_t{0}));
+  for (size_t r = 0; r < kCountRows; ++r) {
+    for (size_t c = 0; c < schema.size(); ++c) row[c] = Value(CountCell(c, r));
+    FTS_CHECK(builder.AppendRow(row).ok());
+  }
+  return builder.Build();
+}
+
+struct CountQuery {
+  std::string sql;
+  uint64_t expected = 0;
+  // The optimizer folds the conjunction to an EmptyResult plan: nothing is
+  // scanned, so there is nothing to push an aggregate into.
+  bool contradictory = false;
+};
+
+// A `< 20` WHERE on each encoding, no WHERE, and a contradictory WHERE,
+// each with its brute-force count.
+std::vector<CountQuery> CountQueries() {
+  std::vector<CountQuery> queries;
+  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
+    CountQuery query;
+    query.sql = StrFormat("SELECT COUNT(*) FROM t WHERE e_%s < 20",
+                          ColumnEncodingName(kCountEncodings[c]));
+    for (size_t r = 0; r < kCountRows; ++r) {
+      if (CountCell(c, r) < 20) ++query.expected;
+    }
+    queries.push_back(std::move(query));
+  }
+  queries.push_back({"SELECT COUNT(*) FROM t", kCountRows, false});
+  queries.push_back(
+      {"SELECT COUNT(*) FROM t WHERE e_plain < 5 AND e_plain > 10", 0, true});
+  return queries;
+}
+
+// COUNT(*) through the full SQL path with pushdown on vs off, on every
+// static engine (plus JIT where it can run) at 1/2/4 threads: the count
+// matches the oracle, and aggregate_pushdown is set exactly when pushdown
+// is on and a scan ran. Every WHERE is one predicate, so the SISD engines
+// plan a single step and push down too.
+TEST(AggPushdownDatabaseTest, CountStarPushdownMatchesOracle) {
+  Database db;
+  const TablePtr table = BuildCountTable();
+  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
+    ASSERT_EQ(table->chunk(0).column(c).encoding(), kCountEncodings[c])
+        << ColumnEncodingName(kCountEncodings[c]);
+  }
+  ASSERT_TRUE(db.RegisterTable("t", table).ok());
+
+  std::vector<ScanEngine> engines;
+  for (const ScanEngine engine : kAllEngines) {
+    if (ScanEngineAvailable(engine)) engines.push_back(engine);
+  }
+#if !defined(__SANITIZE_THREAD__)
+  if (GetCpuFeatures().HasFusedScanAvx512()) {
+    engines.push_back(ScanEngine::kJit);
+  }
+#endif
+
+  for (const CountQuery& query : CountQueries()) {
+    for (const ScanEngine engine : engines) {
+      for (const int threads : {1, 2, 4}) {
+        for (const bool pushdown : {false, true}) {
+          Database::QueryOptions options;
+          options.engine = engine;
+          options.threads = threads;
+          options.aggregate_pushdown = pushdown;
+          const std::string where =
+              StrFormat("%s engine=%s threads=%d pushdown=%d",
+                        query.sql.c_str(), ScanEngineToString(engine),
+                        threads, pushdown ? 1 : 0);
+          const auto result = db.Query(query.sql, options);
+          ASSERT_TRUE(result.ok()) << where << ": "
+                                   << result.status().ToString();
+          ASSERT_TRUE(result->count.has_value()) << where;
+          EXPECT_EQ(*result->count, query.expected) << where;
+          EXPECT_EQ(result->column_names,
+                    std::vector<std::string>{"count"})
+              << where;
+          EXPECT_EQ(result->execution_report.aggregate_pushdown,
+                    pushdown && !query.contradictory)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+// SELECT COUNT(*) pinned to JIT over an all-RLE chain compiles the
+// counting run-coiteration operator: no demotion, and the compile (or the
+// cache hit) shows in the report.
+TEST(AggPushdownDatabaseTest, JitCountStarOverRleChainRunsCompiled) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "JIT-compiled code is not TSan-instrumented";
+#endif
+  if (!GetCpuFeatures().HasFusedScanAvx512()) {
+    GTEST_SKIP() << "AVX-512 not available";
+  }
+  if (FaultInjection::Instance().AnyArmed()) {
+    GTEST_SKIP() << "assertions not valid with FTS_FAULT armed";
+  }
+  const auto probe =
+      JitCompiler().Compile("extern \"C\" int fts_probe() { return 0; }",
+                            "fts_probe");
+  if (!probe.ok()) {
+    GTEST_SKIP() << "no usable JIT compiler: " << probe.status().ToString();
+  }
+
+  Database db;
+  const TablePtr table = BuildCountTable();
+  ASSERT_TRUE(db.RegisterTable("t", table).ok());
+  const size_t rle = 3;
+  ASSERT_EQ(kCountEncodings[rle], ColumnEncoding::kRle);
+  uint64_t expected = 0;
+  for (size_t r = 0; r < kCountRows; ++r) {
+    const int32_t v = CountCell(rle, r);
+    if (v < 20 && v != 7) ++expected;
+  }
+  const std::string sql =
+      "SELECT COUNT(*) FROM t WHERE e_rle < 20 AND e_rle <> 7";
+  for (const int threads : {1, 4}) {
+    Database::QueryOptions options;
+    options.engine = ScanEngine::kJit;
+    options.threads = threads;
+    const auto result = db.Query(sql, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ExecutionReport& report = result->execution_report;
+    ASSERT_TRUE(result->count.has_value());
+    EXPECT_EQ(*result->count, expected) << "threads " << threads;
+    EXPECT_TRUE(report.aggregate_pushdown);
+    EXPECT_FALSE(report.degraded) << report.ToString();
+    EXPECT_EQ(report.executed.engine, ScanEngine::kJit) << report.ToString();
+    EXPECT_GT(report.jit_cache_hits + report.jit_cache_misses, 0u)
+        << report.ToString();
+    EXPECT_GT(report.rle_runs_classified, 0u) << report.ToString();
   }
 }
 

@@ -167,36 +167,16 @@ TEST(CostModelTest, ChainCostMonotonicInSelectivityAndRows) {
   double previous = -1.0;
   for (const double sel : {0.0, 0.1, 0.5, 0.9, 1.0}) {
     const double cost_ns =
-        cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(sel),
-                          1e6, cost::ScanMode::kMaterialize);
+        cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(sel), 1e6);
     EXPECT_GT(cost_ns, previous) << "sel=" << sel;
     previous = cost_ns;
   }
   const double small =
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e5,
-                        cost::ScanMode::kMaterialize);
+      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e5);
   const double large =
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e6,
-                        cost::ScanMode::kMaterialize);
+      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e6);
   EXPECT_GT(large, small);
   EXPECT_NEAR(large / small, 10.0, 0.01);
-}
-
-TEST(CostModelTest, CountModeCreditsOnlySisdEngines) {
-  const CostProfile& profile = cost::DefaultProfile();
-  const std::vector<cost::StageCost> chain{{cost::EncClass::kPlain32, 0.9}};
-  // The SISD count loop materializes nothing: kCount must be strictly
-  // cheaper than kMaterialize. Fused engines materialize positions either
-  // way, so their two modes price identically.
-  EXPECT_LT(cost::ChainCostNs(profile, ScanEngine::kSisdNoVec, chain, 1e6,
-                              cost::ScanMode::kCount),
-            cost::ChainCostNs(profile, ScanEngine::kSisdNoVec, chain, 1e6,
-                              cost::ScanMode::kMaterialize));
-  EXPECT_DOUBLE_EQ(
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain, 1e6,
-                        cost::ScanMode::kCount),
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain, 1e6,
-                        cost::ScanMode::kMaterialize));
 }
 
 TEST(CostModelTest, StageRankPrefersSelectiveStages) {
@@ -280,8 +260,7 @@ TEST_F(AdversarialSkewTest, PerChunkReorderFollowsZoneSelectivity) {
   // Predicted cost is positive and finite for every available engine.
   for (const ScanEngine engine :
        {ScanEngine::kSisdNoVec, ScanEngine::kScalarFused}) {
-    const double ns =
-        prepared->EstimateScanNanos(engine, cost::ScanMode::kMaterialize);
+    const double ns = prepared->EstimateScanNanos(engine);
     EXPECT_GT(ns, 0.0) << ScanEngineToString(engine);
   }
 }
@@ -350,19 +329,14 @@ TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
                                    : ScanEngine::kScalarFused;
   // A pinned scanner's AdaptEngine is the identity.
   for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
-    EXPECT_EQ(pinned_scan->AdaptEngine({requested, 0}, chunk,
-                                       cost::ScanMode::kMaterialize)
-                  .engine,
+    EXPECT_EQ(pinned_scan->AdaptEngine({requested, 0}, chunk).engine,
               requested);
   }
   // The adaptive scanner may switch, but never upward past the request
   // and never to an unavailable engine.
   for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
     const ScanEngine picked =
-        adaptive_scan
-            ->AdaptEngine({requested, 0}, chunk,
-                          cost::ScanMode::kMaterialize)
-            .engine;
+        adaptive_scan->AdaptEngine({requested, 0}, chunk).engine;
     EXPECT_TRUE(ScanEngineAvailable(picked)) << ScanEngineToString(picked);
   }
 
@@ -408,10 +382,7 @@ TEST_F(AdversarialSkewTest, KillSwitchDisablesModelEntirely) {
     EXPECT_FALSE(plan.reordered);
   }
   // With the model off AdaptEngine is the identity even for spec.adaptive.
-  EXPECT_EQ(prepared
-                ->AdaptEngine({ScanEngine::kScalarFused, 0}, 0,
-                              cost::ScanMode::kMaterialize)
-                .engine,
+  EXPECT_EQ(prepared->AdaptEngine({ScanEngine::kScalarFused, 0}, 0).engine,
             ScanEngine::kScalarFused);
 }
 

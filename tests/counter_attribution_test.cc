@@ -54,7 +54,7 @@ TEST(ThreadCountersTest, UnavailablePmuDegradesToNoops) {
   // non-degenerate delta.
   ASSERT_TRUE(counters.Start());
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 100'000; ++i) sink += i;
+  for (uint64_t i = 0; i < 100'000; ++i) sink = sink + i;
   const CounterDelta delta = counters.StopAndRead();
   EXPECT_TRUE(delta.valid);
   EXPECT_GT(delta.instructions, 0u);
@@ -70,7 +70,7 @@ TEST(CounterRegionTest, DisabledRegionIsInert) {
 TEST(CounterRegionTest, FinishIsIdempotent) {
   CounterRegion region(/*enabled=*/true);
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 10'000; ++i) sink += i;
+  for (uint64_t i = 0; i < 10'000; ++i) sink = sink + i;
   const CounterDelta first = region.Finish();
   const CounterDelta second = region.Finish();
   // Whatever the first call returned (valid iff a PMU armed), the second
@@ -105,7 +105,7 @@ TEST(CounterRegionTest, EachThreadOwnsItsOwnGroup) {
     threads.emplace_back([t, &results] {
       CounterRegion region(/*enabled=*/true);
       volatile uint64_t sink = 0;
-      for (uint64_t i = 0; i < 50'000; ++i) sink += i;
+      for (uint64_t i = 0; i < 50'000; ++i) sink = sink + i;
       const CounterDelta delta = region.Finish();
       const bool have_pmu = ThreadCounters::ForCurrentThread().available();
       results[t] = (delta.valid == have_pmu) ? 1 : 0;

@@ -130,11 +130,14 @@ TEST_F(ExplainAnalyzeTest, AnalyzeExecutesAndAnnotates) {
     EXPECT_EQ(report.counters.coverage, "first scan step only");
   }
 
-  // Stage table: the COUNT(*) fast path runs as one fused scan stage
-  // whose output is the match count.
-  ASSERT_FALSE(report.stages.empty());
+  // Stage table: COUNT(*) is a pushed-down one-term aggregate — one fused
+  // scan stage whose output is the match count, which the trailing
+  // `Aggregate [pushdown]` stage takes in.
+  ASSERT_EQ(report.stages.size(), 2u);
   EXPECT_EQ(report.stages.front().rows_in, report.rows_scanned);
-  EXPECT_EQ(report.stages.back().rows_out, *result->count);
+  EXPECT_EQ(report.stages.front().rows_out, *result->count);
+  EXPECT_EQ(report.stages.back().label, "Aggregate [pushdown]");
+  EXPECT_EQ(report.stages.back().rows_in, *result->count);
 }
 
 TEST_F(ExplainAnalyzeTest, AnalyzeShowsEstimatedVersusActualRows) {

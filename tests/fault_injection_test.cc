@@ -86,7 +86,9 @@ TEST_F(FaultInjectionTest, EnvParsingWithCountsAndWhitespace) {
   EXPECT_FALSE(faults.ShouldFail("a.one"));
   EXPECT_FALSE(faults.AnyArmed());
 
-  if (had_value) ASSERT_EQ(setenv("FTS_FAULT", saved.c_str(), 1), 0);
+  if (had_value) {
+    ASSERT_EQ(setenv("FTS_FAULT", saved.c_str(), 1), 0);
+  }
 }
 
 }  // namespace

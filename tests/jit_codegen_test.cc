@@ -142,23 +142,57 @@ TEST(CodegenTest, PackedStageEmitsUnpackSequence) {
   EXPECT_NE(source->find("_mm512_mask_cmp_epu64_mask"), std::string::npos);
 }
 
+// SELECT COUNT(*) compiles as an aggregate signature whose only term is
+// COUNT: the generated loop popcounts the final mask and never stores a
+// position.
 TEST(CodegenTest, CountOnlySkipsCompressStore) {
   auto signature =
       MakeSignature({{ScanElementType::kI32, CompareOp::kEq},
                      {ScanElementType::kI32, CompareOp::kEq}});
-  signature.count_only = true;
-  EXPECT_EQ(signature.CacheKey(), "512:i32=;i32=#count");
+  signature.aggs = {{AggOp::kCount}};
+  EXPECT_EQ(signature.CacheKey(), "512:i32=;i32=#agg:COUNTi32s");
   const auto source = GenerateFusedScanSource(signature);
-  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
   EXPECT_EQ(source->find("compressstoreu"), std::string::npos);
   EXPECT_NE(source->find("__builtin_popcount"), std::string::npos);
+  EXPECT_NE(source->find("accs[0].count += "), std::string::npos);
 
   // Single-predicate count: also storeless.
   auto single = MakeSignature({{ScanElementType::kI32, CompareOp::kEq}});
-  single.count_only = true;
+  single.aggs = {{AggOp::kCount}};
   const auto single_source = GenerateFusedScanSource(single);
-  ASSERT_TRUE(single_source.ok());
+  ASSERT_TRUE(single_source.ok()) << single_source.status().ToString();
   EXPECT_EQ(single_source->find("compressstoreu"), std::string::npos);
+  EXPECT_NE(single_source->find("__builtin_popcount"), std::string::npos);
+}
+
+// An all-RLE chain with COUNT terms compiles the run-coiteration operator
+// in counting form: qualifying segments add their length, no position is
+// written, and every term receives the match count. A value term has no
+// RLE fold and is rejected.
+TEST(CodegenTest, RleCountTermsCountSegments) {
+  auto signature =
+      MakeSignature({{ScanElementType::kI32, CompareOp::kLt},
+                     {ScanElementType::kI32, CompareOp::kEq}});
+  for (JitStageSignature& stage : signature.stages) {
+    stage.encoding = static_cast<uint8_t>(ColumnEncoding::kRle);
+  }
+  const auto positions = GenerateFusedScanSource(signature);
+  ASSERT_TRUE(positions.ok()) << positions.status().ToString();
+  EXPECT_NE(positions->find("out[out_count++] = p"), std::string::npos);
+
+  signature.aggs = {{AggOp::kCount}, {AggOp::kCount}};
+  EXPECT_EQ(signature.CacheKey(),
+            "512:i32<~rle;i32=~rle#agg:COUNTi32s,COUNTi32s");
+  const auto counting = GenerateFusedScanSource(signature);
+  ASSERT_TRUE(counting.ok()) << counting.status().ToString();
+  EXPECT_NE(counting->find("out_count += seg_end - pos"), std::string::npos);
+  EXPECT_EQ(counting->find("out[out_count++]"), std::string::npos);
+  EXPECT_NE(counting->find("accs[0].count += "), std::string::npos);
+  EXPECT_NE(counting->find("accs[1].count += "), std::string::npos);
+
+  signature.aggs = {{AggOp::kCount}, {AggOp::kSum}};
+  EXPECT_FALSE(GenerateFusedScanSource(signature).ok());
 }
 
 TEST(CodegenTest, PackedValidation) {

@@ -154,17 +154,30 @@ TEST_F(JitEngineTest, CountOnlyOperatorMatchesMaterializingOne) {
 
   JitCache cache;
   const ScanSpec spec = TwoPredicateSpec(generated);
+  // COUNT(*) is a one-term aggregate: its operator popcounts and folds
+  // the count into the term instead of storing positions.
+  ScanSpec count_spec = spec;
+  count_spec.aggregates = {{AggOp::kCount, ""}};
   const auto scanner = TableScanner::Prepare(generated.table, spec);
+  const auto count_scanner =
+      TableScanner::Prepare(generated.table, count_spec);
   ASSERT_TRUE(scanner.ok());
+  ASSERT_TRUE(count_scanner.ok());
   const ParallelScanOptions jit = testing::JitOptions(512, &cache);
-  const auto count = ExecuteParallelScanCount(*scanner, jit);
+  const auto count = ExecuteParallelScanAggregate(*count_scanner, jit);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(*count, generated.stage_matches.back());
+  EXPECT_EQ(count->matched, generated.stage_matches.back());
+  EXPECT_EQ(count->accumulators[0].count, generated.stage_matches.back());
 
-  // The count-only signature is distinct from the materializing one.
+  // The COUNT-term signature is distinct from the materializing one.
   const auto matches = ExecuteParallelScan(*scanner, jit);
   ASSERT_TRUE(matches.ok());
-  EXPECT_EQ(matches->TotalMatches(), *count);
+  EXPECT_EQ(matches->TotalMatches(), count->matched);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  // Materialize-and-size reuses the materializing operator.
+  const auto sized = ExecuteParallelScanCount(*scanner, jit);
+  ASSERT_TRUE(sized.ok()) << sized.status().ToString();
+  EXPECT_EQ(*sized, count->matched);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
