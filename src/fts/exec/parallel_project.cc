@@ -51,7 +51,10 @@ Status ExecuteParallelGather(const ProjectionGatherer& gatherer,
 
   const int threads =
       options.threads > 0 ? options.threads : TaskPool::DefaultThreadCount();
-  if (threads <= 1 || chunk_count <= 1) {
+  std::unique_ptr<TaskPool> local_pool;
+  TaskPool* const pool =
+      MorselPool(options.pool, threads, chunk_count, &local_pool);
+  if (pool == nullptr) {
     for (size_t i = 0; i < chunk_count; ++i) {
       if (ctx != nullptr) {
         if (Status cancel = ctx->CheckCancelled(); !cancel.ok()) {
@@ -77,14 +80,7 @@ Status ExecuteParallelGather(const ProjectionGatherer& gatherer,
     gather_chunk(i, &slots[i]);
   };
 
-  if (options.pool != nullptr) {
-    options.pool->ParallelFor(chunk_count, body);
-  } else if (TaskPool::Global().thread_count() == threads) {
-    TaskPool::Global().ParallelFor(chunk_count, body);
-  } else {
-    TaskPool local(threads);
-    local.ParallelFor(chunk_count, body);
-  }
+  pool->ParallelFor(chunk_count, body);
 
   if (ctx != nullptr) {
     if (Status cancel = ctx->CheckCancelled(); !cancel.ok()) {

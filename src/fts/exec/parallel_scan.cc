@@ -301,7 +301,11 @@ Status ScheduleMorsels(const TableScanner& scanner,
     RunMorsel(scanner, cache, rungs, mode, chunk, ctx,
               options.collect_counters, &(*outcomes)[chunk]);
   };
-  if (threads <= 1 || runnable.size() == 1) {
+  std::unique_ptr<TaskPool> local_pool;
+  if (TaskPool* pool =
+          MorselPool(options.pool, threads, runnable.size(), &local_pool)) {
+    pool->ParallelFor(runnable.size(), run_morsel);
+  } else {
     threads = 1;
     for (size_t i = 0; i < runnable.size(); ++i) {
       run_morsel(i);
@@ -309,13 +313,6 @@ Status ScheduleMorsels(const TableScanner& scanner,
       // pool path reaches the same state by draining aborting morsels.
       if (ctx != nullptr && ctx->cancelled()) break;
     }
-  } else if (options.pool != nullptr) {
-    options.pool->ParallelFor(runnable.size(), run_morsel);
-  } else if (threads == TaskPool::Global().thread_count()) {
-    TaskPool::Global().ParallelFor(runnable.size(), run_morsel);
-  } else {
-    TaskPool scan_pool(threads);
-    scan_pool.ParallelFor(runnable.size(), run_morsel);
   }
 
   report->worker_count = threads;

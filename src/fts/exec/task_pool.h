@@ -92,6 +92,14 @@ class TaskPool {
   std::atomic<uint64_t> steals_{0};
 };
 
+// Dispatch policy shared by the morsel executors (scan and gather): the
+// pool that runs `morsels` tasks on `threads` workers, or null when they
+// run inline on the calling thread (one worker or one morsel). The
+// caller's `pool` wins; else TaskPool::Global() when its width equals
+// `threads`; else a `threads`-wide pool built into `*local`.
+TaskPool* MorselPool(TaskPool* pool, int threads, size_t morsels,
+                     std::unique_ptr<TaskPool>* local);
+
 }  // namespace fts
 
 #endif  // FTS_EXEC_TASK_POOL_H_

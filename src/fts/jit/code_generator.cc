@@ -859,128 +859,6 @@ StatusOr<std::string> GenerateFusedScanSource(
   return src;
 }
 
-StatusOr<std::string> GenerateGatherSource(
-    const JitScanSignature& signature) {
-  if (signature.gathers.empty()) {
-    return Status::InvalidArgument(
-        "signature carries no gather terms; use GenerateFusedScanSource");
-  }
-  if (!signature.stages.empty() || !signature.aggs.empty()) {
-    return Status::InvalidArgument(
-        "gather operators are gather-only: stages and aggregates do not "
-        "combine with gather terms");
-  }
-  if (signature.gathers.size() > kMaxGatherTerms) {
-    return Status::InvalidArgument(
-        StrFormat("signature has %zu gather terms; kernels support up to "
-                  "%zu",
-                  signature.gathers.size(), kMaxGatherTerms));
-  }
-  for (const JitGatherSignature& g : signature.gathers) {
-    if (g.packed_bits > 26) {
-      return Status::InvalidArgument(
-          StrFormat("packed bit width %d exceeds the supported 26",
-                    g.packed_bits));
-    }
-    if (!g.dict && g.packed_bits != 0 &&
-        (g.type == ScanElementType::kF32 ||
-         g.type == ScanElementType::kF64)) {
-      return Status::InvalidArgument(
-          "frame-of-reference gather terms decode integral elements only");
-    }
-  }
-  const size_t n = signature.gathers.size();
-
-  std::string src;
-  src += StrFormat(
-      "// Generated by fts::GenerateGatherSource (fused batch-gather:\n"
-      "// every projected column materialized in one pass over the\n"
-      "// survivor position list).\n"
-      "// Signature: %s\n"
-      "#include <cstddef>\n"
-      "#include <cstdint>\n\n"
-      "extern \"C\" size_t %s(const void* const* columns,\n"
-      "                       const void* values, size_t row_count,\n"
-      "                       uint32_t* out) {\n"
-      "  (void)out;\n"
-      "  // Structural mirror of fts::JitGatherView (layout is ABI).\n"
-      "  struct GatherView {\n"
-      "    const void* data;\n"
-      "    const void* dict;\n"
-      "    void* out;\n"
-      "    unsigned long long base_bits;\n"
-      "  };\n"
-      "  const uint32_t* const positions =\n"
-      "      static_cast<const uint32_t*>(values);\n",
-      signature.CacheKey().c_str(), kJitScanSymbol);
-
-  std::string body;
-  for (size_t t = 0; t < n; ++t) {
-    const JitGatherSignature& g = signature.gathers[t];
-    const char* type = CppTypeFor(g.type);
-    src += StrFormat(
-        "  const GatherView& view%zu =\n"
-        "      *static_cast<const GatherView*>(columns[%zu]);\n"
-        "  %s* const dst%zu = static_cast<%s*>(view%zu.out);\n",
-        t, t, type, t, type, t);
-    if (g.dict) {
-      src += StrFormat(
-          "  const %s* const dict%zu = static_cast<const %s*>("
-          "view%zu.dict);\n",
-          type, t, type, t);
-    }
-    if (g.packed_bits != 0) {
-      src += StrFormat(
-          "  const uint8_t* const bytes%zu = static_cast<const uint8_t*>("
-          "view%zu.data);\n",
-          t, t);
-      const std::string code = StrFormat(
-          "      const size_t bit%zu = p * %d;\n"
-          "      unsigned long long w%zu;\n"
-          "      __builtin_memcpy(&w%zu, bytes%zu + (bit%zu >> 3), 8);\n"
-          "      const uint32_t c%zu =\n"
-          "          (uint32_t)((w%zu >> (bit%zu & 7)) & %lluULL);\n",
-          t, g.packed_bits, t, t, t, t, t, t, t,
-          static_cast<unsigned long long>((1ull << g.packed_bits) - 1));
-      if (g.dict) {
-        body += StrFormat("    {\n%s      dst%zu[i] = dict%zu[c%zu];\n    }\n",
-                          code.c_str(), t, t, t);
-      } else {
-        // Frame-of-reference: rebase in u64 and truncate to the element
-        // width — the wraparound addition GatherBitsAtRow defines.
-        src += StrFormat(
-            "  const unsigned long long base%zu = view%zu.base_bits;\n", t,
-            t);
-        body += StrFormat(
-            "    {\n%s      dst%zu[i] = (%s)%s(base%zu + c%zu);\n    }\n",
-            code.c_str(), t, type,
-            Is64Bit(g.type) ? "" : "(uint32_t)", t, t);
-      }
-    } else if (g.dict) {
-      src += StrFormat(
-          "  const uint32_t* const codes%zu = static_cast<const uint32_t*>("
-          "view%zu.data);\n",
-          t, t);
-      body += StrFormat("    dst%zu[i] = dict%zu[codes%zu[p]];\n", t, t, t);
-    } else {
-      src += StrFormat(
-          "  const %s* const src%zu = static_cast<const %s*>("
-          "view%zu.data);\n",
-          type, t, type, t);
-      body += StrFormat("    dst%zu[i] = src%zu[p];\n", t, t);
-    }
-  }
-
-  src += StrFormat(
-      "  for (size_t i = 0; i < row_count; ++i) {\n"
-      "    const size_t p = positions[i];\n"
-      "%s"
-      "  }\n"
-      "  return row_count;\n}\n",
-      body.c_str());
-  return src;
-}
-
 StatusOr<std::string> GenerateSisdScanSource(
     const JitScanSignature& signature) {
   if (signature.stages.empty() ||

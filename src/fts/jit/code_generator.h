@@ -32,34 +32,6 @@ struct JitRleView {
   uint64_t run_count = 0;
 };
 
-// Runtime arguments of one gather term in a generated batch-gather
-// operator: the engine passes `&view` in the term's `columns` slot. The
-// generated translation unit declares a structurally identical mirror,
-// so the layout is ABI (same idiom as JitRleView).
-struct JitGatherView {
-  const void* data = nullptr;   // Element array / u32 codes / packed bytes.
-  const void* dict = nullptr;   // Decode table, or null.
-  void* out = nullptr;          // Dense typed destination slice.
-  uint64_t base_bits = 0;       // Frame-of-reference base (raw bits).
-};
-
-// Emits the gather-only operator for a signature with non-empty
-// `gathers`: one generated pass over the survivor position list that
-// materializes every projected column — plain copy, (packed) dictionary
-// translate and frame-of-reference rebase all burned in per column, with
-// no per-row encoding dispatch left at runtime. Calling convention
-// (reinterpreting the JitScanFn parameters):
-//   columns:   one JitGatherView pointer per gather term
-//   values:    the ascending u32 position list
-//   row_count: number of positions
-//   out:       unused
-// returns row_count.
-//
-// Fails for signatures that also carry stages or aggs, term
-// counts outside 1..kMaxGatherTerms, packed widths beyond 26 bits, or a
-// float frame-of-reference term.
-StatusOr<std::string> GenerateGatherSource(const JitScanSignature& signature);
-
 // Emits a standalone C++ translation unit implementing the fused scan for
 // `signature` (Section V: the operator "follows a very static pattern and
 // can easily be expressed as a code template", so the paper — and this

@@ -107,9 +107,7 @@ StatusOr<JitCache::Entry> JitCache::GetOrCompile(
     compiled = [&]() -> StatusOr<Entry> {
       obs::TraceSpan span("jit_compile", "jit");
       FTS_ASSIGN_OR_RETURN(const std::string source,
-                           signature.gathers.empty()
-                               ? GenerateFusedScanSource(signature)
-                               : GenerateGatherSource(signature));
+                           GenerateFusedScanSource(signature));
       FTS_ASSIGN_OR_RETURN(std::shared_ptr<JitModule> module,
                            compiler_.Compile(source, kJitScanSymbol, ctx));
       Entry entry;

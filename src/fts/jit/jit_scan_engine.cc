@@ -269,38 +269,4 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
   return count;
 }
 
-StatusOr<size_t> JitExecuteChunkGather(JitCache& cache,
-                                       const GatherTerm* terms,
-                                       size_t num_terms,
-                                       const ChunkOffset* positions, size_t n,
-                                       void* const* outs,
-                                       JitChunkStats* stats,
-                                       QueryContext* ctx) {
-  FTS_ASSIGN_OR_RETURN(const JitScanSignature signature,
-                       SignatureForGatherTerms(terms, num_terms));
-  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       Compile(cache, signature, stats, ctx));
-  if (n == 0) return size_t{0};
-
-  JitGatherView views[kMaxGatherTerms];
-  const void* columns[kMaxGatherTerms];
-  for (size_t t = 0; t < num_terms; ++t) {
-    views[t].data = terms[t].data;
-    views[t].dict = terms[t].dict;
-    views[t].out = outs[t];
-    views[t].base_bits = terms[t].base_bits;
-    columns[t] = &views[t];
-  }
-  obs::TraceSpan span("gather_chunk", "scan");
-  // The position list rides in the `values` slot of the scan ABI; `out`
-  // is unused (destinations live in the views).
-  const size_t count = entry.fn(columns, positions, n, nullptr);
-  if (span.active()) {
-    span.AddArg("engine", "JIT Gather");
-    span.AddArg("terms", static_cast<uint64_t>(num_terms));
-    span.AddArg("rows", static_cast<uint64_t>(n));
-  }
-  return count;
-}
-
 }  // namespace fts

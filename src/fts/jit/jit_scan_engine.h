@@ -65,27 +65,6 @@ StatusOr<size_t> JitExecuteChunkAggregate(
     QueryContext* ctx = nullptr,
     AtomicCompressedStats* compressed_stats = nullptr);
 
-// Batch-gather morsel primitive of the late-materialization projection:
-// compiles (or fetches) the gather-only operator for `terms`' shape
-// signature and materializes the `n` ascending survivor `positions` of
-// one chunk into `outs` — one dense typed destination slice per term,
-// every projected column written in a single generated pass. The terms
-// are the chunk's kernel-eligible gather terms in output-column order
-// (ProjectionGatherer::KernelTermFor); the generated code burns in each
-// column's shape (plain / dictionary / bit-packed / frame-of-reference)
-// and leaves pointers, decode tables and FoR bases as runtime arguments,
-// so chunks and queries with matching column shapes share one compiled
-// module. Unlike the scan operators this code is scalar (no AVX-512
-// requirement); the JIT win is eliminating the per-column kernel
-// dispatch and fusing the passes. Returns `n`.
-StatusOr<size_t> JitExecuteChunkGather(JitCache& cache,
-                                       const GatherTerm* terms,
-                                       size_t num_terms,
-                                       const ChunkOffset* positions, size_t n,
-                                       void* const* outs,
-                                       JitChunkStats* stats = nullptr,
-                                       QueryContext* ctx = nullptr);
-
 }  // namespace fts
 
 #endif  // FTS_JIT_JIT_SCAN_ENGINE_H_

@@ -18,17 +18,6 @@ std::string JitScanSignature::CacheKey() const {
       key += "~rle";
     }
   }
-  if (!gathers.empty()) {
-    key += "#gather:";
-    for (size_t i = 0; i < gathers.size(); ++i) {
-      if (i > 0) key += ',';
-      key += ScanElementTypeToString(gathers[i].type);
-      if (gathers[i].packed_bits != 0) {
-        key += StrFormat("@%d", gathers[i].packed_bits);
-      }
-      if (gathers[i].dict) key += 'd';
-    }
-  }
   if (!aggs.empty()) {
     key += "#agg:";
     for (size_t i = 0; i < aggs.size(); ++i) {
@@ -80,29 +69,6 @@ StatusOr<JitScanSignature> SignatureForRleChain(
     stage_signature.op = stage.op;
     stage_signature.encoding = static_cast<uint8_t>(ColumnEncoding::kRle);
     signature.stages.push_back(stage_signature);
-  }
-  return signature;
-}
-
-StatusOr<JitScanSignature> SignatureForGatherTerms(const GatherTerm* terms,
-                                                   size_t num_terms) {
-  if (num_terms == 0 || num_terms > kMaxGatherTerms) {
-    return Status::InvalidArgument(
-        StrFormat("gather operator has %zu terms; supported range is 1..%zu",
-                  num_terms, kMaxGatherTerms));
-  }
-  JitScanSignature signature;
-  signature.gathers.reserve(num_terms);
-  for (size_t t = 0; t < num_terms; ++t) {
-    const GatherTerm& term = terms[t];
-    const bool dict = term.dict != nullptr;
-    if (!dict && term.packed_bits != 0 &&
-        (term.type == ScanElementType::kF32 ||
-         term.type == ScanElementType::kF64)) {
-      return Status::InvalidArgument(
-          "frame-of-reference gather terms decode integral elements only");
-    }
-    signature.gathers.push_back({term.type, term.packed_bits, dict});
   }
   return signature;
 }

@@ -7,7 +7,6 @@
 #include "fts/common/status.h"
 #include "fts/scan/compressed_scan.h"
 #include "fts/simd/agg_spec.h"
-#include "fts/simd/gather_spec.h"
 #include "fts/simd/scan_stage.h"
 
 namespace fts {
@@ -51,26 +50,6 @@ struct JitAggSignature {
                          const JitAggSignature& b) = default;
 };
 
-// One projected column of a generated batch-gather operator (the JIT
-// mirror of GatherTerm). Like the scan stages, only the compile-time
-// shape is signature: the element type, the packed code width and
-// whether a dictionary translates codes to values. Column pointers, the
-// decode table, the FoR base and the output slice stay runtime arguments
-// (JitGatherView), so one compiled gather serves every chunk — and every
-// query — with the same column shapes.
-struct JitGatherSignature {
-  ScanElementType type = ScanElementType::kI32;
-  // Bit-packed code stream width; 0 = plain elements or unpacked u32
-  // codes. The generated window-extract sequence depends on it.
-  uint8_t packed_bits = 0;
-  // True: codes index a decode table of `type` elements. False with
-  // packed_bits != 0 is frame-of-reference (code + runtime base).
-  bool dict = false;
-
-  friend bool operator==(const JitGatherSignature& a,
-                         const JitGatherSignature& b) = default;
-};
-
 struct JitScanSignature {
   std::vector<JitStageSignature> stages;
   int register_bits = 512;  // 128, 256 or 512.
@@ -82,16 +61,8 @@ struct JitScanSignature {
   // (the paper's SELECT COUNT(*)) the operator skips the compress-store of
   // match positions and just accumulates popcounts.
   std::vector<JitAggSignature> aggs;
-  // Non-empty: the signature names a gather-only operator (stages and
-  // aggs empty) that materializes these columns at a position list — the
-  // late-materialization projection fused into one generated pass.
-  // `values` is reinterpreted as the position array and each `columns`
-  // slot as a JitGatherView.
-  std::vector<JitGatherSignature> gathers;
-
   // Canonical cache key, e.g. "512:i32=;u32<;f64>=" or
-  // "512:i32=;i32=#agg:COUNTi32s" or "512:i32<#agg:SUMi32s,MINf64f" or
-  // "512:#gather:i32,u32@7d,i64" for a gather-only operator.
+  // "512:i32=;i32=#agg:COUNTi32s" or "512:i32<#agg:SUMi32s,MINf64f".
   std::string CacheKey() const;
 
   friend bool operator==(const JitScanSignature& a,
@@ -108,14 +79,6 @@ JitScanSignature SignatureForStages(const std::vector<ScanStage>& stages,
 // the ladder then demotes the morsel to the interpreted range path.
 StatusOr<JitScanSignature> SignatureForRleChain(
     const std::vector<CompressedScanStage>& compressed, int register_bits);
-
-// Builds the gather-only signature of `num_terms` kernel-eligible gather
-// terms (fts/simd/gather_spec.h) in output-column order. Fails with
-// InvalidArgument when the term count is outside 1..kMaxGatherTerms or a
-// frame-of-reference term carries a float element type (FoR never
-// encodes floats); the caller then projects through the static kernels.
-StatusOr<JitScanSignature> SignatureForGatherTerms(const GatherTerm* terms,
-                                                   size_t num_terms);
 
 }  // namespace fts
 

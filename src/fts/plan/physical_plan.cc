@@ -1,7 +1,6 @@
 #include "fts/plan/physical_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -13,7 +12,6 @@
 #include "fts/exec/parallel_project.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/exec/task_pool.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
 #include "fts/perf/branch_predictor.h"
@@ -23,14 +21,11 @@
 namespace fts {
 namespace {
 
-// Worker threads for a scan step: the step's spec hint, then the plan
-// default, then FTS_THREADS; an unset chain runs its morsels inline on the
-// calling thread.
-int ResolveStepThreads(const PhysicalPlan& plan,
-                       const PhysicalPlan::ScanStep& step) {
-  int threads = step.spec.threads != 0 ? step.spec.threads : plan.threads;
-  if (threads == 0) threads = TaskPool::ThreadCountFromEnv(1);
-  return threads;
+// The plan's worker count, shared by the first scan step and the Project
+// stage: PhysicalPlan::threads, else FTS_THREADS; unset runs morsels
+// inline on the calling thread.
+int ResolvePlanThreads(const PhysicalPlan& plan) {
+  return plan.threads != 0 ? plan.threads : TaskPool::ThreadCountFromEnv(1);
 }
 
 // The requested rung for the morsel executor. Static engines carry no
@@ -181,14 +176,14 @@ void AccumulateRefineCounters(const CounterDelta& delta,
   sc.branch_misses += delta.branch_misses;
 }
 
-// Runs the plan's first (full-chunk) scan step: prepares the scanner once
-// and hands it to the morsel executor, which walks the degradation ladder
-// per morsel at every thread count (morsels run inline at 1 thread) and
-// fills `report`. `execute` is ExecuteParallelScan or
-// ExecuteParallelScanAggregate.
+// Runs the plan's first (full-chunk) scan step on `threads` workers:
+// prepares the scanner once and hands it to the morsel executor, which
+// walks the degradation ladder per morsel at every thread count (morsels
+// run inline at 1 thread) and fills `report`. `execute` is
+// ExecuteParallelScan or ExecuteParallelScanAggregate.
 template <typename T>
 StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
-                         const PhysicalPlan::ScanStep& step,
+                         const PhysicalPlan::ScanStep& step, int threads,
                          StatusOr<T> (*execute)(const TableScanner&,
                                                 const ParallelScanOptions&,
                                                 ExecutionReport*),
@@ -198,7 +193,7 @@ StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
   ParallelScanOptions options;
   options.requested = StepEngineChoice(step);
   options.fallback = plan.fallback;
-  options.threads = ResolveStepThreads(plan, step);
+  options.threads = threads;
   options.collect_counters = plan.collect_counters;
   return execute(scanner, options, report);
 }
@@ -291,13 +286,13 @@ StatusOr<std::vector<Value>> FinalizeAggregates(
 }
 
 StatusOr<TableMatches> RunStep(const PhysicalPlan& plan,
-                               const PhysicalPlan::ScanStep& step,
+                               const PhysicalPlan::ScanStep& step, int threads,
                                const std::optional<TableMatches>& previous,
                                size_t* measured_refines,
                                ExecutionReport* report,
                                double* refine_selectivity) {
   if (!previous.has_value()) {
-    return RunFirstStep(plan, step, ExecuteParallelScan, report);
+    return RunFirstStep(plan, step, threads, ExecuteParallelScan, report);
   }
   // Later steps refine position lists tuple-at-a-time; no engine involved
   // — the measured region (always on the calling thread) is attributed to
@@ -455,14 +450,16 @@ void FillStageCounters(const ExecutionReport& report, uint64_t cycles_before,
 // the scan kernels, the per-chunk partials merge in chunk order, and the
 // accumulators finalize straight into the output row (or into
 // QueryResult::count for COUNT(*)). No position list is ever materialized.
-StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan) {
+StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan,
+                                               int threads) {
   QueryResult result;
   const PhysicalPlan::ScanStep& step = *plan.pushdown_step;
   ExecutionReport& report = result.execution_report;
   report.aggregate_pushdown = true;
   Stopwatch timer;
   const StatusOr<TableScanner::AggResult> agg =
-      RunFirstStep(plan, step, ExecuteParallelScanAggregate, &report);
+      RunFirstStep(plan, step, threads, ExecuteParallelScanAggregate,
+                   &report);
   const double millis = timer.ElapsedMillis();
   FTS_RETURN_IF_ERROR(agg.status());
   FinishCounters(plan, 0, &report);
@@ -501,22 +498,12 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan) {
 
 // ---- Late-materialization projection (DESIGN.md §16) ----
 
-// FTS_GATHER=0 kill switch: forces the tuple-at-a-time reference
-// materializer (the bench baseline arm and the differential oracle).
-bool GatherEnabled() {
-  const char* env = std::getenv("FTS_GATHER");
-  return env == nullptr || std::string(env) != "0";
-}
-
 // Batch-gather kernel matched to the scan engine that produced the
-// positions. nullopt keeps the boxed row-at-a-time path: the SISD engines
-// are the paper's baseline and stay tuple-at-a-time end to end, which is
-// also what the differential tests diff the gather pipeline against.
-std::optional<FusedKernelKind> GatherKindFor(ScanEngine engine) {
+// positions. The SISD engines gather with the scalar kernel.
+FusedKernelKind GatherKindFor(ScanEngine engine) {
   switch (engine) {
     case ScanEngine::kSisdNoVec:
     case ScanEngine::kSisdAutoVec:
-      return std::nullopt;
     case ScanEngine::kScalarFused:
       return FusedKernelKind::kScalar;
     case ScanEngine::kAvx2Fused128:
@@ -534,41 +521,8 @@ std::optional<FusedKernelKind> GatherKindFor(ScanEngine engine) {
   return FusedKernelKind::kScalar;
 }
 
-// The tuple-at-a-time reference: boxes every surviving cell through
-// Table::GetValue, then sorts/limits the boxed rows. Preserved verbatim
-// as the oracle the columnar pipeline must match byte-for-byte.
-void ProjectReference(const PhysicalPlan& plan, const TableMatches& matches,
-                      QueryResult* result) {
-  result->rows.reserve(result->matched_rows);
-  for (const ChunkMatches& chunk_matches : matches.chunks) {
-    for (const uint32_t pos : chunk_matches.positions) {
-      std::vector<Value> row;
-      row.reserve(plan.projection_indexes.size());
-      for (const size_t column : plan.projection_indexes) {
-        row.push_back(plan.table->GetValue(
-            column, RowId{chunk_matches.chunk_id, pos}));
-      }
-      result->rows.push_back(std::move(row));
-    }
-  }
-  if (plan.order_by_index.has_value()) {
-    const size_t key = *plan.order_by_index;
-    const bool descending = plan.order_descending;
-    std::stable_sort(result->rows.begin(), result->rows.end(),
-                     [key, descending](const std::vector<Value>& a,
-                                       const std::vector<Value>& b) {
-                       const double lhs = ValueAs<double>(a[key]);
-                       const double rhs = ValueAs<double>(b[key]);
-                       return descending ? lhs > rhs : lhs < rhs;
-                     });
-  }
-  if (plan.limit.has_value() && result->rows.size() > *plan.limit) {
-    result->rows.resize(*plan.limit);
-  }
-}
-
-// Unboxes one gathered column into sort keys. The double domain matches
-// the reference comparator (ValueAs<double>), so ordering is identical.
+// Unboxes one gathered column into double sort keys (the ValueAs<double>
+// domain).
 std::vector<double> KeyDoubles(const ColumnarResult& columnar, size_t key) {
   std::vector<double> keys(columnar.row_count());
   DispatchDataType(columnar.column_type(key), [&](auto tag) {
@@ -661,119 +615,34 @@ Status ProjectTopK(const PhysicalPlan& plan, const TableMatches& matches,
   return Status::Ok();
 }
 
-// JIT-mirrored projection: every chunk's survivors materialized by the
-// generated fused gather operator — all projected columns in one pass
-// over the position list, each column's encoding burned into the code
-// (fts/jit/code_generator.h). Serial by design: it serves 1-thread plans,
-// and the compiled module is shared across chunks via the global cache.
-// Any failure other than cancellation falls back to the static kernels in
-// the caller.
-Status ProjectJitGather(const PhysicalPlan& plan, const TableMatches& matches,
-                        const ProjectionGatherer& gatherer,
-                        QueryResult* result, GatherStats* stats) {
-  const size_t width = gatherer.column_count();
-  ColumnarResult* out = &result->columnar;
-  gatherer.InitResult(plan.projection_names, out);
-
-  size_t total_rows = 0;
-  for (const ChunkMatches& chunk : matches.chunks) {
-    total_rows += chunk.positions.size();
-  }
-  QueryContext* ctx = plan.context;
-  ScopedMemoryReservation reservation;
-  if (ctx != nullptr) {
-    uint64_t bytes = 0;
-    for (size_t c = 0; c < width; ++c) {
-      bytes += total_rows * DataTypeSize(gatherer.output_type(c));
-    }
-    FTS_RETURN_IF_ERROR(reservation.Reserve(ctx, bytes));
-  }
-  out->SetRowCount(total_rows);
-
-  JitChunkStats jit_stats;
-  size_t dst_offset = 0;
-  for (const ChunkMatches& chunk : matches.chunks) {
-    if (chunk.positions.empty()) continue;
-    if (ctx != nullptr) FTS_RETURN_IF_ERROR(ctx->CheckCancelled());
-    GatherTerm terms[kMaxGatherTerms];
-    void* outs[kMaxGatherTerms];
-    for (size_t c = 0; c < width; ++c) {
-      if (!gatherer.KernelTermFor(chunk.chunk_id, c, &terms[c])) {
-        return Status::InvalidArgument(
-            "column-chunk is not kernel-eligible for the JIT gather");
-      }
-      outs[c] = out->MutableData(c, dst_offset);
-    }
-    FTS_ASSIGN_OR_RETURN(
-        const size_t gathered,
-        JitExecuteChunkGather(GlobalJitCache(), terms, width,
-                              chunk.positions.data(), chunk.positions.size(),
-                              outs, &jit_stats, ctx));
-    FTS_CHECK(gathered == chunk.positions.size());
-    gatherer.CreditKernelGather(chunk.chunk_id, chunk.positions.size(),
-                                stats);
-    dst_offset += chunk.positions.size();
-  }
-
-  ExecutionReport& report = result->execution_report;
-  report.jit_compile_millis += jit_stats.compile_millis;
-  report.jit_cache_hits += jit_stats.cache_hits;
-  report.jit_cache_misses += jit_stats.cache_misses;
-  return Status::Ok();
-}
-
-// The columnar projection pipeline: per-chunk SIMD batch-gather into
-// typed column buffers, ORDER BY as a gathered-key permutation, LIMIT as
-// truncation or top-K selection. Boxing is deferred to QueryResult::
-// ValueAt.
+// The projection pipeline for every engine: per-chunk batch-gather into
+// typed column buffers with the kernel matched to the scan's executed
+// engine, ORDER BY as a gathered-key permutation, LIMIT as truncation or
+// top-K selection. Boxing is deferred to QueryResult::ValueAt.
 Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
-                       FusedKernelKind kind, QueryResult* result) {
+                       int threads, QueryResult* result) {
   FTS_ASSIGN_OR_RETURN(
       ProjectionGatherer gatherer,
       ProjectionGatherer::Prepare(plan.table, plan.projection_indexes));
 
+  const FusedKernelKind kind =
+      GatherKindFor(result->execution_report.executed.engine);
   ParallelProjectOptions options;
   options.kernel = kind;
-  options.threads =
-      plan.threads != 0 ? plan.threads : TaskPool::ThreadCountFromEnv(1);
+  options.threads = threads;
   options.context = plan.context;
 
   GatherStats stats;
   const bool top_k = plan.order_by_index.has_value() &&
                      plan.limit.has_value() &&
                      *plan.limit < result->matched_rows;
-  bool jit_gather = false;
   if (top_k) {
     FTS_RETURN_IF_ERROR(
         ProjectTopK(plan, matches, gatherer, options, result, &stats));
   } else {
-    // JIT-executed 1-thread plans mirror the projection in generated code:
-    // one fused pass over each chunk's positions, compiled per column-
-    // shape signature. Multi-thread plans keep the static kernels'
-    // disjoint-slice fan-out; every column-chunk must be on the kernel
-    // path.
-    if (result->execution_report.executed.engine == ScanEngine::kJit &&
-        options.threads <= 1 && gatherer.column_count() > 0 &&
-        gatherer.column_count() <= kMaxGatherTerms &&
-        gatherer.AllKernelEligible()) {
-      const Status jit_status =
-          ProjectJitGather(plan, matches, gatherer, result, &stats);
-      if (jit_status.ok()) {
-        jit_gather = true;
-      } else if (jit_status.code() == StatusCode::kQueryCanceled ||
-                 jit_status.code() == StatusCode::kDeadlineExceeded ||
-                 jit_status.code() == StatusCode::kResourceExhausted) {
-        return jit_status;
-      }
-      // Anything else (no usable compiler, poisoned signature, shape the
-      // generator rejects) demotes to the static gather kernels below.
-    }
-    if (!jit_gather) {
-      stats = GatherStats{};
-      FTS_RETURN_IF_ERROR(ExecuteParallelGather(
-          gatherer, matches, plan.projection_names, options,
-          &result->columnar, &stats));
-    }
+    FTS_RETURN_IF_ERROR(ExecuteParallelGather(gatherer, matches,
+                                              plan.projection_names, options,
+                                              &result->columnar, &stats));
     if (plan.order_by_index.has_value()) {
       const std::vector<double> keys =
           KeyDoubles(result->columnar, *plan.order_by_index);
@@ -791,7 +660,7 @@ Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
   result->columnar_valid = true;
 
   ExecutionReport& report = result->execution_report;
-  report.gather_engine = jit_gather ? "jit" : FusedKernelKindToString(kind);
+  report.gather_engine = FusedKernelKindToString(kind);
   for (size_t e = 0; e < 6; ++e) {
     report.gather_rows[e] = stats.rows_by_encoding[e];
   }
@@ -901,10 +770,13 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     return result;
   }
 
+  const int threads = ResolvePlanThreads(plan);
   // Pushed-down aggregates (COUNT(*) included) skip position
   // materialization entirely: the scan kernels fold every term under the
   // final predicate mask.
-  if (plan.pushdown_step.has_value()) return ExecuteAggregatePushdown(plan);
+  if (plan.pushdown_step.has_value()) {
+    return ExecuteAggregatePushdown(plan, threads);
+  }
 
   ExecutionReport report;
   std::optional<TableMatches> matches;
@@ -922,7 +794,7 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     double refine_selectivity = 1.0;
     FTS_ASSIGN_OR_RETURN(
         TableMatches next,
-        RunStep(plan, step, matches, &measured_refines, &report,
+        RunStep(plan, step, threads, matches, &measured_refines, &report,
                 first ? nullptr : &refine_selectivity));
     const double millis = timer.ElapsedMillis();
     report.scan_millis += millis;
@@ -980,20 +852,7 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
 
   Stopwatch project_timer;
   result.column_names = plan.projection_names;
-  // Late materialization: per-chunk SIMD batch-gather into typed column
-  // buffers, matched to the scan engine. The SISD engines (and the
-  // FTS_GATHER=0 kill switch) keep the tuple-at-a-time reference path.
-  const std::optional<FusedKernelKind> gather_kind =
-      GatherEnabled()
-          ? GatherKindFor(result.execution_report.executed.engine)
-          : std::nullopt;
-  if (gather_kind.has_value()) {
-    FTS_RETURN_IF_ERROR(ProjectColumnar(plan, *matches, *gather_kind,
-                                        &result));
-  } else {
-    ProjectReference(plan, *matches, &result);
-    result.execution_report.gather_engine = "reference";
-  }
+  FTS_RETURN_IF_ERROR(ProjectColumnar(plan, *matches, threads, &result));
   StageReport project_stage{"Project", result.matched_rows,
                             result.RowCountOut(),
                             project_timer.ElapsedMillis()};

@@ -18,14 +18,14 @@ namespace fts {
 // Result of executing a query.
 struct QueryResult {
   std::vector<std::string> column_names;
-  // Boxed rows: aggregate outputs, and projections materialized by the
-  // tuple-at-a-time reference path (SISD engines, FTS_GATHER=0). Empty for
-  // COUNT(*) and for columnar projections.
+  // Boxed rows: aggregate outputs. Empty for COUNT(*) and for
+  // projections, which are always columnar.
   std::vector<std::vector<Value>> rows;
-  // Late-materialized projection: typed column buffers filled by the SIMD
-  // batch-gather pipeline (fts/scan/projection_gather.h). Authoritative
-  // when `columnar_valid` is true — `rows` then stays empty and boxed
-  // Values are produced on demand at the API/shell boundary (ValueAt).
+  // Late-materialized projection: typed column buffers filled by the
+  // batch-gather pipeline (fts/scan/projection_gather.h) for every engine.
+  // Authoritative when `columnar_valid` is true — `rows` then stays empty
+  // and boxed Values are produced on demand at the API/shell boundary
+  // (ValueAt).
   ColumnarResult columnar;
   bool columnar_valid = false;
   // The answer of a SELECT COUNT(*) (output kCountStar), whether it was
@@ -78,10 +78,11 @@ struct PhysicalPlan {
   // compiler is missing): demote along DegradationLadder() or fail.
   FallbackPolicy fallback = FallbackPolicy::kLadder;
 
-  // Worker threads for the first (full-chunk) scan step, executed
-  // morsel-driven over chunks when > 1 (fts/exec/parallel_scan.h).
-  // 0 = resolve from FTS_THREADS, defaulting to single-threaded; results
-  // are byte-identical for every value.
+  // Worker threads for the first (full-chunk) scan step and the Project
+  // stage, both morsel-driven over chunks when > 1 (fts/exec/
+  // parallel_scan.h, parallel_project.h). 0 = resolve from FTS_THREADS,
+  // defaulting to single-threaded; results are byte-identical for every
+  // value.
   int threads = 0;
 
   // Query lifecycle context (fts/common/query_context.h), mirrored into

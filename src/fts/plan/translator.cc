@@ -89,7 +89,6 @@ void PlanAggregatePushdown(PhysicalPlan* plan,
   if (!plan->scan_steps.empty()) {
     step = plan->scan_steps[0];
   } else {
-    step.spec.threads = options.threads;
     step.spec.context = options.context;
     step.spec.adaptive = options.adaptive;
     step.engine = options.engine;
@@ -152,7 +151,6 @@ StatusOr<PhysicalPlan> TranslateLqp(const LqpNodePtr& root,
         const auto* predicate = static_cast<const PredicateNode*>(node);
         PhysicalPlan::ScanStep step;
         step.spec.predicates = {ToPredicateSpec(predicate->predicate())};
-        step.spec.threads = options.threads;
         step.spec.context = options.context;
         step.spec.adaptive = options.adaptive;
         step.engine = options.engine;
@@ -167,7 +165,6 @@ StatusOr<PhysicalPlan> TranslateLqp(const LqpNodePtr& root,
         for (const AstPredicate& predicate : fused->predicates()) {
           step.spec.predicates.push_back(ToPredicateSpec(predicate));
         }
-        step.spec.threads = options.threads;
         step.spec.context = options.context;
         step.spec.adaptive = options.adaptive;
         step.engine = options.engine;

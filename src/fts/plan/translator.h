@@ -17,8 +17,9 @@ struct TranslatorOptions {
   int jit_register_bits = 512;
   // Runtime demotion behavior when the engine fails (see scan_engine.h).
   FallbackPolicy fallback = FallbackPolicy::kLadder;
-  // Worker threads for the morsel-driven first scan step (0 = FTS_THREADS
-  // env, defaulting to single-threaded).
+  // Worker threads for the plan's first scan step and Project stage
+  // (PhysicalPlan::threads; 0 = FTS_THREADS env, defaulting to
+  // single-threaded).
   int threads = 0;
   // Fold eligible aggregate projections inside the scan kernels (masked
   // SIMD accumulators; no position list). Disabled, every aggregate runs

@@ -289,30 +289,4 @@ void ProjectionGatherer::GatherChunk(GatherFn fn, ChunkId chunk_id,
   }
 }
 
-bool ProjectionGatherer::AllKernelEligible() const {
-  for (const ColumnChunkPlan& plan : plans_) {
-    if (plan.path != Path::kKernel) return false;
-  }
-  return !plans_.empty();
-}
-
-bool ProjectionGatherer::KernelTermFor(ChunkId chunk_id, size_t out_column,
-                                       GatherTerm* term) const {
-  const ColumnChunkPlan& plan =
-      plans_[static_cast<size_t>(chunk_id) * columns_.size() + out_column];
-  if (plan.path != Path::kKernel) return false;
-  *term = plan.term;
-  return true;
-}
-
-void ProjectionGatherer::CreditKernelGather(ChunkId chunk_id, size_t n,
-                                            GatherStats* stats) const {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const ColumnChunkPlan& plan =
-        plans_[static_cast<size_t>(chunk_id) * columns_.size() + c];
-    stats->rows_by_encoding[static_cast<size_t>(plan.encoding)] += n;
-    stats->kernel_rows += n;
-  }
-}
-
 }  // namespace fts

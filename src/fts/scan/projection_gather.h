@@ -84,22 +84,6 @@ class ProjectionGatherer {
   size_t column_count() const { return columns_.size(); }
   DataType output_type(size_t c) const { return output_types_[c]; }
 
-  // True when every projected column of every chunk runs the SIMD kernel
-  // path (the precondition for fused JIT scan+gather).
-  bool AllKernelEligible() const;
-
-  // The kernel term for (chunk, output column); only meaningful when the
-  // column-chunk resolved to the kernel path.
-  bool KernelTermFor(ChunkId chunk_id, size_t out_column,
-                     GatherTerm* term) const;
-
-  // Accounts `n` survivor rows of `chunk_id` gathered through a fused
-  // external kernel (the JIT gather operator) into `stats`: one cell per
-  // projected column, split by the columns' encodings, all credited to
-  // the kernel path.
-  void CreditKernelGather(ChunkId chunk_id, size_t n,
-                          GatherStats* stats) const;
-
  private:
   enum class Path : uint8_t { kKernel, kTyped, kRle, kDelta };
 

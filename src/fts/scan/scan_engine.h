@@ -204,8 +204,8 @@ struct ExecutionReport {
   uint64_t delta_blocks_decoded = 0;
   // Late-materialization projection (fts/scan/projection_gather.h).
   // `gather_engine` labels the batch-gather kernel that materialized the
-  // projection ("avx512-512", "avx2-128", "scalar", or "reference" for the
-  // tuple-at-a-time row materializer the SISD engines keep).
+  // projection (FusedKernelKindToString: "AVX-512 Fused (512)", ...;
+  // "Scalar Fused" for the SISD engines); empty when nothing projected.
   // `gather_rows[e]` counts output cells gathered from source columns with
   // ColumnEncoding e; the kernel/typed split separates cells produced by
   // the SIMD gather kernels from the typed narrow-width/run/block loops.
@@ -213,7 +213,7 @@ struct ExecutionReport {
   // prefix-reconstruct (blocks without survivors are never decoded).
   // `project_est_millis` is the cost model's predicted Project-stage wall
   // time (emit-constant pricing of the gathered cells); 0 when the model
-  // was off or the reference path ran.
+  // was off.
   std::string gather_engine;
   uint64_t gather_rows[6] = {0, 0, 0, 0, 0, 0};
   uint64_t gather_kernel_rows = 0;

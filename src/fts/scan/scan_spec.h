@@ -42,13 +42,6 @@ struct ScanSpec {
   // position-materializing entry points ignore this field.
   std::vector<AggregateSpec> aggregates;
 
-  // Execution hint: worker threads for the morsel-driven parallel path
-  // (fts/exec/parallel_scan.h). 0 = resolve from the FTS_THREADS
-  // environment variable (defaulting to single-threaded); 1 = force the
-  // single-threaded path; N > 1 = N workers. Output is byte-identical
-  // regardless of the value; this only affects scheduling.
-  int threads = 0;
-
   // Query lifecycle state (deadline, cancellation, memory budget) the scan
   // should honor at chunk/morsel boundaries. Null = no lifecycle limits.
   // Borrowed, not owned: the Database::Query call (or test) that created

@@ -40,9 +40,6 @@ struct GatherTerm {
   uint64_t base_bits = 0;           // FoR base (raw bits), added to the code.
 };
 
-// Maximum gather terms per fused scan+gather, mirroring kMaxAggTerms.
-inline constexpr size_t kMaxGatherTerms = 8;
-
 // Gather kernel contract shared by the scalar, AVX2 and AVX-512
 // implementations: materialize `term`'s value at each of the `n` ascending
 // chunk offsets in `positions` into `out[0..n)`, a dense array of `type`

@@ -224,69 +224,5 @@ TEST(SisdCodegenTest, EmitsShortCircuitChain) {
   EXPECT_EQ(source->find("immintrin"), std::string::npos);
 }
 
-JitScanSignature MakeGatherSignature(
-    std::initializer_list<JitGatherSignature> gathers) {
-  JitScanSignature signature;
-  signature.gathers = gathers;
-  return signature;
-}
-
-TEST(GatherCodegenTest, CacheKeyCoversEveryShape) {
-  const auto signature =
-      MakeGatherSignature({{ScanElementType::kI32, 0, false},
-                           {ScanElementType::kU32, 7, true},
-                           {ScanElementType::kI64, 9, false},
-                           {ScanElementType::kF64, 0, true}});
-  EXPECT_EQ(signature.CacheKey(), "512:#gather:i32,u32@7d,i64@9,f64d");
-  // Gather keys never collide with scan keys of the same types.
-  EXPECT_NE(signature.CacheKey(),
-            MakeSignature({{ScanElementType::kI32, CompareOp::kEq}})
-                .CacheKey());
-}
-
-TEST(GatherCodegenTest, EmitsEveryShapeInOnePass) {
-  const auto source = GenerateGatherSource(
-      MakeGatherSignature({{ScanElementType::kI32, 0, false},    // Plain.
-                           {ScanElementType::kF64, 0, true},     // Dict.
-                           {ScanElementType::kU32, 7, true},     // Packed dict.
-                           {ScanElementType::kI64, 9, false}})); // FoR.
-  ASSERT_TRUE(source.ok());
-  EXPECT_NE(source->find(kJitScanSymbol), std::string::npos);
-  // One loop over the position list fuses all four columns.
-  EXPECT_EQ(source->find("for (size_t i"),
-            source->rfind("for (size_t i"));
-  EXPECT_NE(source->find("dst0[i] = src0[p]"), std::string::npos);
-  EXPECT_NE(source->find("dst1[i] = dict1[codes1[p]]"), std::string::npos);
-  EXPECT_NE(source->find("dst2[i] = dict2[c2]"), std::string::npos);
-  EXPECT_NE(source->find("base3 + c3"), std::string::npos);
-  EXPECT_NE(source->find("127ULL"), std::string::npos);  // (1<<7)-1.
-  EXPECT_NE(source->find("511ULL"), std::string::npos);  // (1<<9)-1.
-  // The gather operator is scalar C++ — no intrinsics to gate on.
-  EXPECT_EQ(source->find("immintrin"), std::string::npos);
-}
-
-TEST(GatherCodegenTest, Validation) {
-  // Empty and oversized term lists.
-  EXPECT_FALSE(GenerateGatherSource(JitScanSignature{}).ok());
-  JitScanSignature too_many;
-  too_many.gathers.assign(kMaxGatherTerms + 1,
-                          {ScanElementType::kI32, 0, false});
-  EXPECT_FALSE(GenerateGatherSource(too_many).ok());
-  // Gather terms do not combine with scan stages or aggregates.
-  auto mixed = MakeSignature({{ScanElementType::kI32, CompareOp::kEq}});
-  mixed.gathers.push_back({ScanElementType::kI32, 0, false});
-  EXPECT_FALSE(GenerateGatherSource(mixed).ok());
-  // Frame-of-reference never decodes floats.
-  EXPECT_FALSE(
-      GenerateGatherSource(
-          MakeGatherSignature({{ScanElementType::kF32, 7, false}}))
-          .ok());
-  // Packed widths beyond 26 bits are rejected like the scan generator.
-  EXPECT_FALSE(
-      GenerateGatherSource(
-          MakeGatherSignature({{ScanElementType::kU32, 27, true}}))
-          .ok());
-}
-
 }  // namespace
 }  // namespace fts

@@ -8,8 +8,9 @@
 //   1. Kernel layer: ProjectionGatherer + ExecuteParallelGather at
 //      1/2/4 threads against boxed Table::GetValue rows, on random
 //      1-8 column tables drawing all six encodings.
-//   2. Plan layer: ExecutePlan with a fused engine (columnar path)
-//      against the same plan under FTS_GATHER=0 (reference path),
+//   2. Plan layer: ExecutePlan on every engine (SISD included) against
+//      an in-test oracle — boxed rows over the reference scan, stable-
+//      sorted on ValueAs<double> keys and truncated to the LIMIT —
 //      rendered via ToString for cell-exact comparison, with random
 //      ORDER BY direction and LIMIT (exercising full-sort permutation,
 //      truncation, and top-K selection).
@@ -18,16 +19,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
 #include "fts/common/string_util.h"
+#include "fts/db/database.h"
 #include "fts/exec/parallel_project.h"
 #include "fts/plan/physical_plan.h"
 #include "fts/scan/table_scan.h"
+#include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
 #include "test_util.h"
 
@@ -242,9 +245,9 @@ TEST_P(ProjectionDifferentialTest, GatherMatchesBoxedReference) {
   }
 }
 
-// Plan layer: ExecutePlan's columnar pipeline (fused engines, JIT) against
-// the reference path forced by FTS_GATHER=0 — including random ORDER BY /
-// LIMIT, whose top-K path gathers only the winners.
+// Plan layer: ExecutePlan's columnar pipeline on every engine (SISD, fused,
+// JIT) against the boxed oracle — including random ORDER BY / LIMIT, whose
+// top-K path gathers only the winners.
 TEST_P(ProjectionDifferentialTest, PlanPipelineMatchesReferencePath) {
   const uint64_t seed = GetParam();
   const FuzzCase fuzz = MakeCase(seed);
@@ -269,7 +272,8 @@ TEST_P(ProjectionDifferentialTest, PlanPipelineMatchesReferencePath) {
     plan.limit = rng.NextBounded(50);
   }
 
-  std::vector<ScanEngine> engines = {ScanEngine::kScalarFused};
+  std::vector<ScanEngine> engines = {ScanEngine::kSisdNoVec,
+                                     ScanEngine::kScalarFused};
   if (GetCpuFeatures().avx2) engines.push_back(ScanEngine::kAvx2Fused128);
   if (GetCpuFeatures().HasFusedScanAvx512()) {
     engines.push_back(ScanEngine::kAvx512Fused512);
@@ -280,19 +284,35 @@ TEST_P(ProjectionDifferentialTest, PlanPipelineMatchesReferencePath) {
 #endif
   }
 
-  // Reference: same plan, gather disabled (tuple-at-a-time path).
-  setenv("FTS_GATHER", "0", 1);
-  const auto reference = ExecutePlan(plan);
-  unsetenv("FTS_GATHER");
-  // Non-representable literal: both paths must reject identically.
-  if (!reference.ok()) {
-    const auto got = ExecutePlan(plan);
-    EXPECT_FALSE(got.ok()) << replay;
+  // Oracle: boxed rows over the reference scan, stable-sorted on the
+  // ORDER BY key and truncated to the LIMIT.
+  const auto prepared = TableScanner::Prepare(fuzz.table, fuzz.spec);
+  // Non-representable literal: the plan must reject it too.
+  if (!prepared.ok()) {
+    EXPECT_FALSE(ExecutePlan(plan).ok()) << replay;
     return;
   }
-  ASSERT_FALSE(reference->columnar_valid) << replay;
+  const auto matches = testing::ReferenceScan(*prepared);
+  ASSERT_TRUE(matches.ok()) << replay;
+  QueryResult reference;
+  reference.column_names = fuzz.names;
+  reference.rows = ReferenceRows(fuzz.table, fuzz.projection, *matches);
+  if (plan.order_by_index.has_value()) {
+    const size_t key = *plan.order_by_index;
+    const bool descending = plan.order_descending;
+    std::stable_sort(reference.rows.begin(), reference.rows.end(),
+                     [key, descending](const std::vector<Value>& a,
+                                       const std::vector<Value>& b) {
+                       const double lhs = ValueAs<double>(a[key]);
+                       const double rhs = ValueAs<double>(b[key]);
+                       return descending ? lhs > rhs : lhs < rhs;
+                     });
+  }
+  if (plan.limit.has_value() && reference.rows.size() > *plan.limit) {
+    reference.rows.resize(*plan.limit);
+  }
   const std::string reference_text =
-      reference->ToString(reference->RowCountOut());
+      reference.ToString(reference.RowCountOut());
 
   for (const ScanEngine engine : engines) {
     plan.scan_steps[0].engine = engine;
@@ -302,8 +322,10 @@ TEST_P(ProjectionDifferentialTest, PlanPipelineMatchesReferencePath) {
       ASSERT_TRUE(got.ok())
           << ScanEngineToString(engine) << ": " << got.status().ToString()
           << "\n" << replay;
-      EXPECT_TRUE(got->columnar_valid) << replay;
-      EXPECT_EQ(got->RowCountOut(), reference->RowCountOut())
+      EXPECT_TRUE(got->columnar_valid)
+          << ScanEngineToString(engine) << " threads=" << threads << "\n"
+          << replay;
+      EXPECT_EQ(got->RowCountOut(), reference.RowCountOut())
           << ScanEngineToString(engine) << " threads=" << threads << "\n"
           << replay;
       EXPECT_EQ(got->ToString(got->RowCountOut()), reference_text)
@@ -315,6 +337,44 @@ TEST_P(ProjectionDifferentialTest, PlanPipelineMatchesReferencePath) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProjectionDifferentialTest,
                          ::testing::ValuesIn(testing::SeedRange(1, 40)));
+
+// A projection pinned to the SISD engine gathers through the scalar
+// kernel (no boxed fallback) and matches the fused engine's rows, with
+// and without the top-K path.
+TEST(ProjectionDatabaseTest, SisdProjectionGathersWithScalarKernel) {
+  ScanTableOptions table_options;
+  table_options.rows = 20000;
+  table_options.selectivities = {0.05, 1.0, 1.0};
+  table_options.chunk_size = 4096;
+  const GeneratedScanTable generated = MakeScanTable(table_options);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", generated.table).ok());
+
+  const std::string select =
+      StrFormat("SELECT c0, c1, c2 FROM t WHERE c0 = %d",
+                generated.search_values[0]);
+  // The fused engine the SISD rows are compared against.
+  Database::QueryOptions fused_options;
+  fused_options.engine = GetCpuFeatures().HasFusedScanAvx512()
+                             ? ScanEngine::kAvx512Fused512
+                             : ScanEngine::kScalarFused;
+  for (const std::string& sql :
+       {select, select + " ORDER BY c1 DESC LIMIT 10"}) {
+    Database::QueryOptions sisd;
+    sisd.engine = ScanEngine::kSisdNoVec;
+    const auto got = db.Query(sql, sisd);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    EXPECT_EQ(got->execution_report.gather_engine, "Scalar Fused") << sql;
+    EXPECT_TRUE(got->columnar_valid) << sql;
+
+    const auto fused = db.Query(sql, fused_options);
+    ASSERT_TRUE(fused.ok()) << sql << ": " << fused.status().ToString();
+    ASSERT_GT(fused->RowCountOut(), 0u) << sql;
+    EXPECT_EQ(got->ToString(got->RowCountOut()),
+              fused->ToString(fused->RowCountOut()))
+        << sql;
+  }
+}
 
 }  // namespace
 }  // namespace fts
