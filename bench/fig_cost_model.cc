@@ -12,7 +12,9 @@
 //                      estimates, ranks, and changes nothing. Acceptance:
 //                      <= ~2% added wall time (Prepare + Execute).
 //   prediction         EstimateScanNanos vs measured median across
-//                      encodings x engines, on the calibrated profile.
+//                      encodings x the engines the model compares
+//                      (sisd-novec, sisd-autovec, best fused), on the
+//                      calibrated profile.
 //                      Acceptance: within ~15% for the kernel paths.
 //
 // Both sides of every comparison run the identical engine and verify
@@ -24,7 +26,7 @@
 //
 // Scaling knobs: FTS_BENCH_MAX_ROWS / FTS_BENCH_REPS / FTS_BENCH_FULL
 // (see bench_util.h). The first adaptive Prepare calibrates the profile
-// (~1-3 s, once); set FTS_COST_PROFILE to cache it across runs.
+// (~1.3 s, once); set FTS_COST_PROFILE to cache it across runs.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,8 +35,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
+#include "fts/cost/cost_profile.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/bitpacked_column.h"
 #include "fts/storage/delta_column.h"
@@ -278,10 +280,7 @@ int main() {
     return 0;
   }
   const int reps = Reps();
-  const ScanEngine engine =
-      fts::GetCpuFeatures().HasFusedScanAvx512()
-          ? ScanEngine::kAvx512Fused512
-          : ScanEngine::kScalarFused;
+  const ScanEngine engine = fts::cost::BestFusedEngine();
   std::printf("rows = %zu, chunks = %zu, reps = %d, engine = %s\n\n", rows,
               (rows + kChunkSize - 1) / kChunkSize, reps,
               fts::ScanEngineToString(engine));
@@ -355,11 +354,10 @@ int main() {
   // the *calibrated* profile; the measured scanner is pinned so the
   // executed engine is exactly the predicted one.
   const size_t acc_rows = std::min(rows, size_t{4'000'000});
-  std::vector<ScanEngine> engines = {ScanEngine::kSisdNoVec,
-                                     ScanEngine::kScalarFused};
-  if (fts::GetCpuFeatures().HasFusedScanAvx512()) {
-    engines.push_back(ScanEngine::kAvx512Fused512);
-  }
+  // The engines the model compares: the calibrated adaptation set.
+  const ScanEngine engines[] = {ScanEngine::kSisdNoVec,
+                                ScanEngine::kSisdAutoVec,
+                                fts::cost::BestFusedEngine()};
   std::printf("%-11s%-14s%14s%13s%11s\n", "encoding", "engine",
               "predicted_ms", "measured_ms", "error_pct");
   PrintRule('-', 63);

@@ -33,11 +33,12 @@ double ChainCostNs(const CostProfile& profile, ScanEngine engine,
 double GatherCostNs(const CostProfile& profile, ScanEngine engine,
                     const uint64_t cells_by_encoding[6]) {
   const EngineCostConstants& e = profile.For(engine);
-  // An engine without calibrated constants (SISD reference, blockwise)
-  // falls back to the scalar-fused emit constant — the gather kernels run
-  // regardless of which engine produced the positions.
+  // An engine without calibrated constants (a fused engine outside the
+  // adaptation set, blockwise) falls back to the best fused engine's emit
+  // constant — the gather kernels run regardless of which engine produced
+  // the positions.
   double emit = e.available ? e.emit_ns : 0.0;
-  if (emit <= 0.0) emit = profile.For(ScanEngine::kScalarFused).emit_ns;
+  if (emit <= 0.0) emit = profile.For(BestFusedEngine()).emit_ns;
   const double kernel_cells =
       static_cast<double>(cells_by_encoding[0] + cells_by_encoding[1] +
                           cells_by_encoding[2] + cells_by_encoding[4]);

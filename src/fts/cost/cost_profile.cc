@@ -11,6 +11,7 @@
 #include "fts/common/aligned_buffer.h"
 #include "fts/common/cpu_info.h"
 #include "fts/common/env.h"
+#include "fts/common/macros.h"
 #include "fts/common/string_util.h"
 #include "fts/obs/trace.h"
 #include "fts/cost/calibrate_sisd.h"
@@ -114,16 +115,11 @@ struct ClassFixture {
     f.rows = rows;
     f.plain32.resize(rows);
     f.plain64.resize(rows);
-    AlignedVector<int32_t> raw(rows);
-    uint32_t state = 0x5eed5eedu;
-    for (size_t i = 0; i < rows; ++i) {
-      const uint32_t v = Lcg(state) % kDomain;
-      f.plain32[i] = v;
-      f.plain64[i] = v;
-      raw[i] = static_cast<int32_t>(Lcg(state) % 512);
-    }
+    AlignedVector<int32_t> codes(rows);
+    internal::FillCalibrationColumns(rows, f.plain32.data(), codes.data());
+    for (size_t i = 0; i < rows; ++i) f.plain64[i] = f.plain32[i];
     f.packed = std::make_shared<BitPackedColumn<int32_t>>(
-        BitPackedColumn<int32_t>::FromValues(raw));
+        internal::PackCalibrationCodes(codes));
     return f;
   }
 };
@@ -145,34 +141,17 @@ CountFn CountFnFor(ScanEngine engine) {
   }
 }
 
+// Collect entry point of one calibrated engine: a SISD twin, or the best
+// fused kernel (the only fused engine calibration measures).
 CollectFn CollectFnFor(ScanEngine engine) {
   switch (engine) {
     case ScanEngine::kSisdNoVec:
       return &SisdScanCostNoVecCollect;
     case ScanEngine::kSisdAutoVec:
       return &SisdScanCostAutoVecCollect;
-    case ScanEngine::kScalarFused: {
-      auto fn = GetFusedScanKernel(FusedKernelKind::kScalar);
-      return fn.ok() ? *fn : nullptr;
-    }
-    case ScanEngine::kAvx2Fused128: {
-      auto fn = GetFusedScanKernel(FusedKernelKind::kAvx2_128);
-      return fn.ok() ? *fn : nullptr;
-    }
-    case ScanEngine::kAvx512Fused128: {
-      auto fn = GetFusedScanKernel(FusedKernelKind::kAvx512_128);
-      return fn.ok() ? *fn : nullptr;
-    }
-    case ScanEngine::kAvx512Fused256: {
-      auto fn = GetFusedScanKernel(FusedKernelKind::kAvx512_256);
-      return fn.ok() ? *fn : nullptr;
-    }
-    case ScanEngine::kAvx512Fused512: {
-      auto fn = GetFusedScanKernel(FusedKernelKind::kAvx512_512);
-      return fn.ok() ? *fn : nullptr;
-    }
     default:
-      return nullptr;  // kBlockwise / kJit are modeled, not measured.
+      FTS_CHECK(engine == BestFusedEngine());
+      return *GetFusedScanKernel(BestAvailableKernel());
   }
 }
 
@@ -232,26 +211,19 @@ ClassConstants MeasureClass(CollectFn fn, CountFn count_fn,
 }
 
 // After per-engine measurement, derive the JIT row model from the best
-// measured fused engine (the generated code uses the same instruction
-// pattern minus the interpretation overhead).
+// fused engine (the generated code uses the same instruction pattern minus
+// the interpretation overhead).
 void FinalizeDerived(CostProfile* profile) {
-  static constexpr ScanEngine kFusedPreference[] = {
-      ScanEngine::kAvx512Fused512, ScanEngine::kAvx512Fused256,
-      ScanEngine::kAvx512Fused128, ScanEngine::kAvx2Fused128,
-      ScanEngine::kScalarFused};
-  for (ScanEngine source : kFusedPreference) {
-    const EngineCostConstants& best = profile->For(source);
-    if (!best.available) continue;
-    EngineCostConstants& jit =
-        profile->engines[static_cast<size_t>(ScanEngine::kJit)];
-    jit.available = true;
-    for (size_t e = 0; e < kNumEncClasses; ++e) {
-      jit.first_ns[e] = best.first_ns[e] * profile->jit_speed_factor;
-      jit.rest_ns[e] = best.rest_ns[e] * profile->jit_speed_factor;
-    }
-    jit.emit_ns = best.emit_ns * profile->jit_speed_factor;
-    return;
+  const EngineCostConstants& best = profile->For(BestFusedEngine());
+  if (!best.available) return;
+  EngineCostConstants& jit =
+      profile->engines[static_cast<size_t>(ScanEngine::kJit)];
+  jit.available = true;
+  for (size_t e = 0; e < kNumEncClasses; ++e) {
+    jit.first_ns[e] = best.first_ns[e] * profile->jit_speed_factor;
+    jit.rest_ns[e] = best.rest_ns[e] * profile->jit_speed_factor;
   }
+  jit.emit_ns = best.emit_ns * profile->jit_speed_factor;
 }
 
 void MeasureCompressedConstants(CostProfile* profile, size_t rows,
@@ -343,6 +315,53 @@ void MeasureCompressedConstants(CostProfile* profile, size_t rows,
 }
 
 }  // namespace
+
+namespace internal {
+
+void FillCalibrationColumns(size_t rows, uint32_t* values, int32_t* codes) {
+  uint32_t state = 0x5eed5eedu;
+  for (size_t i = 0; i < rows; ++i) {
+    values[i] = Lcg(state) % ClassFixture::kDomain;
+    codes[i] = static_cast<int32_t>(Lcg(state) % kCalibrationCodes);
+  }
+}
+
+BitPackedColumn<int32_t> PackCalibrationCodes(
+    const AlignedVector<int32_t>& codes) {
+  std::vector<int32_t> dictionary(kCalibrationCodes);
+  for (uint32_t code = 0; code < kCalibrationCodes; ++code) {
+    dictionary[code] = static_cast<int32_t>(code);
+  }
+  const int bits = BitPackedColumn<int32_t>::BitWidthFor(kCalibrationCodes);
+  AlignedVector<uint8_t> packed(
+      BitPackedColumn<int32_t>::PackedBytes(codes.size(), bits) +
+          kBitPackedSlackBytes,
+      0);
+  for (size_t row = 0; row < codes.size(); ++row) {
+    BitPackedColumn<int32_t>::WriteCode(packed.data(), row, bits,
+                                        static_cast<uint64_t>(codes[row]));
+  }
+  return BitPackedColumn<int32_t>(std::move(dictionary), std::move(packed),
+                                  codes.size(), bits);
+}
+
+}  // namespace internal
+
+ScanEngine BestFusedEngine() {
+  switch (BestAvailableKernel()) {
+    case FusedKernelKind::kAvx512_512:
+      return ScanEngine::kAvx512Fused512;
+    case FusedKernelKind::kAvx512_256:
+      return ScanEngine::kAvx512Fused256;
+    case FusedKernelKind::kAvx512_128:
+      return ScanEngine::kAvx512Fused128;
+    case FusedKernelKind::kAvx2_128:
+      return ScanEngine::kAvx2Fused128;
+    case FusedKernelKind::kScalar:
+      break;
+  }
+  return ScanEngine::kScalarFused;
+}
 
 const char* EncClassName(EncClass enc) {
   return kEncNames[static_cast<size_t>(enc)];
@@ -494,14 +513,14 @@ CostProfile CostProfile::Calibrate() {
   profile.calibrated = true;
 
   const ClassFixture fixture = ClassFixture::Build(rows);
-  static constexpr ScanEngine kMeasured[] = {
-      ScanEngine::kSisdNoVec,     ScanEngine::kSisdAutoVec,
-      ScanEngine::kScalarFused,   ScanEngine::kAvx2Fused128,
-      ScanEngine::kAvx512Fused128, ScanEngine::kAvx512Fused256,
-      ScanEngine::kAvx512Fused512};
-  for (ScanEngine engine : kMeasured) {
+  // The adaptation set: the engines AdaptEngine prices against each other
+  // (the SISD pair every chunk may fall back to, and the best fused engine
+  // the default request and the chain ranking use). Other fused engines
+  // stay unmeasured; AdaptEngine leaves a request for them unchanged.
+  const ScanEngine measured[] = {ScanEngine::kSisdNoVec,
+                                 ScanEngine::kSisdAutoVec, BestFusedEngine()};
+  for (ScanEngine engine : measured) {
     CollectFn fn = CollectFnFor(engine);
-    if (fn == nullptr) continue;
     EngineCostConstants& e = profile.engines[static_cast<size_t>(engine)];
     e.available = true;
     double shared_emit = -1.0;

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <string>
 
+#include "fts/common/aligned_buffer.h"
 #include "fts/common/status.h"
 #include "fts/scan/scan_engine.h"
+#include "fts/storage/bitpacked_column.h"
 
 namespace fts {
 namespace cost {
@@ -97,10 +99,34 @@ struct CostProfile {
   static CostProfile Defaults();
 
   // Measures the constants on this machine with synthetic-column runs
-  // sized past L2 (memory-bound, like real scans). FTS_CALIBRATE_FAST=1
-  // shrinks rows/reps (CI smoke); expect ~1-3s full, ~20ms fast.
+  // sized past L2 (memory-bound, like real scans). Only the adaptation set
+  // is measured: kSisdNoVec, kSisdAutoVec and BestFusedEngine(), from
+  // which kJit is derived; the other fused engines stay unavailable.
+  // FTS_CALIBRATE_FAST=1 shrinks rows/reps (CI smoke); expect ~1.3 s full,
+  // ~20 ms fast.
   static CostProfile Calibrate();
 };
+
+// The best fused engine this CPU runs: the engine of BestAvailableKernel(),
+// which is what Database::DefaultEngine() requests and what the scanner
+// ranks chains against. Calibration measures it and derives kJit from it.
+ScanEngine BestFusedEngine();
+
+namespace internal {
+
+// Calibration fixture data, exposed for tests. FillCalibrationColumns
+// draws `rows` plain values in [0, 1000) and `rows` bit-packed codes in
+// [0, kCalibrationCodes) alternately from one fixed-seed generator.
+// PackCalibrationCodes writes the codes straight into the 9-bit stream
+// over the identity dictionary 0..511 — byte for byte what
+// BitPackedColumn::FromValues builds whenever every code occurs, without
+// its sort and per-row binary search.
+inline constexpr uint32_t kCalibrationCodes = 512;
+void FillCalibrationColumns(size_t rows, uint32_t* values, int32_t* codes);
+BitPackedColumn<int32_t> PackCalibrationCodes(
+    const AlignedVector<int32_t>& codes);
+
+}  // namespace internal
 
 // Process-wide profiles. DefaultProfile() is the static table;
 // CalibratedProfile() loads FTS_COST_PROFILE (when set) if its version

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fts/common/cpu_info.h"
 #include "fts/common/env.h"
 #include "fts/common/string_util.h"
 #include "fts/common/timer.h"
+#include "fts/cost/cost_profile.h"
 #include "fts/exec/admission.h"
 #include "fts/exec/timer_wheel.h"
 #include "fts/obs/metrics.h"
@@ -129,12 +129,7 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-ScanEngine Database::DefaultEngine() {
-  const CpuFeatures& cpu = GetCpuFeatures();
-  if (cpu.HasFusedScanAvx512()) return ScanEngine::kAvx512Fused512;
-  if (cpu.avx2) return ScanEngine::kAvx2Fused128;
-  return ScanEngine::kScalarFused;
-}
+ScanEngine Database::DefaultEngine() { return cost::BestFusedEngine(); }
 
 StatusOr<PhysicalPlan> Database::Plan(const SelectStatement& statement,
                                       const QueryOptions& options,

@@ -97,7 +97,8 @@ class Database {
     return Explain(sql, QueryOptions());
   }
 
-  // The engine Query() uses when options.engine is unset.
+  // The engine Query() uses when options.engine is unset: the best fused
+  // engine this CPU runs (cost::BestFusedEngine()).
   static ScanEngine DefaultEngine();
 
  private:

@@ -525,27 +525,6 @@ cost::EncClass EncClassOf(const ScanStage& stage) {
   }
 }
 
-// Engine whose calibrated constants order the chain. Re-ranking must not
-// depend on which engine later runs the chunk (the order would then differ
-// between adaptive on/off), so chains are ranked once against the best
-// fused kernel this CPU has — the engine the rest_ns ratios of which best
-// reflect how the fused chains actually behave.
-ScanEngine RankingEngine() {
-  switch (BestAvailableKernel()) {
-    case FusedKernelKind::kAvx512_512:
-      return ScanEngine::kAvx512Fused512;
-    case FusedKernelKind::kAvx512_256:
-      return ScanEngine::kAvx512Fused256;
-    case FusedKernelKind::kAvx512_128:
-      return ScanEngine::kAvx512Fused128;
-    case FusedKernelKind::kAvx2_128:
-      return ScanEngine::kAvx2Fused128;
-    case FusedKernelKind::kScalar:
-      break;
-  }
-  return ScanEngine::kScalarFused;
-}
-
 // Cost-model inputs of one compressed-domain stage: how many runs/blocks
 // the range builder classifies, and (delta only) how many rows sit in
 // blocks whose min/max cannot decide the predicate — those get
@@ -628,7 +607,12 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   const bool adaptive_engine = spec.adaptive && model_active;
   const cost::CostProfile& profile =
       adaptive_engine ? cost::CalibratedProfile() : cost::DefaultProfile();
-  const ScanEngine ranking_engine = RankingEngine();
+  // Engine whose calibrated constants order the chain. Re-ranking must not
+  // depend on which engine later runs the chunk (the order would then
+  // differ between adaptive on/off), so chains are ranked once against the
+  // best fused kernel this CPU has — the engine the rest_ns ratios of which
+  // best reflect how the fused chains actually behave.
+  const ScanEngine ranking_engine = cost::BestFusedEngine();
   size_t chunks_reordered = 0;
   size_t runnable_chunks = 0;
   double est_rows = 0.0;
@@ -902,10 +886,12 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
   const ChunkPlan& plan = chunk_plans_[chunk_id];
   if (plan.impossible || plan.row_count == 0) return requested;
   AdaptiveStats& stats = *adaptive_stats_;
-  if (!plan.compressed.empty() || plan.stages.empty()) {
+  if (!plan.compressed.empty() || plan.stages.empty() ||
+      !profile_->For(requested.engine).available) {
     // Compressed chunks run the engine-independent range path; stage-free
-    // chunks are a pure emit. Nothing to pick, but the chunk still counts
-    // toward the engine mix.
+    // chunks are a pure emit; an engine outside the calibrated adaptation
+    // set has no constants to price it against the candidates. Nothing to
+    // pick, but the chunk still counts toward the engine mix.
     stats.chunk_engines[static_cast<size_t>(requested.engine)].fetch_add(
         1, std::memory_order_relaxed);
     return requested;
@@ -925,7 +911,7 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
   ScanEngine candidates[3];
   size_t num_candidates = 0;
   if (requested.engine == ScanEngine::kJit) {
-    candidates[num_candidates++] = RankingEngine();
+    candidates[num_candidates++] = cost::BestFusedEngine();
   }
   candidates[num_candidates++] = ScanEngine::kSisdAutoVec;
   candidates[num_candidates++] = ScanEngine::kSisdNoVec;

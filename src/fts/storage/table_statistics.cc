@@ -4,9 +4,10 @@
 #include <cmath>
 #include <map>
 #include <mutex>
-#include <unordered_set>
+#include <vector>
 
 #include "fts/common/macros.h"
+#include "fts/obs/trace.h"
 #include "fts/storage/bitpacked_column.h"
 #include "fts/storage/dictionary_column.h"
 #include "fts/storage/value_column.h"
@@ -19,8 +20,7 @@ struct Accumulator {
   bool any = false;
   double min = 0.0;
   double max = 0.0;
-  std::unordered_set<double> sampled_distinct;
-  uint64_t sampled_rows = 0;
+  std::vector<double> sampled;  // Strided plain-chunk samples, all chunks.
   uint64_t exact_distinct_hint = 0;  // From dictionaries; max over chunks.
   bool all_dictionary = true;
 
@@ -36,19 +36,41 @@ struct Accumulator {
   }
 };
 
+// Plain chunks take min/max from the zone map ingest built with the SIMD
+// reduction kernels; widening to double is monotone, so its exact bounds
+// give the min/max the row loop would (equal as doubles: a float extreme
+// of zero may carry the other zero's sign). Only a chunk without a valid
+// zone map (hand-built, or a float chunk holding NaN) pays the row loop,
+// whose NaN handling the statistics keep.
 template <typename T>
-void ScanPlainColumn(const ValueColumn<T>& column, size_t sample_limit,
-                     Accumulator* acc) {
+void ScanPlainColumn(const ValueColumn<T>& column, const ZoneMap* zone,
+                     size_t sample_limit, Accumulator* acc) {
   const auto& values = column.values();
-  for (const T& v : values) acc->AddValue(static_cast<double>(v));
+  if (zone != nullptr) {
+    acc->AddValue(ValueAs<double>(zone->min));
+    acc->AddValue(ValueAs<double>(zone->max));
+  } else {
+    for (const T& v : values) acc->AddValue(static_cast<double>(v));
+  }
   // Evenly-strided sample for the distinct estimate.
   const size_t n = values.size();
   const size_t stride = std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
   for (size_t i = 0; i < n; i += stride) {
-    acc->sampled_distinct.insert(static_cast<double>(values[i]));
-    ++acc->sampled_rows;
+    acc->sampled.push_back(static_cast<double>(values[i]));
   }
   acc->all_dictionary = false;
+}
+
+// Distinct values in `sample` under ==, as a hash set of doubles counts
+// them: 0.0 and -0.0 are one value, and every NaN is a value of its own.
+size_t CountDistinct(std::vector<double>* sample) {
+  const auto nans = std::partition(sample->begin(), sample->end(),
+                                   [](double v) { return !std::isnan(v); });
+  const size_t nan_count = static_cast<size_t>(sample->end() - nans);
+  std::sort(sample->begin(), nans);
+  return static_cast<size_t>(std::unique(sample->begin(), nans) -
+                             sample->begin()) +
+         nan_count;
 }
 
 // Dictionary-backed encodings (kDictionary, kBitPacked) expose min/max and
@@ -91,7 +113,8 @@ TableStatistics TableStatistics::Compute(const Table& table,
             break;
           case ColumnEncoding::kPlain:
             ScanPlainColumn(static_cast<const ValueColumn<T>&>(column),
-                            sample_limit, &acc);
+                            table.chunk(chunk_id).zone_map(c), sample_limit,
+                            &acc);
             break;
         }
       });
@@ -114,14 +137,14 @@ TableStatistics TableStatistics::Compute(const Table& table,
     }
     if (acc.all_dictionary) {
       out.distinct_count = static_cast<double>(acc.exact_distinct_hint);
-    } else if (acc.sampled_rows > 0) {
+    } else if (!acc.sampled.empty()) {
       // Scale the sampled distinct count linearly, capped by the row count.
       // A deliberate simple estimator; good enough for ordering predicates.
       const double scale = static_cast<double>(table.row_count()) /
-                           static_cast<double>(acc.sampled_rows);
+                           static_cast<double>(acc.sampled.size());
       out.distinct_count =
           std::min(static_cast<double>(table.row_count()),
-                   static_cast<double>(acc.sampled_distinct.size()) *
+                   static_cast<double>(CountDistinct(&acc.sampled)) *
                        std::sqrt(scale));
     }
     out.distinct_count = std::max(out.distinct_count, 1.0);
@@ -227,8 +250,12 @@ std::shared_ptr<const TableStatistics> GetCachedStatistics(
   }
   const auto it = cache.find(table.get());
   if (it != cache.end()) return it->second.statistics;
-  auto statistics =
-      std::make_shared<const TableStatistics>(TableStatistics::Compute(*table));
+  std::shared_ptr<const TableStatistics> statistics;
+  {
+    obs::TraceSpan span("table_statistics", "storage");
+    statistics = std::make_shared<const TableStatistics>(
+        TableStatistics::Compute(*table));
+  }
   cache[table.get()] = Entry{table, statistics};
   return statistics;
 }

@@ -40,9 +40,14 @@ struct ColumnStatistics {
 // Statistics for every column of a table.
 class TableStatistics {
  public:
-  // Computes statistics for `table`. Plain columns are sampled
-  // (`sample_limit` rows max) for the distinct-count estimate; min/max are
-  // exact.
+  // Computes statistics for `table`. Min/max are exact: plain chunks read
+  // them from their zone maps (the row loop runs only where a chunk has no
+  // valid zone map), dictionary-backed chunks from their dictionaries. The
+  // distinct-count estimate of a plain column pools an evenly strided
+  // sample of every plain chunk; `sample_limit` budgets each chunk, not
+  // the column (a chunk contributes under 2 * sample_limit rows). The
+  // per-chunk budget is kept on purpose: a per-column budget would move
+  // the estimates, and with them the plans.
   static TableStatistics Compute(const Table& table,
                                  size_t sample_limit = 1 << 16);
 

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 
 #include "fts/common/cpu_info.h"
 #include "fts/cost/cost_model.h"
 #include "fts/cost/cost_profile.h"
+#include "fts/db/database.h"
 #include "fts/scan/table_scan.h"
+#include "fts/storage/bitpacked_column.h"
 #include "fts/storage/table_builder.h"
 #include "test_util.h"
 
@@ -99,11 +102,14 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
   const CostProfile profile = CostProfile::Calibrate();
   EXPECT_TRUE(profile.calibrated);
   EXPECT_EQ(profile.cpu, GetCpuFeatures().ToString());
-  // The portable engines are always measurable; their constants must come
-  // out positive in every encoding class.
+  // Exactly the adaptation set is calibrated: the SISD pair and the best
+  // fused engine (the default request and the ranking engine), whose
+  // constants must come out positive in every encoding class, plus kJit
+  // derived from the best fused engine.
+  const ScanEngine best = Database::DefaultEngine();
+  EXPECT_EQ(best, cost::BestFusedEngine());
   for (const ScanEngine engine :
-       {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec,
-        ScanEngine::kScalarFused}) {
+       {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec, best}) {
     const cost::EngineCostConstants& e = profile.For(engine);
     ASSERT_TRUE(e.available) << ScanEngineToString(engine);
     for (size_t c = 0; c < cost::kNumEncClasses; ++c) {
@@ -111,9 +117,17 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
       EXPECT_GT(e.rest_ns[c], 0.0) << ScanEngineToString(engine);
     }
   }
-  // JIT constants derive from the best measured fused engine.
-  EXPECT_TRUE(profile.For(ScanEngine::kJit).available);
-  EXPECT_FALSE(profile.For(ScanEngine::kBlockwise).available);
+  for (size_t i = 0; i < cost::kNumEngines; ++i) {
+    const auto engine = static_cast<ScanEngine>(i);
+    const bool expected = engine == ScanEngine::kSisdNoVec ||
+                          engine == ScanEngine::kSisdAutoVec ||
+                          engine == best || engine == ScanEngine::kJit;
+    EXPECT_EQ(profile.For(engine).available, expected)
+        << ScanEngineToString(engine);
+  }
+  const cost::EngineCostConstants& jit = profile.For(ScanEngine::kJit);
+  EXPECT_DOUBLE_EQ(jit.first_ns[0],
+                   profile.For(best).first_ns[0] * profile.jit_speed_factor);
   EXPECT_GT(profile.rle_run_ns, 0.0);
   EXPECT_GT(profile.delta_block_ns, 0.0);
   EXPECT_GT(profile.delta_row_ns, 0.0);
@@ -122,6 +136,39 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->calibrated);
   EXPECT_EQ(parsed->cpu, profile.cpu);
+}
+
+TEST(CostProfileTest, DirectPackedFixtureMatchesFromValues) {
+  // The fast-size calibration fixture: its directly written 9-bit stream
+  // must be byte for byte what BitPackedColumn::FromValues builds.
+  constexpr size_t kRows = size_t{1} << 14;
+  std::vector<uint32_t> values(kRows);
+  AlignedVector<int32_t> codes(kRows);
+  cost::internal::FillCalibrationColumns(kRows, values.data(), codes.data());
+  const BitPackedColumn<int32_t> direct =
+      cost::internal::PackCalibrationCodes(codes);
+  const BitPackedColumn<int32_t> reference =
+      BitPackedColumn<int32_t>::FromValues(codes);
+  EXPECT_EQ(direct.dictionary(), reference.dictionary());
+  EXPECT_EQ(direct.dictionary().size(), cost::internal::kCalibrationCodes);
+  ASSERT_EQ(direct.bit_width(), 9);
+  ASSERT_EQ(direct.bit_width(), reference.bit_width());
+  ASSERT_EQ(direct.packed_bytes(), reference.packed_bytes());
+  EXPECT_EQ(std::memcmp(direct.scan_data(), reference.scan_data(),
+                        direct.packed_bytes() + kBitPackedSlackBytes),
+            0);
+}
+
+TEST(CostModelTest, GatherCostFallsBackToBestFusedEmit) {
+  // An engine without constants prices its gathered kernel cells with the
+  // best fused engine's emit constant; compressed cells keep their own.
+  const CostProfile& profile = cost::DefaultProfile();
+  ASSERT_FALSE(profile.For(ScanEngine::kBlockwise).available);
+  const uint64_t cells[6] = {1000, 0, 0, 10, 0, 0};
+  EXPECT_DOUBLE_EQ(
+      cost::GatherCostNs(profile, ScanEngine::kBlockwise, cells),
+      1000 * profile.For(cost::BestFusedEngine()).emit_ns +
+          10 * profile.compressed_emit_ns);
 }
 
 TEST(CostModelTest, UniformSelectivityEndpoints) {
@@ -257,9 +304,10 @@ TEST_F(AdversarialSkewTest, PerChunkReorderFollowsZoneSelectivity) {
   EXPECT_GT(prepared->est_rows(), 0.0);
   EXPECT_LT(prepared->est_rows(), 100.0);
 
-  // Predicted cost is positive and finite for every available engine.
+  // Predicted cost is positive for every engine the model compares.
   for (const ScanEngine engine :
-       {ScanEngine::kSisdNoVec, ScanEngine::kScalarFused}) {
+       {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec,
+        cost::BestFusedEngine()}) {
     const double ns = prepared->EstimateScanNanos(engine);
     EXPECT_GT(ns, 0.0) << ScanEngineToString(engine);
   }
@@ -365,6 +413,42 @@ TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
     after += counter.load();
   }
   EXPECT_EQ(after - before, table->chunk_count());
+}
+
+TEST_F(AdversarialSkewTest, UncalibratedRequestStaysUnchanged) {
+  // A fused engine outside the calibrated adaptation set has no constants
+  // to price: AdaptEngine keeps the request instead of comparing the
+  // candidates against a 0 ns estimate, and still counts the chunk.
+  ScanEngine uncalibrated = ScanEngine::kBlockwise;
+  for (const ScanEngine engine :
+       {ScanEngine::kScalarFused, ScanEngine::kAvx2Fused128,
+        ScanEngine::kAvx512Fused128, ScanEngine::kAvx512Fused256}) {
+    if (engine != cost::BestFusedEngine() && ScanEngineAvailable(engine)) {
+      uncalibrated = engine;
+      break;
+    }
+  }
+  if (uncalibrated == ScanEngine::kBlockwise) {
+    GTEST_SKIP() << "only the best fused engine runs on this CPU";
+  }
+  const TablePtr table = BuildSkewTable();
+  ScanSpec spec = SkewSpec();
+  spec.adaptive = true;
+  ScopedAdaptive adaptive(true);
+  const auto prepared = TableScanner::Prepare(table, spec);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->adaptive());
+  ASSERT_FALSE(cost::CalibratedProfile().For(uncalibrated).available);
+
+  const TableScanner::AdaptiveStats& stats = *prepared->adaptive_stats();
+  const size_t index = static_cast<size_t>(uncalibrated);
+  for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
+    const uint64_t counted = stats.chunk_engines[index].load();
+    EXPECT_EQ(prepared->AdaptEngine({uncalibrated, 0}, chunk).engine,
+              uncalibrated);
+    EXPECT_EQ(stats.chunk_engines[index].load(), counted + 1);
+  }
+  EXPECT_EQ(stats.engine_switches.load(), 0u);
 }
 
 TEST_F(AdversarialSkewTest, KillSwitchDisablesModelEntirely) {

@@ -13,11 +13,15 @@
 //
 // ReferenceScan: the ground truth the scan suites compare against (see
 // below). StrictOptions / JitOptions / ScanWith / CountWith: one engine on
-// the morsel executor.
+// the morsel executor. ReferenceStatistics: the row-loop ground truth for
+// TableStatistics::Compute.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,10 @@
 #include "fts/common/string_util.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/scan/table_scan.h"
+#include "fts/storage/bitpacked_column.h"
+#include "fts/storage/dictionary_column.h"
+#include "fts/storage/table_statistics.h"
+#include "fts/storage/value_column.h"
 
 namespace fts::testing {
 
@@ -125,6 +133,93 @@ inline StatusOr<uint64_t> CountWith(TablePtr table, const ScanSpec& spec,
   FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
                        TableScanner::Prepare(std::move(table), spec));
   return ExecuteParallelScanCount(scanner, StrictOptions({engine, 0}));
+}
+
+// Test-only reference for TableStatistics::Compute, sharing none of its
+// code: min/max from a row loop over every plain value (never the zone
+// maps), the sampled distinct count from a hash set of doubles. Same
+// per-chunk stride, sample and estimator formula as Compute.
+inline std::vector<ColumnStatistics> ReferenceStatistics(
+    const Table& table, size_t sample_limit = 1 << 16) {
+  std::vector<ColumnStatistics> columns(table.column_count());
+  for (size_t c = 0; c < table.column_count(); ++c) {
+    bool any = false;
+    double min = 0.0;
+    double max = 0.0;
+    const auto add = [&](double v) {
+      min = any ? std::min(min, v) : v;
+      max = any ? std::max(max, v) : v;
+      any = true;
+    };
+    std::unordered_set<double> sampled_distinct;
+    uint64_t sampled_rows = 0;
+    uint64_t dictionary_size = 0;
+    bool all_dictionary = true;
+    for (ChunkId chunk_id = 0; chunk_id < table.chunk_count(); ++chunk_id) {
+      const BaseColumn& column = table.chunk(chunk_id).column(c);
+      DispatchDataType(column.data_type(), [&](auto tag) {
+        using T = decltype(tag);
+        const auto add_dictionary = [&](const std::vector<T>& dict) {
+          if (!dict.empty()) {
+            add(static_cast<double>(dict.front()));
+            add(static_cast<double>(dict.back()));
+          }
+          dictionary_size = std::max<uint64_t>(dictionary_size, dict.size());
+        };
+        switch (column.encoding()) {
+          case ColumnEncoding::kDictionary:
+            add_dictionary(
+                static_cast<const DictionaryColumn<T>&>(column).dictionary());
+            break;
+          case ColumnEncoding::kBitPacked:
+            add_dictionary(
+                static_cast<const BitPackedColumn<T>&>(column).dictionary());
+            break;
+          case ColumnEncoding::kPlain: {
+            const auto& values =
+                static_cast<const ValueColumn<T>&>(column).values();
+            for (const T& v : values) add(static_cast<double>(v));
+            const size_t n = values.size();
+            const size_t stride =
+                std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
+            for (size_t i = 0; i < n; i += stride) {
+              sampled_distinct.insert(static_cast<double>(values[i]));
+              ++sampled_rows;
+            }
+            all_dictionary = false;
+            break;
+          }
+          default:
+            break;
+        }
+      });
+    }
+    ColumnStatistics& out = columns[c];
+    out.row_count = table.row_count();
+    out.min = min;
+    out.max = max;
+    for (ChunkId chunk_id = 0; chunk_id < table.chunk_count(); ++chunk_id) {
+      const ZoneMap* zone = table.chunk(chunk_id).zone_map(c);
+      if (zone == nullptr) {
+        out.zones.clear();
+        break;
+      }
+      out.zones.push_back({ValueAs<double>(zone->min),
+                           ValueAs<double>(zone->max), zone->row_count});
+    }
+    if (all_dictionary) {
+      out.distinct_count = static_cast<double>(dictionary_size);
+    } else if (sampled_rows > 0) {
+      const double scale = static_cast<double>(table.row_count()) /
+                           static_cast<double>(sampled_rows);
+      out.distinct_count =
+          std::min(static_cast<double>(table.row_count()),
+                   static_cast<double>(sampled_distinct.size()) *
+                       std::sqrt(scale));
+    }
+    out.distinct_count = std::max(out.distinct_count, 1.0);
+  }
+  return columns;
 }
 
 }  // namespace fts::testing
