@@ -46,9 +46,9 @@ class Database {
     // QueryResult::execution_report records the worker count and
     // per-morsel engine decisions.
     int threads = 0;
-    // Fold eligible aggregate projections inside the scan kernels instead
-    // of materializing a position list (see TranslatorOptions). Disable to
-    // force the materialize-then-aggregate path.
+    // Fold single-step aggregate projections inside the scan instead of
+    // over materialized position lists (see TranslatorOptions). Disable to
+    // force the fold over materialized position lists.
     bool aggregate_pushdown = true;
     // Wall-clock deadline for the whole query — admission queueing,
     // planning, and execution all count against it. 0 = none. The global

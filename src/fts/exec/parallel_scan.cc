@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fts/cost/cost_profile.h"
 #include "fts/jit/jit_scan_engine.h"
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
@@ -26,8 +27,9 @@ struct MorselOutcome {
   Status error;           // Last rung's failure when !ok.
   EngineChoice executed;  // Rung that ran when ok.
   size_t rung_index = 0;  // Ladder depth of `executed` (0 = requested).
-  // `executed` is the cost model's per-chunk pick (DESIGN.md §14), not a
-  // ladder rung: the switch is a choice, not a degradation.
+  // `executed` is a per-chunk choice, not a ladder rung: the cost model's
+  // pick (DESIGN.md §14), or the static engine that runs the positions
+  // fold of a chunk no JIT operator covers. A choice is not a degradation.
   bool adapted = false;
   std::vector<EngineAttempt> attempts;
   PosList positions;  // Materialize mode.
@@ -83,6 +85,17 @@ void FillCompressedReport(const TableScanner& scanner,
   report->delta_blocks_pruned =
       stats.delta_blocks_pruned.load(std::memory_order_relaxed);
   report->delta_blocks_decoded =
+      stats.delta_blocks_decoded.load(std::memory_order_relaxed);
+}
+
+// Copies which fold the scanner's aggregate chunks took.
+void FillAggFoldReport(const TableScanner& scanner, ExecutionReport* report) {
+  const TableScanner::AggFoldStats& stats = *scanner.agg_fold_stats();
+  report->agg_kernel_chunks =
+      stats.kernel_chunks.load(std::memory_order_relaxed);
+  report->agg_positions_chunks =
+      stats.positions_chunks.load(std::memory_order_relaxed);
+  report->agg_delta_blocks =
       stats.delta_blocks_decoded.load(std::memory_order_relaxed);
 }
 
@@ -189,7 +202,12 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
   bool jit_unavailable = false;
   Status jit_unavailable_status;
   for (size_t r = 0; r < walk_rungs->size(); ++r) {
-    const EngineChoice& choice = (*walk_rungs)[r];
+    EngineChoice choice = (*walk_rungs)[r];
+    // A chunk whose value terms fold through the positions sink has no
+    // generated operator: a JIT rung runs it on the best static engine.
+    const bool sink_choice = fold && choice.engine == ScanEngine::kJit &&
+                             plan.agg_needs_sink;
+    if (sink_choice) choice = {cost::BestFusedEngine(), 0};
     // Rung boundary = cancellation point: a deadline firing mid-ladder
     // (e.g. during a JIT compile on an earlier rung) aborts the walk
     // instead of demoting — lower rungs of a dead query cannot help.
@@ -233,7 +251,11 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
       out->executed = choice;
       // Ladder depth stays relative to the ORIGINAL rungs so the
       // deepest-rung report logic is unaffected by the prepended pick.
-      out->adapted = adapted_first && r == 0;
+      out->adapted = (adapted_first && r == 0) || sink_choice;
+      if (fold && choice.engine == ScanEngine::kJit) {
+        scanner.agg_fold_stats()->kernel_chunks.fetch_add(
+            1, std::memory_order_relaxed);
+      }
       out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
       out->ok = true;
       out->counters = region.Finish();
@@ -429,6 +451,7 @@ Status RunMorsels(const TableScanner& scanner,
   const Status status =
       ScheduleMorsels(scanner, options, mode, outcomes, report);
   FillCompressedReport(scanner, report);
+  FillAggFoldReport(scanner, report);
   FillAdaptiveReport(scanner, report);
   return status;
 }

@@ -70,12 +70,13 @@ StatusOr<uint64_t> ExecuteParallelScanCount(
     const TableScanner& scanner, const ParallelScanOptions& options,
     ExecutionReport* report = nullptr);
 
-// Aggregate-pushdown twin: every morsel folds the spec's aggregates inside
-// its kernel loop (JIT morsels compile a specialized aggregate operator)
-// and the per-morsel partial accumulators are merged in chunk order — the
-// result is byte-identical for every thread count and worker
-// interleaving. Requires the scanner's spec to carry
-// aggregates.
+// Aggregate-pushdown twin: every morsel folds the spec's aggregates —
+// inside its kernel loop (JIT morsels compile a specialized aggregate
+// operator), or through the positions sink for chunks the kernels cannot
+// fold (a JIT rung runs those on the best static engine) — and the
+// per-morsel partial accumulators are merged in chunk order: the result
+// is byte-identical for every thread count and worker interleaving.
+// Requires the scanner's spec to carry aggregates.
 StatusOr<TableScanner::AggResult> ExecuteParallelScanAggregate(
     const TableScanner& scanner, const ParallelScanOptions& options,
     ExecutionReport* report = nullptr);

@@ -197,24 +197,23 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
   }
   std::vector<JitAggSignature> aggs;
   aggs.reserve(num_terms);
-  bool count_terms_only = true;
   for (const AggTerm& term : plan.agg_terms) {
     aggs.push_back({term.op, term.type, term.domain});
-    count_terms_only = count_terms_only && term.op == AggOp::kCount;
   }
   // The accumulator array doubles as the generated operator's `out`
   // argument; its layout is mirrored field-for-field in generated code.
   uint32_t* const out = reinterpret_cast<uint32_t*>(accs);
+  if (plan.agg_needs_sink) {
+    // Value terms over a compressed-domain chain, or over a column the
+    // fold kernels cannot read, fold through the positions sink; no
+    // generated operator covers that shape (the morsel executor runs such
+    // chunks on the static path).
+    return Status::InvalidArgument(
+        "JIT aggregate operators do not fold through positions; the chunk "
+        "runs the positions fold on a static engine");
+  }
   if (!plan.compressed.empty()) {
-    // COUNT terms ride the all-RLE run-coiteration operator. Value terms
-    // need positions: the static engines materialize the compressed
-    // chain's positions and fold row-wise, and no generated aggregate
-    // operator covers that shape.
-    if (!count_terms_only) {
-      return Status::InvalidArgument(
-          "JIT aggregate operators over compressed-domain chains fold "
-          "COUNT terms only");
-    }
+    // COUNT terms ride the all-RLE run-coiteration operator.
     return RunRleChain(cache, plan, register_bits, std::move(aggs), out,
                        stats, ctx, compressed_stats);
   }

@@ -54,11 +54,14 @@ StatusOr<size_t> JitExecuteChunk(
 // and writes the partials into `accs` (one slot per term, reset here).
 // Zone-shortcut chunks are answered without compiling anything. Only plain
 // aggregate columns are JIT-eligible; dictionary / bit-packed terms return
-// InvalidArgument so the per-morsel ladder demotes to the static kernels.
-// When every term is COUNT (SELECT COUNT(*)), the generated loop only
-// popcounts, and an all-RLE compressed chain compiles the counting
-// run-coiteration operator (crediting `compressed_stats` like
-// JitExecuteChunk); other compressed chains return InvalidArgument.
+// InvalidArgument so the per-morsel ladder demotes to the static kernels,
+// and chunks whose value terms fold through the positions sink
+// (ChunkPlan::agg_needs_sink) return InvalidArgument too — the morsel
+// executor never sends them here. When every term is COUNT (SELECT
+// COUNT(*)), the generated loop only popcounts, and an all-RLE compressed
+// chain compiles the counting run-coiteration operator (crediting
+// `compressed_stats` like JitExecuteChunk); other compressed chains
+// return InvalidArgument.
 StatusOr<size_t> JitExecuteChunkAggregate(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
     AggAccumulator* accs, JitChunkStats* stats = nullptr,

@@ -16,6 +16,7 @@
 #include "fts/obs/trace.h"
 #include "fts/perf/branch_predictor.h"
 #include "fts/perf/counter_attribution.h"
+#include "fts/scan/positions_fold.h"
 #include "fts/scan/table_scan.h"
 
 namespace fts {
@@ -94,72 +95,6 @@ StatusOr<TableMatches> RefineMatches(const TablePtr& table,
   return refined;
 }
 
-// Evaluates the aggregate projection over the matched rows. Integer
-// columns accumulate in int64/uint64, floats in double; AVG always in
-// double. Per SQL semantics, MIN/MAX/AVG over zero matched rows yield
-// NULL; SUM stays a typed 0 and COUNT(*) a plain 0.
-std::vector<Value> ComputeAggregates(
-    const Table& table, const TableMatches& matches,
-    const std::vector<AggregateItem>& items) {
-  std::vector<Value> results;
-  results.reserve(items.size());
-  const uint64_t matched = matches.TotalMatches();
-
-  for (const AggregateItem& item : items) {
-    if (item.kind == AggregateKind::kCountStar) {
-      results.emplace_back(static_cast<uint64_t>(matched));
-      continue;
-    }
-    const size_t column_index = *table.ColumnIndex(item.column);
-    const DataType type = table.column_definition(column_index).type;
-
-    // Typed accumulation over the matched positions of every chunk.
-    DispatchDataType(type, [&](auto tag) {
-      using T = decltype(tag);
-      using Acc = std::conditional_t<
-          std::is_floating_point_v<T>, double,
-          std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>>;
-      Acc sum{};
-      double avg_sum = 0.0;
-      bool any = false;
-      T min_value{};
-      T max_value{};
-      for (const ChunkMatches& chunk : matches.chunks) {
-        const BaseColumn& column =
-            table.chunk(chunk.chunk_id).column(column_index);
-        for (const uint32_t pos : chunk.positions) {
-          const T value = ValueAs<T>(column.GetValue(pos));
-          sum += static_cast<Acc>(value);
-          avg_sum += static_cast<double>(value);
-          if (!any || value < min_value) min_value = value;
-          if (!any || value > max_value) max_value = value;
-          any = true;
-        }
-      }
-      switch (item.kind) {
-        case AggregateKind::kSum:
-          results.emplace_back(sum);
-          break;
-        case AggregateKind::kMin:
-          results.push_back(any ? Value(min_value) : NullValue());
-          break;
-        case AggregateKind::kMax:
-          results.push_back(any ? Value(max_value) : NullValue());
-          break;
-        case AggregateKind::kAvg:
-          results.push_back(matched == 0
-                                ? NullValue()
-                                : Value(avg_sum /
-                                        static_cast<double>(matched)));
-          break;
-        case AggregateKind::kCountStar:
-          break;  // Handled above.
-      }
-    });
-  }
-  return results;
-}
-
 // Folds one refine step's measured region (on the calling thread) into the
 // report's whole-query counters. Refine steps run no engine, so the region
 // is attributed to the stage only. No-op when the region produced no valid
@@ -199,13 +134,17 @@ StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
 }
 
 // Turns the merged accumulators into the aggregate projection's output
-// row, matching the materialize path's Value types exactly (typed SUM in
-// int64/uint64/double, MIN/MAX in the column's own type, AVG in double)
-// so the two paths are comparable value-for-value. MIN/MAX/AVG over zero
-// matched rows yield NULL; SUM stays a typed 0 and COUNT(*) a plain 0.
-StatusOr<std::vector<Value>> FinalizeAggregates(
-    const Table& table, const std::vector<AggregateItem>& items,
-    const std::vector<int>& bindings, const TableScanner::AggResult& agg) {
+// row and column names on `result` — the one finalizer of every aggregate
+// path: typed SUM in int64/uint64/double (integer sums exact mod 2^64),
+// MIN/MAX in the column's own type, AVG = sum / count in double.
+// MIN/MAX/AVG over zero matched rows yield NULL; SUM stays a typed 0 and
+// COUNT(*) a plain 0.
+Status FinalizeAggregates(const PhysicalPlan& plan,
+                          const TableScanner::AggResult& agg,
+                          QueryResult* result) {
+  const Table& table = *plan.table;
+  const std::vector<AggregateItem>& items = plan.aggregate_items;
+  const std::vector<int>& bindings = plan.agg_bindings;
   if (bindings.size() != items.size()) {
     return Status::Internal("aggregate pushdown bindings out of sync");
   }
@@ -282,7 +221,11 @@ StatusOr<std::vector<Value>> FinalizeAggregates(
       }
     });
   }
-  return results;
+  result->rows.push_back(std::move(results));
+  for (const AggregateItem& item : items) {
+    result->column_names.push_back(item.ToString());
+  }
+  return Status::Ok();
 }
 
 StatusOr<TableMatches> RunStep(const PhysicalPlan& plan,
@@ -446,10 +389,44 @@ void FillStageCounters(const ExecutionReport& report, uint64_t cycles_before,
   stage->branch_misses = sc.branch_misses - misses_before;
 }
 
-// The pushed-down aggregate path: one fused pass folds every term inside
-// the scan kernels, the per-chunk partials merge in chunk order, and the
-// accumulators finalize straight into the output row (or into
-// QueryResult::count for COUNT(*)). No position list is ever materialized.
+// Folds the position lists of a plan that did not push its aggregates
+// down (multi-step plans, more than kMaxAggTerms terms, or pushdown
+// switched off) through the positions sink: per-chunk partials merged in
+// chunk order, exactly as the pushed-down morsels merge. `kernel` picks
+// the batch-gather kernel.
+StatusOr<TableScanner::AggResult> FoldMatches(const PhysicalPlan& plan,
+                                              const TableMatches& matches,
+                                              FusedKernelKind kernel,
+                                              ExecutionReport* report) {
+  FTS_ASSIGN_OR_RETURN(const PositionsFoldSink sink,
+                       PositionsFoldSink::Prepare(plan.table, plan.agg_terms));
+  FTS_ASSIGN_OR_RETURN(const GatherFn fn, GetGatherKernel(kernel));
+  TableScanner::AggResult result;
+  result.accumulators.resize(sink.num_terms());
+  result.matched = matches.TotalMatches();
+  std::vector<AggAccumulator> partial(sink.num_terms());
+  GatherStats stats;
+  for (const ChunkMatches& chunk : matches.chunks) {
+    if (chunk.positions.empty()) continue;
+    FTS_RETURN_IF_ERROR(CheckCancellation(plan.context));
+    std::fill(partial.begin(), partial.end(), AggAccumulator{});
+    sink.Fold(fn, chunk.chunk_id, chunk.positions.data(),
+              chunk.positions.size(), partial.data(), &stats);
+    for (size_t t = 0; t < partial.size(); ++t) {
+      result.accumulators[t].Merge(partial[t]);
+    }
+    ++report->agg_positions_chunks;
+  }
+  report->agg_delta_blocks = stats.delta_blocks_decoded;
+  report->rows_folded = result.matched;
+  return result;
+}
+
+// The pushed-down aggregate path: one pass folds every term inside the
+// scan (kernel loop or positions sink per chunk), the per-chunk partials
+// merge in chunk order, and the accumulators finalize straight into the
+// output row (or into QueryResult::count for COUNT(*)). The query's
+// position lists are never materialized.
 StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan,
                                                int threads) {
   QueryResult result;
@@ -481,14 +458,7 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan,
     result.count = agg->matched;
     result.column_names = {"count"};
   } else {
-    FTS_ASSIGN_OR_RETURN(
-        std::vector<Value> row,
-        FinalizeAggregates(*plan.table, plan.aggregate_items,
-                           plan.pushdown_bindings, *agg));
-    result.rows.push_back(std::move(row));
-    for (const AggregateItem& item : plan.aggregate_items) {
-      result.column_names.push_back(item.ToString());
-    }
+    FTS_RETURN_IF_ERROR(FinalizeAggregates(plan, *agg, &result));
   }
   result.matched_rows = agg->matched;
   report.stages.push_back(StageReport{"Aggregate [pushdown]", agg->matched,
@@ -497,29 +467,6 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan,
 }
 
 // ---- Late-materialization projection (DESIGN.md §16) ----
-
-// Batch-gather kernel matched to the scan engine that produced the
-// positions. The SISD engines gather with the scalar kernel.
-FusedKernelKind GatherKindFor(ScanEngine engine) {
-  switch (engine) {
-    case ScanEngine::kSisdNoVec:
-    case ScanEngine::kSisdAutoVec:
-    case ScanEngine::kScalarFused:
-      return FusedKernelKind::kScalar;
-    case ScanEngine::kAvx2Fused128:
-      return FusedKernelKind::kAvx2_128;
-    case ScanEngine::kAvx512Fused128:
-      return FusedKernelKind::kAvx512_128;
-    case ScanEngine::kAvx512Fused256:
-      return FusedKernelKind::kAvx512_256;
-    case ScanEngine::kAvx512Fused512:
-    case ScanEngine::kJit:
-      return FusedKernelKind::kAvx512_512;
-    case ScanEngine::kBlockwise:
-      return BestAvailableKernel();
-  }
-  return FusedKernelKind::kScalar;
-}
 
 // Unboxes one gathered column into double sort keys (the ValueAs<double>
 // domain).
@@ -626,7 +573,7 @@ Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
       ProjectionGatherer::Prepare(plan.table, plan.projection_indexes));
 
   const FusedKernelKind kind =
-      GatherKindFor(result->execution_report.executed.engine);
+      GatherKernelFor(result->execution_report.executed.engine);
   ParallelProjectOptions options;
   options.kernel = kind;
   options.threads = threads;
@@ -747,23 +694,15 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
   FTS_RETURN_IF_ERROR(CheckCancellation(plan.context));
 
   if (plan.empty_result) {
-    TableMatches none;
-    none.chunks.resize(plan.table->chunk_count());
-    for (ChunkId chunk_id = 0; chunk_id < plan.table->chunk_count();
-         ++chunk_id) {
-      none.chunks[chunk_id].chunk_id = chunk_id;
-    }
     QueryResult result;
     result.matched_rows = 0;
     if (plan.output == PhysicalPlan::Output::kCountStar) {
       result.count = 0;
       result.column_names = {"count"};
     } else if (plan.output == PhysicalPlan::Output::kAggregate) {
-      result.rows.push_back(
-          ComputeAggregates(*plan.table, none, plan.aggregate_items));
-      for (const AggregateItem& item : plan.aggregate_items) {
-        result.column_names.push_back(item.ToString());
-      }
+      TableScanner::AggResult none;
+      none.accumulators.resize(plan.agg_terms.size());
+      FTS_RETURN_IF_ERROR(FinalizeAggregates(plan, none, &result));
     } else {
       result.column_names = plan.projection_names;
     }
@@ -839,11 +778,14 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
   }
   if (plan.output == PhysicalPlan::Output::kAggregate) {
     Stopwatch aggregate_timer;
-    result.rows.push_back(
-        ComputeAggregates(*plan.table, *matches, plan.aggregate_items));
-    for (const AggregateItem& item : plan.aggregate_items) {
-      result.column_names.push_back(item.ToString());
-    }
+    const FusedKernelKind kernel =
+        plan.scan_steps.empty()
+            ? BestAvailableKernel()
+            : GatherKernelFor(result.execution_report.executed.engine);
+    FTS_ASSIGN_OR_RETURN(
+        const TableScanner::AggResult folded,
+        FoldMatches(plan, *matches, kernel, &result.execution_report));
+    FTS_RETURN_IF_ERROR(FinalizeAggregates(plan, folded, &result));
     result.execution_report.stages.push_back(
         StageReport{"Aggregate", result.matched_rows, 1,
                     aggregate_timer.ElapsedMillis()});
@@ -893,13 +835,25 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
                        output_stage->millis);
     }
     out += "\n";
-    out += StrFormat("  AggregatePushdown: %s",
-                     report.aggregate_pushdown ? "yes" : "no");
+    // Which fold each chunk took: a kernel loop, or positions through
+    // the sink (plans that do not push down fold positions only).
+    out += StrFormat("  AggregatePushdown: %s (rows folded=%llu",
+                     report.aggregate_pushdown ? "yes" : "no",
+                     static_cast<unsigned long long>(report.rows_folded));
     if (report.aggregate_pushdown) {
-      out += StrFormat(" (rows folded=%llu)",
-                       static_cast<unsigned long long>(report.rows_folded));
+      out += StrFormat(
+          ", kernel chunks=%llu",
+          static_cast<unsigned long long>(report.agg_kernel_chunks));
     }
-    out += "\n";
+    out += StrFormat(
+        ", positions chunks=%llu",
+        static_cast<unsigned long long>(report.agg_positions_chunks));
+    if (report.agg_delta_blocks > 0) {
+      out += StrFormat(
+          ", delta blocks decoded=%llu",
+          static_cast<unsigned long long>(report.agg_delta_blocks));
+    }
+    out += ")\n";
   } else {
     out += "Project: " + Join(plan.projection_names, ", ");
     if (output_stage != nullptr) {

@@ -100,9 +100,9 @@ struct PhysicalPlan {
 
   // Result shape. kCountStar (SELECT COUNT(*)) answers in
   // QueryResult::count; kAggregate returns one row of aggregate values;
-  // kProject returns the projected rows. Both aggregate shapes execute the
-  // same way: pushed down as fold terms when `pushdown_step` is set, else
-  // materialize-then-aggregate.
+  // kProject returns the projected rows. Both aggregate shapes fold the
+  // same terms: pushed down into the scan when `pushdown_step` is set,
+  // else over the refined position lists through the positions sink.
   enum class Output : uint8_t { kCountStar, kAggregate, kProject };
   Output output = Output::kCountStar;
   // Set when the optimizer proved the conjunction contradictory: the plan
@@ -115,17 +115,20 @@ struct PhysicalPlan {
   // single item COUNT(*)). kCountStar differs only in its result shape:
   // QueryResult::count and the one column name "count".
   std::vector<AggregateItem> aggregate_items;
-  // Aggregate pushdown (output == kAggregate or kCountStar, set by the
-  // translator for eligible plans): a copy of the single scan step (or a
-  // predicate-less step when the query has no WHERE) whose
-  // spec.aggregates carry the fold terms, deduplicated by (op, column)
+  // The aggregate projection's fold terms, deduplicated by (op, column)
   // with AVG lowered to SUM — every term tracks its own match count, so
-  // AVG finalizes as sum/count and COUNT(*) is one COUNT term.
-  // `pushdown_bindings[i]` is the term index answering aggregate_items[i].
-  // When set, the executor folds aggregates inside the scan kernels and
-  // never materializes a position list.
+  // AVG finalizes as sum/count and COUNT(*) is one column-less COUNT
+  // term. `agg_bindings[i]` is the term index answering
+  // aggregate_items[i].
+  std::vector<AggregateSpec> agg_terms;
+  std::vector<int> agg_bindings;
+  // Aggregate pushdown (set by the translator for single-step plans with
+  // at most kMaxAggTerms terms): a copy of the single scan step (or a
+  // predicate-less step when the query has no WHERE) whose
+  // spec.aggregates are `agg_terms`. When set, the executor folds the
+  // terms inside the scan and never materializes the query's position
+  // lists.
   std::optional<ScanStep> pushdown_step;
-  std::vector<int> pushdown_bindings;
   // ORDER BY / LIMIT for projection outputs.
   std::optional<size_t> order_by_index;
   bool order_descending = false;

@@ -2,7 +2,6 @@
 
 #include "fts/common/string_util.h"
 #include "fts/simd/agg_spec.h"
-#include "fts/simd/scan_stage.h"
 
 namespace fts {
 namespace {
@@ -11,80 +10,58 @@ PredicateSpec ToPredicateSpec(const AstPredicate& predicate) {
   return PredicateSpec{predicate.column, predicate.op, predicate.literal};
 }
 
-// Routes an eligible aggregate projection — COUNT(*) included, as a single
-// COUNT term — onto the scan: the plan's single scan step (or a
-// synthesized predicate-less step when the query has no WHERE) gains
-// spec.aggregates, and the executor folds them inside the kernel loop
-// without materializing a position list. Ineligible plans are left
-// untouched and run materialize-then-aggregate:
-//   - multi-step (non-fused) scan chains refine position lists, which the
-//     fold kernels never produce;
-//   - 8/16-bit plain columns have no fused fold (dictionary chunks widen
-//     their decode tables per chunk, but the logical type gates here);
-//   - more distinct (op, column) terms than kMaxAggTerms.
-void PlanAggregatePushdown(PhysicalPlan* plan,
-                           const TranslatorOptions& options) {
-  if (plan->output == PhysicalPlan::Output::kProject) return;
-  if (plan->empty_result || plan->scan_steps.size() > 1) return;
-
-  std::vector<AggregateSpec> terms;
-  std::vector<int> bindings;
-  const auto term_index = [&terms](AggOp op, const std::string& column) {
-    for (size_t i = 0; i < terms.size(); ++i) {
-      if (terms[i].op == op && terms[i].column == column) {
-        return static_cast<int>(i);
-      }
-    }
-    if (terms.size() == kMaxAggTerms) return -1;
-    terms.push_back(AggregateSpec{op, column});
-    return static_cast<int>(terms.size()) - 1;
-  };
-
+// Lowers the aggregate projection (COUNT(*) included) to fold terms:
+// deduplicated by (op, column), AVG lowered to SUM (every term tracks its
+// own match count, so AVG finalizes as sum/count), COUNT(*) a column-less
+// COUNT term. `agg_bindings[i]` is the term answering aggregate_items[i].
+Status LowerAggregates(PhysicalPlan* plan) {
   for (const AggregateItem& item : plan->aggregate_items) {
-    if (item.kind == AggregateKind::kCountStar) {
-      const int index = term_index(AggOp::kCount, std::string());
-      if (index < 0) return;
-      bindings.push_back(index);
-      continue;
-    }
-    const StatusOr<size_t> column = plan->table->ColumnIndex(item.column);
-    // Unknown columns fall through to the materialize path, which surfaces
-    // the error with its usual message.
-    if (!column.ok()) return;
-    const DataType type = plan->table->column_definition(*column).type;
-    if (!ScanElementTypeFromDataType(type).ok()) return;
-    // The fold kernels read plain/dictionary/bit-packed operands only
-    // (BuildAggTerm rejects the rest per chunk); one RLE/FoR/delta chunk
-    // sends the whole query down the materialize path instead of failing
-    // mid-scan.
-    for (ChunkId chunk = 0; chunk < plan->table->chunk_count(); ++chunk) {
-      const ColumnEncoding encoding =
-          plan->table->chunk(chunk).column(*column).encoding();
-      if (!IsKernelScannable(encoding) ||
-          encoding == ColumnEncoding::kFor) {
-        return;
-      }
-    }
-    AggOp op = AggOp::kCount;
+    AggregateSpec term;
     switch (item.kind) {
+      case AggregateKind::kCountStar:
+        term.op = AggOp::kCount;
+        break;
       case AggregateKind::kSum:
       case AggregateKind::kAvg:
-        op = AggOp::kSum;
+        term.op = AggOp::kSum;
         break;
       case AggregateKind::kMin:
-        op = AggOp::kMin;
+        term.op = AggOp::kMin;
         break;
       case AggregateKind::kMax:
-        op = AggOp::kMax;
+        term.op = AggOp::kMax;
         break;
-      case AggregateKind::kCountStar:
-        return;  // Handled above.
     }
-    const int index = term_index(op, item.column);
-    if (index < 0) return;
-    bindings.push_back(index);
+    if (item.kind != AggregateKind::kCountStar) {
+      FTS_RETURN_IF_ERROR(plan->table->ColumnIndex(item.column).status());
+      term.column = item.column;
+    }
+    size_t index = 0;
+    while (index < plan->agg_terms.size() &&
+           !(plan->agg_terms[index].op == term.op &&
+             plan->agg_terms[index].column == term.column)) {
+      ++index;
+    }
+    if (index == plan->agg_terms.size()) plan->agg_terms.push_back(term);
+    plan->agg_bindings.push_back(static_cast<int>(index));
   }
+  return Status::Ok();
+}
 
+// Routes the fold terms onto the scan: the plan's single scan step (or a
+// synthesized predicate-less step when the query has no WHERE) gains
+// spec.aggregates, and the executor folds them inside the scan, per chunk
+// in a kernel loop or through the positions sink, without materializing
+// the query's position lists. Multi-step (non-fused) scan chains refine
+// position lists and plans with more than kMaxAggTerms terms exceed the
+// kernels' accumulator array; both stay unpushed and fold their refined
+// position lists through the same sink.
+void PlanAggregatePushdown(PhysicalPlan* plan,
+                           const TranslatorOptions& options) {
+  if (plan->empty_result || plan->scan_steps.size() > 1 ||
+      plan->agg_terms.size() > kMaxAggTerms) {
+    return;
+  }
   PhysicalPlan::ScanStep step;
   if (!plan->scan_steps.empty()) {
     step = plan->scan_steps[0];
@@ -94,9 +71,8 @@ void PlanAggregatePushdown(PhysicalPlan* plan,
     step.engine = options.engine;
     step.jit_register_bits = options.jit_register_bits;
   }
-  step.spec.aggregates = std::move(terms);
+  step.spec.aggregates = plan->agg_terms;
   plan->pushdown_step = std::move(step);
-  plan->pushdown_bindings = std::move(bindings);
 }
 
 }  // namespace
@@ -226,8 +202,11 @@ StatusOr<PhysicalPlan> TranslateLqp(const LqpNodePtr& root,
 
   plan.scan_steps.assign(steps_root_first.rbegin(),
                          steps_root_first.rend());
-  if (options.enable_aggregate_pushdown) {
-    PlanAggregatePushdown(&plan, options);
+  if (plan.output != PhysicalPlan::Output::kProject) {
+    FTS_RETURN_IF_ERROR(LowerAggregates(&plan));
+    if (options.enable_aggregate_pushdown) {
+      PlanAggregatePushdown(&plan, options);
+    }
   }
   return plan;
 }

@@ -21,10 +21,11 @@ struct TranslatorOptions {
   // (PhysicalPlan::threads; 0 = FTS_THREADS env, defaulting to
   // single-threaded).
   int threads = 0;
-  // Fold eligible aggregate projections inside the scan kernels (masked
-  // SIMD accumulators; no position list). Disabled, every aggregate runs
-  // the materialize-then-aggregate path — the bench harness uses this to
-  // measure the pushdown speedup.
+  // Fold single-step aggregate projections inside the scan (kernel loop
+  // or positions sink per chunk; no query-wide position lists). Disabled,
+  // every aggregate folds its materialized position lists through the
+  // positions sink — the bench harness uses this to measure the pushdown
+  // speedup.
   bool enable_aggregate_pushdown = true;
   // Query lifecycle context (fts/common/query_context.h); threaded into
   // every ScanStep's spec and the plan itself so deadlines, cancellation

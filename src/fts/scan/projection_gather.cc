@@ -91,32 +91,39 @@ void GatherTyped(const BaseColumn& column, const ChunkOffset* positions,
 
 // RLE: ascending positions advance a run cursor in tandem with the
 // cumulative run ends — O(survivors + runs touched), no binary search,
-// and runs without survivors are skipped by the inner advance.
+// and runs without survivors are skipped by the inner advance. `*run`
+// resumes where the previous batch of the same chunk stopped.
 template <typename T>
 void GatherRle(const RleColumn<T>& column, const ChunkOffset* positions,
-               size_t n, T* dst) {
+               size_t n, T* dst, size_t* run) {
   const AlignedVector<uint32_t>& ends = column.run_ends();
   const std::vector<T>& values = column.run_values();
-  size_t run = 0;
+  size_t r = *run;
   for (size_t i = 0; i < n; ++i) {
     const ChunkOffset pos = positions[i];
-    while (ends[run] <= pos) ++run;
-    dst[i] = values[run];
+    while (ends[r] <= pos) ++r;
+    dst[i] = values[r];
   }
+  *run = r;
 }
 
 // Delta: decode only the blocks that contain survivors; blocks without a
-// survivor are never prefix-reconstructed.
+// survivor are never prefix-reconstructed, and the block the previous
+// batch ended in is not decoded twice.
 template <typename T>
 uint64_t GatherDelta(const DeltaColumn<T>& column,
-                     const ChunkOffset* positions, size_t n, T* dst) {
-  T buffer[kDeltaBlockRows];
+                     const ChunkOffset* positions, size_t n, T* dst,
+                     GatherCursor* cursor) {
+  T* const buffer = reinterpret_cast<T*>(cursor->block_values);
   uint64_t blocks_decoded = 0;
   size_t i = 0;
   while (i < n) {
     const size_t block = positions[i] / kDeltaBlockRows;
-    column.DecodeBlock(block, buffer);
-    ++blocks_decoded;
+    if (block != cursor->block) {
+      column.DecodeBlock(block, buffer);
+      cursor->block = block;
+      ++blocks_decoded;
+    }
     const uint64_t block_start =
         static_cast<uint64_t>(block) * kDeltaBlockRows;
     const uint64_t block_end = block_start + kDeltaBlockRows;
@@ -129,6 +136,27 @@ uint64_t GatherDelta(const DeltaColumn<T>& column,
 }
 
 }  // namespace
+
+FusedKernelKind GatherKernelFor(ScanEngine engine) {
+  switch (engine) {
+    case ScanEngine::kSisdNoVec:
+    case ScanEngine::kSisdAutoVec:
+    case ScanEngine::kScalarFused:
+      return FusedKernelKind::kScalar;
+    case ScanEngine::kAvx2Fused128:
+      return FusedKernelKind::kAvx2_128;
+    case ScanEngine::kAvx512Fused128:
+      return FusedKernelKind::kAvx512_128;
+    case ScanEngine::kAvx512Fused256:
+      return FusedKernelKind::kAvx512_256;
+    case ScanEngine::kAvx512Fused512:
+    case ScanEngine::kJit:
+      return FusedKernelKind::kAvx512_512;
+    case ScanEngine::kBlockwise:
+      return BestAvailableKernel();
+  }
+  return FusedKernelKind::kScalar;
+}
 
 StatusOr<ProjectionGatherer> ProjectionGatherer::Prepare(
     TablePtr table, std::vector<size_t> columns) {
@@ -241,9 +269,20 @@ void ProjectionGatherer::GatherChunkColumn(
     const ChunkOffset* positions, size_t n, ColumnarResult* out,
     size_t dst_offset, GatherStats* stats) const {
   if (n == 0) return;
+  GatherCursor cursor;
+  GatherColumnInto(fn, chunk_id, out_column, positions, n,
+                   out->MutableData(out_column, dst_offset), &cursor, stats);
+}
+
+void ProjectionGatherer::GatherColumnInto(GatherFn fn, ChunkId chunk_id,
+                                          size_t out_column,
+                                          const ChunkOffset* positions,
+                                          size_t n, void* dst,
+                                          GatherCursor* cursor,
+                                          GatherStats* stats) const {
+  if (n == 0) return;
   const ColumnChunkPlan& plan =
       plans_[static_cast<size_t>(chunk_id) * columns_.size() + out_column];
-  void* dst = out->MutableData(out_column, dst_offset);
   stats->rows_by_encoding[static_cast<size_t>(plan.encoding)] += n;
   switch (plan.path) {
     case Path::kKernel:
@@ -261,7 +300,7 @@ void ProjectionGatherer::GatherChunkColumn(
       DispatchDataType(output_types_[out_column], [&](auto tag) {
         using T = decltype(tag);
         GatherRle<T>(static_cast<const RleColumn<T>&>(*plan.column),
-                     positions, n, static_cast<T*>(dst));
+                     positions, n, static_cast<T*>(dst), &cursor->run);
       });
       stats->typed_rows += n;
       return;
@@ -271,7 +310,7 @@ void ProjectionGatherer::GatherChunkColumn(
         if constexpr (std::is_integral_v<T>) {
           stats->delta_blocks_decoded += GatherDelta<T>(
               static_cast<const DeltaColumn<T>&>(*plan.column), positions,
-              n, static_cast<T*>(dst));
+              n, static_cast<T*>(dst), cursor);
         }
       });
       stats->typed_rows += n;

@@ -1,15 +1,18 @@
 #ifndef FTS_SCAN_PROJECTION_GATHER_H_
 #define FTS_SCAN_PROJECTION_GATHER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fts/common/status.h"
+#include "fts/scan/scan_engine.h"
 #include "fts/simd/dispatch.h"
 #include "fts/simd/gather_spec.h"
 #include "fts/storage/column.h"
 #include "fts/storage/columnar_result.h"
+#include "fts/storage/delta_column.h"
 #include "fts/storage/pos_list.h"
 #include "fts/storage/table.h"
 
@@ -34,6 +37,21 @@ struct GatherStats {
     typed_rows += o.typed_rows;
     delta_blocks_decoded += o.delta_blocks_decoded;
   }
+};
+
+// Batch-gather kernel matched to the scan engine that produced the
+// positions. The SISD engines gather with the scalar kernel.
+FusedKernelKind GatherKernelFor(ScanEngine engine);
+
+// Decode state one column carries across consecutive calls over the same
+// chunk's ascending positions (the aggregate positions sink decodes a
+// chunk's survivors in small batches): the RLE run cursor and the last
+// delta block decoded. A fresh cursor starts at the chunk's first run and
+// holds no block.
+struct GatherCursor {
+  size_t run = 0;
+  size_t block = static_cast<size_t>(-1);
+  alignas(8) std::byte block_values[kDeltaBlockRows * sizeof(uint64_t)];
 };
 
 // Late-materialization projector: turns per-chunk survivor position lists
@@ -80,6 +98,14 @@ class ProjectionGatherer {
                          const ChunkOffset* positions, size_t n,
                          ColumnarResult* out, size_t dst_offset,
                          GatherStats* stats) const;
+
+  // Decodes column `out_column` at the `n` ascending offsets into `dst`, a
+  // dense array of output_type(out_column) elements. `cursor` carries the
+  // run/block state from the previous call over the same chunk, so a
+  // chunk's positions may arrive in consecutive ascending batches.
+  void GatherColumnInto(GatherFn fn, ChunkId chunk_id, size_t out_column,
+                        const ChunkOffset* positions, size_t n, void* dst,
+                        GatherCursor* cursor, GatherStats* stats) const;
 
   size_t column_count() const { return columns_.size(); }
   DataType output_type(size_t c) const { return output_types_[c]; }

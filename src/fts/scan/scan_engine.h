@@ -221,12 +221,21 @@ struct ExecutionReport {
   uint64_t gather_delta_blocks = 0;
   double project_est_millis = 0.0;
   // Aggregate pushdown: true when the plan folded its aggregates inside
-  // the scan kernels instead of materializing a position list (a
+  // the scan instead of materializing the query's position lists (a
   // pushed-down COUNT(*) is a one-term fold, so it sets this too);
   // `rows_folded` counts the matched rows folded into accumulators
-  // (zone-shortcut chunks contribute without being scanned).
+  // (zone-shortcut chunks contribute without being scanned). Per chunk,
+  // the fold ran in a kernel loop (`agg_kernel_chunks`: fused or JIT
+  // kernel, or zone maps) or through the positions sink
+  // (`agg_positions_chunks`, fts/scan/positions_fold.h), whose delta
+  // decoder prefix-reconstructed `agg_delta_blocks` blocks. Plans that
+  // do not push down fold their refined position lists through the same
+  // sink and fill the same counters.
   bool aggregate_pushdown = false;
   uint64_t rows_folded = 0;
+  uint64_t agg_kernel_chunks = 0;
+  uint64_t agg_positions_chunks = 0;
+  uint64_t agg_delta_blocks = 0;
   // JIT attribution: wall time spent compiling inside this query (0 when
   // every kernel came from the cache) and cache hit/miss counts across the
   // query's chunk executions.

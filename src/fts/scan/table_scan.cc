@@ -320,73 +320,58 @@ AggDomain AggDomainForType(DataType type) {
 // Builds the AggTerm for one aggregate against one chunk's column and
 // appends it to `plan`. Dictionary / bit-packed columns get a decode table
 // widened to 8 bytes per entry (owned by plan->agg_dicts) so the kernels
-// fold decoded values without per-row type dispatch.
-Status BuildAggTerm(const Chunk& chunk,
-                    const std::optional<size_t>& column_index, AggOp op,
-                    TableScanner::ChunkPlan* plan) {
+// fold decoded values without per-row type dispatch. Columns the kernels
+// cannot read (RLE, FoR, delta, 8/16-bit plain) get an op/domain-only
+// term and send the chunk through the positions fold.
+void BuildAggTerm(const Chunk& chunk,
+                  const std::optional<size_t>& column_index, AggOp op,
+                  TableScanner::ChunkPlan* plan) {
   AggTerm term;
   term.op = op;
   if (!column_index.has_value()) {  // COUNT(*): no column read.
     plan->agg_terms.push_back(term);
-    return Status::Ok();
+    return;
   }
   const BaseColumn& column = chunk.column(*column_index);
   term.domain = AggDomainForType(column.data_type());
-  if (!IsKernelScannable(column.encoding()) ||
-      column.encoding() == ColumnEncoding::kFor) {
-    // RLE/delta terms would need per-row decode inside the kernel loop and
-    // FoR would need a rebase-add per fold; the planner routes these to
-    // the materialize-then-aggregate path (fts/plan/translator.cc), so
-    // only direct API callers can reach this.
-    return Status::InvalidArgument(StrFormat(
-        "aggregate pushdown folds plain/dictionary/bit-packed columns "
-        "only; column is %s-encoded",
-        ColumnEncodingName(column.encoding())));
-  }
+  const StatusOr<ScanElementType> element =
+      ScanElementTypeFromDataType(column.scan_type());
   if (column.encoding() == ColumnEncoding::kDictionary ||
       column.encoding() == ColumnEncoding::kBitPacked) {
     term.data = column.scan_data();
     term.type = ScanElementType::kU32;
     term.packed_bits = column.packed_bit_width();
-    FTS_RETURN_IF_ERROR(DispatchDataType(
-        column.data_type(), [&](auto tag) -> Status {
-          using T = decltype(tag);
-          const std::vector<T>& dict =
-              column.encoding() == ColumnEncoding::kDictionary
-                  ? static_cast<const DictionaryColumn<T>&>(column)
-                        .dictionary()
-                  : static_cast<const BitPackedColumn<T>&>(column)
-                        .dictionary();
-          if constexpr (std::is_floating_point_v<T>) {
-            auto widened = std::make_shared<std::vector<double>>(
-                dict.begin(), dict.end());
-            term.dict = widened->data();
-            plan->agg_dicts.emplace_back(std::move(widened));
-          } else if constexpr (std::is_signed_v<T>) {
-            auto widened = std::make_shared<std::vector<int64_t>>(
-                dict.begin(), dict.end());
-            term.dict = widened->data();
-            plan->agg_dicts.emplace_back(std::move(widened));
-          } else {
-            auto widened = std::make_shared<std::vector<uint64_t>>(
-                dict.begin(), dict.end());
-            term.dict = widened->data();
-            plan->agg_dicts.emplace_back(std::move(widened));
-          }
-          return Status::Ok();
-        }));
-    plan->agg_terms.push_back(term);
-    return Status::Ok();
+    DispatchDataType(column.data_type(), [&](auto tag) {
+      using T = decltype(tag);
+      const std::vector<T>& dict =
+          column.encoding() == ColumnEncoding::kDictionary
+              ? static_cast<const DictionaryColumn<T>&>(column).dictionary()
+              : static_cast<const BitPackedColumn<T>&>(column).dictionary();
+      if constexpr (std::is_floating_point_v<T>) {
+        auto widened =
+            std::make_shared<std::vector<double>>(dict.begin(), dict.end());
+        term.dict = widened->data();
+        plan->agg_dicts.emplace_back(std::move(widened));
+      } else if constexpr (std::is_signed_v<T>) {
+        auto widened =
+            std::make_shared<std::vector<int64_t>>(dict.begin(), dict.end());
+        term.dict = widened->data();
+        plan->agg_dicts.emplace_back(std::move(widened));
+      } else {
+        auto widened = std::make_shared<std::vector<uint64_t>>(dict.begin(),
+                                                               dict.end());
+        term.dict = widened->data();
+        plan->agg_dicts.emplace_back(std::move(widened));
+      }
+    });
+  } else if (column.encoding() == ColumnEncoding::kPlain && element.ok()) {
+    // Plain 32/64-bit column: the SIMD gathers read the values directly.
+    term.type = *element;
+    term.data = column.scan_data();
+  } else {
+    plan->agg_positions = true;
   }
-  // Plain column: the SIMD gathers read the values directly, so the
-  // element type must be scan-supported (32/64-bit). 8/16-bit plain
-  // columns are rejected here; the planner routes those to the
-  // materialize-then-aggregate path instead.
-  FTS_ASSIGN_OR_RETURN(term.type,
-                       ScanElementTypeFromDataType(column.scan_type()));
-  term.data = column.scan_data();
   plan->agg_terms.push_back(term);
-  return Status::Ok();
 }
 
 // When every conjunct of a chunk was proved tautological and every term is
@@ -618,6 +603,7 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   double est_rows = 0.0;
 
   std::vector<ChunkPlan> plans;
+  bool needs_sink = false;
   plans.reserve(table->chunk_count());
   PruningSummary pruning;
   pruning.chunks_total = table->chunk_count();
@@ -739,12 +725,17 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
     }
     if (!spec.aggregates.empty() && !plan.impossible) {
       for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-        FTS_RETURN_IF_ERROR(BuildAggTerm(chunk, agg_columns[a],
-                                         spec.aggregates[a].op, &plan));
+        BuildAggTerm(chunk, agg_columns[a], spec.aggregates[a].op, &plan);
+      }
+      plan.agg_positions = plan.agg_positions || !plan.compressed.empty();
+      for (const AggTerm& term : plan.agg_terms) {
+        plan.agg_needs_sink = plan.agg_needs_sink ||
+                              (plan.agg_positions && term.op != AggOp::kCount);
       }
       if (options.use_zone_maps) {
         TryAggZoneShortcut(chunk, agg_columns, &plan);
       }
+      needs_sink = needs_sink || plan.agg_positions;
     }
     plans.push_back(std::move(plan));
   }
@@ -757,6 +748,13 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   scanner.chunks_reordered_ = chunks_reordered;
   scanner.runnable_chunks_ = runnable_chunks;
   scanner.est_rows_ = est_rows;
+  if (needs_sink) {
+    FTS_ASSIGN_OR_RETURN(PositionsFoldSink sink,
+                         PositionsFoldSink::Prepare(scanner.table_,
+                                                    spec.aggregates));
+    scanner.agg_sink_ =
+        std::make_shared<const PositionsFoldSink>(std::move(sink));
+  }
   return scanner;
 }
 
@@ -765,6 +763,37 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
 static uint64_t PosListBytes(size_t row_count) {
   return static_cast<uint64_t>(row_count + kScanOutputSlack) *
          sizeof(ChunkOffset);
+}
+
+size_t TableScanner::CollectChunk(ScanEngine engine, const ChunkPlan& plan,
+                                  ChunkOffset* out) const {
+  if (!plan.compressed.empty()) {
+    // Compressed-domain chunk: every engine runs the same run/block range
+    // path (byte-identical across engines and thread counts); the chosen
+    // engine only matters for the chunks the kernels scan directly.
+    CompressedScanStats stats;
+    const size_t count = ExecuteCompressedChunk(
+        plan.compressed, plan.stages, plan.row_count, out, &stats);
+    compressed_stats_->Add(stats);
+    return count;
+  }
+  if (plan.stages.empty()) {
+    std::iota(out, out + plan.row_count, ChunkOffset{0});
+    return plan.row_count;
+  }
+  switch (engine) {
+    case ScanEngine::kSisdNoVec:
+      return SisdScanNoVecCollect(plan.stages.data(), plan.stages.size(),
+                                  plan.row_count, out);
+    case ScanEngine::kSisdAutoVec:
+      return SisdScanAutoVecCollect(plan.stages.data(), plan.stages.size(),
+                                    plan.row_count, out);
+    case ScanEngine::kBlockwise:
+      return BlockwiseScan(plan.stages, plan.row_count, out);
+    default:
+      return FusedFnForEngine(engine)(plan.stages.data(), plan.stages.size(),
+                                      plan.row_count, out);
+  }
 }
 
 StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
@@ -779,37 +808,7 @@ StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
   const ChunkPlan& plan = chunk_plans_[chunk_id];
   if (plan.impossible || plan.row_count == 0) return size_t{0};
   obs::TraceSpan span("scan_chunk", "scan");
-  size_t count;
-  if (!plan.compressed.empty()) {
-    // Compressed-domain chunk: every engine runs the same run/block range
-    // path (byte-identical across engines and thread counts); the chosen
-    // engine only matters for the chunks the kernels scan directly.
-    CompressedScanStats stats;
-    count = ExecuteCompressedChunk(plan.compressed, plan.stages,
-                                   plan.row_count, out, &stats);
-    compressed_stats_->Add(stats);
-  } else if (plan.stages.empty()) {
-    std::iota(out, out + plan.row_count, ChunkOffset{0});
-    count = plan.row_count;
-  } else {
-    switch (engine) {
-      case ScanEngine::kSisdNoVec:
-        count = SisdScanNoVecCollect(plan.stages.data(), plan.stages.size(),
-                                     plan.row_count, out);
-        break;
-      case ScanEngine::kSisdAutoVec:
-        count = SisdScanAutoVecCollect(plan.stages.data(), plan.stages.size(),
-                                       plan.row_count, out);
-        break;
-      case ScanEngine::kBlockwise:
-        count = BlockwiseScan(plan.stages, plan.row_count, out);
-        break;
-      default:
-        count = FusedFnForEngine(engine)(plan.stages.data(),
-                                         plan.stages.size(), plan.row_count,
-                                         out);
-    }
-  }
+  const size_t count = CollectChunk(engine, plan, out);
   RecordChunkExecution(engine, plan.row_count, count);
   if (span.active()) {
     span.AddArg("chunk", static_cast<uint64_t>(chunk_id));
@@ -840,32 +839,31 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
     std::copy(plan.agg_zone_partials.begin(), plan.agg_zone_partials.end(),
               accs);
     RecordChunkExecution(engine, 0, plan.row_count);
+    agg_fold_stats_->kernel_chunks.fetch_add(1, std::memory_order_relaxed);
     return plan.row_count;
   }
   obs::TraceSpan span("scan_chunk_agg", "scan");
   size_t count;
-  if (!plan.compressed.empty()) {
-    // Compressed-domain conjunction: materialize the candidate positions
-    // through the range path, then fold each match with the scalar
-    // reference fold (the aggregate columns themselves are
-    // kernel-scannable — BuildAggTerm rejects the rest).
+  if (plan.agg_positions) {
+    // Collect the survivors into a worker-local list, then fold them
+    // through the sink's per-encoding decoders.
     ScopedMemoryReservation reservation;
     FTS_RETURN_IF_ERROR(
         reservation.Reserve(context_, PosListBytes(plan.row_count)));
     PosList positions(plan.row_count + kScanOutputSlack);
-    CompressedScanStats stats;
-    count = ExecuteCompressedChunk(plan.compressed, plan.stages,
-                                   plan.row_count, positions.data(), &stats);
-    compressed_stats_->Add(stats);
-    for (size_t i = 0; i < count; ++i) {
-      for (size_t t = 0; t < plan.agg_terms.size(); ++t) {
-        FoldRowScalar(plan.agg_terms[t], positions[i], accs[t]);
-      }
-    }
+    count = CollectChunk(engine, plan, positions.data());
+    GatherStats stats;
+    agg_sink_->Fold(*GetGatherKernel(GatherKernelFor(engine)), chunk_id,
+                    positions.data(), count, accs, &stats);
+    agg_fold_stats_->positions_chunks.fetch_add(1,
+                                                std::memory_order_relaxed);
+    agg_fold_stats_->delta_blocks_decoded.fetch_add(
+        stats.delta_blocks_decoded, std::memory_order_relaxed);
   } else {
     count = AggFnForEngine(engine)(
         plan.stages.data(), plan.stages.size(), plan.row_count,
         plan.agg_terms.data(), plan.agg_terms.size(), accs);
+    agg_fold_stats_->kernel_chunks.fetch_add(1, std::memory_order_relaxed);
   }
   RecordChunkExecution(engine, plan.row_count, count);
   if (span.active()) {

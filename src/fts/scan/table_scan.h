@@ -10,6 +10,7 @@
 #include "fts/cost/cost_model.h"
 #include "fts/cost/cost_profile.h"
 #include "fts/scan/compressed_scan.h"
+#include "fts/scan/positions_fold.h"
 #include "fts/scan/scan_engine.h"
 #include "fts/scan/scan_spec.h"
 #include "fts/simd/agg_spec.h"
@@ -75,9 +76,20 @@ class TableScanner {
     // Aggregate pushdown (populated only when the spec carries
     // aggregates). `agg_terms` parallels ScanSpec::aggregates; dictionary
     // and bit-packed terms point `dict` into `agg_dicts`-owned widened
-    // decode tables (shared so ChunkPlan copies stay valid).
+    // decode tables (shared so ChunkPlan copies stay valid). A term whose
+    // column the fold kernels cannot read (RLE, FoR, delta, 8/16-bit
+    // plain) keeps only its op and domain (`data` null).
     std::vector<AggTerm> agg_terms;
     std::vector<std::shared_ptr<const void>> agg_dicts;
+    // The chunk folds through positions: its survivors are collected into
+    // a worker-local list and folded by the scanner's PositionsFoldSink,
+    // because the chunk has compressed-domain stages or a term the fold
+    // kernels cannot read. Otherwise the fused aggregate kernels fold it.
+    bool agg_positions = false;
+    // Some value (non-COUNT) term folds through positions: no generated
+    // JIT operator covers the chunk, so a JIT rung runs it on the static
+    // path instead.
+    bool agg_needs_sink = false;
     // Every conjunct proved tautological and every term answerable from
     // the zone maps alone: ExecuteChunkAggregate copies
     // `agg_zone_partials` without touching the chunk's data. SUM terms
@@ -126,15 +138,32 @@ class TableScanner {
                                 ChunkOffset* out) const;
 
   // Aggregate-pushdown morsel primitive: evaluates the chunk's conjunction
-  // and folds the spec's aggregates inside the kernel loop — no position
-  // list is materialized. `accs` must hold spec.aggregates.size() slots;
-  // they are reset to fresh accumulators before folding. Returns the match
-  // count. Zone-shortcut chunks (see ChunkPlan) are answered without
-  // touching column data; impossible chunks contribute nothing. Requires
-  // Prepare() to have seen a spec with aggregates. SISD/Blockwise engines
-  // run the scalar reference fold.
+  // and folds the spec's aggregates. `accs` must hold
+  // spec.aggregates.size() slots; they are reset to fresh accumulators
+  // before folding. Returns the match count. Zone-shortcut chunks (see
+  // ChunkPlan) are answered without touching column data; impossible
+  // chunks contribute nothing. `agg_positions` chunks collect their
+  // survivors with `engine` into a worker-local list and fold them through
+  // the PositionsFoldSink; every other chunk folds inside the fused
+  // aggregate kernel loop (SISD/Blockwise engines run the scalar
+  // reference fold). Requires Prepare() to have seen a spec with
+  // aggregates.
   StatusOr<size_t> ExecuteChunkAggregate(ScanEngine engine, ChunkId chunk_id,
                                          AggAccumulator* accs) const;
+
+  // Which fold the aggregate chunks took, shared across the concurrent
+  // morsel executions of one scan (same ownership story as
+  // AtomicCompressedStats). Kernel chunks folded inside a fused or JIT
+  // kernel loop or from zone maps; positions chunks folded through the
+  // PositionsFoldSink, which decoded `delta_blocks_decoded` delta blocks.
+  struct AggFoldStats {
+    std::atomic<uint64_t> kernel_chunks{0};
+    std::atomic<uint64_t> positions_chunks{0};
+    std::atomic<uint64_t> delta_blocks_decoded{0};
+  };
+  const std::shared_ptr<AggFoldStats>& agg_fold_stats() const {
+    return agg_fold_stats_;
+  }
 
   // Number of aggregate terms the prepared spec carries (0 = the spec had
   // no aggregates and the aggregate entry points will fail).
@@ -223,6 +252,12 @@ class TableScanner {
     }
   }
 
+  // Runs one runnable chunk's conjunction with a static `engine`, writing
+  // the ascending matching offsets to `out` (row_count + kScanOutputSlack
+  // capacity); returns the match count.
+  size_t CollectChunk(ScanEngine engine, const ChunkPlan& plan,
+                      ChunkOffset* out) const;
+
   TablePtr table_;
   std::vector<ChunkPlan> chunk_plans_;
   PruningSummary pruning_;
@@ -232,6 +267,10 @@ class TableScanner {
   bool has_compressed_stages_ = false;
   std::shared_ptr<AtomicCompressedStats> compressed_stats_ =
       std::make_shared<AtomicCompressedStats>();
+  // Folds the agg_positions chunks; null when no chunk needs it.
+  std::shared_ptr<const PositionsFoldSink> agg_sink_;
+  std::shared_ptr<AggFoldStats> agg_fold_stats_ =
+      std::make_shared<AggFoldStats>();
   // Cost model state (set by Prepare). `profile_` points at one of the
   // process-lifetime profiles in fts/cost — the calibrated one when
   // engine adaptation is on, the static default table otherwise.

@@ -247,15 +247,18 @@ class AggSink {
           break;
         }
         case FoldKind::kMinF32: {
+          // Gathered value first: VMINPS/VMAXPS return the second operand
+          // when either is NaN, so a NaN survivor never replaces the
+          // accumulator (FoldFloat semantics). Same for the F64 cases.
           const __m512 g = _mm512_castsi512_ps(
               _mm512_mask_i32gather_epi32(zero, k, pos, base, 4));
-          st.vf = _mm512_mask_min_ps(st.vf, k, st.vf, g);
+          st.vf = _mm512_mask_min_ps(st.vf, k, g, st.vf);
           break;
         }
         case FoldKind::kMaxF32: {
           const __m512 g = _mm512_castsi512_ps(
               _mm512_mask_i32gather_epi32(zero, k, pos, base, 4));
-          st.vf = _mm512_mask_max_ps(st.vf, k, st.vf, g);
+          st.vf = _mm512_mask_max_ps(st.vf, k, g, st.vf);
           break;
         }
         case FoldKind::kMinI64: {
@@ -299,8 +302,8 @@ class AggSink {
               _mm512_setzero_pd(), klo, idx_lo, base, 8);
           const __m512d ghi = _mm512_mask_i32gather_pd(
               _mm512_setzero_pd(), khi, idx_hi, base, 8);
-          st.vd = _mm512_mask_min_pd(st.vd, klo, st.vd, glo);
-          st.vd = _mm512_mask_min_pd(st.vd, khi, st.vd, ghi);
+          st.vd = _mm512_mask_min_pd(st.vd, klo, glo, st.vd);
+          st.vd = _mm512_mask_min_pd(st.vd, khi, ghi, st.vd);
           break;
         }
         case FoldKind::kMaxF64: {
@@ -308,8 +311,8 @@ class AggSink {
               _mm512_setzero_pd(), klo, idx_lo, base, 8);
           const __m512d ghi = _mm512_mask_i32gather_pd(
               _mm512_setzero_pd(), khi, idx_hi, base, 8);
-          st.vd = _mm512_mask_max_pd(st.vd, klo, st.vd, glo);
-          st.vd = _mm512_mask_max_pd(st.vd, khi, st.vd, ghi);
+          st.vd = _mm512_mask_max_pd(st.vd, klo, glo, st.vd);
+          st.vd = _mm512_mask_max_pd(st.vd, khi, ghi, st.vd);
           break;
         }
         case FoldKind::kScalarFold: {

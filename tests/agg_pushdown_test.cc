@@ -1,6 +1,7 @@
 // Aggregate-pushdown equivalence suite. The fused aggregate kernels fold
-// survivors straight out of the compare mask — this file pins the edges
-// where that fold differs most from the materialize-then-aggregate path:
+// survivors straight out of the compare mask, and the positions sink folds
+// the chunks they cannot read — this file pins the edges where those
+// folds differ most from a boxed row loop over materialized positions:
 //
 //   * widening: SUM over INT32_MAX/UINT32_MAX-heavy columns must
 //     accumulate in 64-bit lanes (a 32-bit lane sum would wrap long
@@ -11,10 +12,14 @@
 //     chunks, tautological chunks answered without a scan);
 //   * encodings: dictionary and bit-packed aggregate columns take the
 //     scalar decode fold inside the SIMD kernels and demote the JIT rung;
-//   * a differential fuzzer arm: random tables/predicates/terms, every
-//     engine and the 1/2/4-thread morsel path against the
-//     materialize-then-fold scalar reference (FoldRowScalar over the SISD
-//     position list — the semantic reference named in agg_spec.h).
+//   * a differential fuzzer arm: random tables (every encoding),
+//     predicates and terms, every engine and the 1/2/4-thread morsel path
+//     against the materialize-then-fold reference (boxed values over the
+//     SISD position list, folded with the semantics named in agg_spec.h);
+//   * the SQL level: every encoding and integer/float width, NaN, values
+//     above 2^53, empty results, a 2-step SISD plan and a plan with more
+//     than kMaxAggTerms terms, byte-identical to
+//     testing::ReferenceAggregates on every engine at 1/2/4 threads.
 //
 // Integer accumulators must match the reference bit-for-bit; float SUMs
 // may differ in association (vector tree-fold vs scalar left fold), so
@@ -28,19 +33,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <variant>
 #include <vector>
 
 #include "fts/common/cpu_info.h"
 #include "fts/common/fault_injection.h"
 #include "fts/common/random.h"
 #include "fts/common/string_util.h"
+#include "fts/cost/cost_profile.h"
 #include "fts/db/database.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/jit/compiler_driver.h"
 #include "fts/scan/table_scan.h"
 #include "fts/simd/agg_spec.h"
+#include "fts/sql/parser.h"
 #include "fts/storage/compare_op.h"
+#include "fts/storage/rle_column.h"
 #include "fts/storage/table_builder.h"
+#include "fts/storage/value_column.h"
 #include "test_util.h"
 
 namespace fts {
@@ -55,6 +66,11 @@ constexpr ScanEngine kAllEngines[] = {
     ScanEngine::kAvx512Fused512, ScanEngine::kBlockwise,
 };
 
+constexpr ColumnEncoding kAllEncodings[] = {
+    ColumnEncoding::kPlain,     ColumnEncoding::kDictionary,
+    ColumnEncoding::kBitPacked, ColumnEncoding::kRle,
+    ColumnEncoding::kFor,       ColumnEncoding::kDelta};
+
 // One engine's aggregate pushdown on the morsel executor (1 thread,
 // kStrict: exactly `engine`, no ladder).
 StatusOr<TableScanner::AggResult> AggregateWith(const TableScanner& scanner,
@@ -64,22 +80,38 @@ StatusOr<TableScanner::AggResult> AggregateWith(const TableScanner& scanner,
 }
 
 // Materialize-then-fold reference: the chunk-loop SISD position list
-// (testing::ReferenceScan), then FoldRowScalar
-// per matching row, partials merged in chunk order — the exact dataflow
-// the pushdown replaces.
-TableScanner::AggResult FoldReference(const TableScanner& scanner) {
+// (testing::ReferenceScan), then every matched value boxed through
+// BaseColumn::GetValue and folded with FoldSigned / FoldUnsigned /
+// FoldFloat (the semantic reference named in agg_spec.h), partials merged
+// in chunk order — the exact dataflow the pushdown replaces, sharing none
+// of its decode paths.
+TableScanner::AggResult FoldReference(const TableScanner& scanner,
+                                      const ScanSpec& spec) {
   const auto matches = testing::ReferenceScan(scanner);
   FTS_CHECK(matches.ok());
+  const Table& table = *scanner.table();
   TableScanner::AggResult result;
-  result.accumulators.resize(scanner.num_agg_terms());
+  result.accumulators.resize(spec.aggregates.size());
   result.matched = matches->TotalMatches();
   for (const auto& chunk : matches->chunks) {
-    const TableScanner::ChunkPlan& plan =
-        scanner.chunk_plans()[chunk.chunk_id];
-    std::vector<AggAccumulator> partial(scanner.num_agg_terms());
-    for (const ChunkOffset position : chunk.positions) {
-      for (size_t t = 0; t < plan.agg_terms.size(); ++t) {
-        FoldRowScalar(plan.agg_terms[t], position, partial[t]);
+    std::vector<AggAccumulator> partial(spec.aggregates.size());
+    for (size_t t = 0; t < spec.aggregates.size(); ++t) {
+      const AggregateSpec& term = spec.aggregates[t];
+      partial[t].count = chunk.positions.size();
+      if (term.column.empty()) continue;
+      const size_t column_index = *table.ColumnIndex(term.column);
+      const BaseColumn& column =
+          table.chunk(chunk.chunk_id).column(column_index);
+      const DataType type = column.data_type();
+      for (const ChunkOffset position : chunk.positions) {
+        const Value value = column.GetValue(position);
+        if (DataTypeIsFloat(type)) {
+          FoldFloat(term.op, ValueAs<double>(value), partial[t]);
+        } else if (DataTypeIsSigned(type)) {
+          FoldSigned(term.op, ValueAs<int64_t>(value), partial[t]);
+        } else {
+          FoldUnsigned(term.op, ValueAs<uint64_t>(value), partial[t]);
+        }
       }
     }
     for (size_t t = 0; t < partial.size(); ++t) {
@@ -260,7 +292,7 @@ TEST(AggPushdownEdgeTest, ZoneShortcutAndStageFreeChunks) {
     // runnable chunk is answered from its zone map.
     EXPECT_EQ(shortcut, with_sum ? 0u : kChunks / 2);
 
-    const TableScanner::AggResult reference = FoldReference(*scanner);
+    const TableScanner::AggResult reference = FoldReference(*scanner, spec);
     for (const ScanEngine engine : kAllEngines) {
       if (!ScanEngineAvailable(engine)) continue;
       const auto result = AggregateWith(*scanner, engine);
@@ -303,7 +335,7 @@ TEST(AggPushdownEdgeTest, DictionaryAndBitPackedTerms) {
   const auto scanner = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(scanner.ok());
 
-  const TableScanner::AggResult reference = FoldReference(*scanner);
+  const TableScanner::AggResult reference = FoldReference(*scanner, spec);
   ASSERT_GT(reference.matched, 0u);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
@@ -382,8 +414,9 @@ struct FuzzCase {
 
 // Random table + predicates + aggregate terms. Mirrors the structure of
 // differential_test's generator, then draws 1-4 terms over random columns
-// (COUNT terms column-less) — mixed encodings included, so dictionary and
-// bit-packed folds and the JIT demotion path all come up across seeds.
+// (COUNT terms column-less) — every encoding included, so the kernel
+// folds, the positions fold and the JIT demotion path all come up across
+// seeds.
 FuzzCase MakeAggCase(uint64_t seed) {
   Xoshiro256 rng(seed);
   FuzzCase result;
@@ -406,9 +439,10 @@ FuzzCase MakeAggCase(uint64_t seed) {
   TableBuilder builder(schema, chunk_size);
   std::vector<bool> narrow(num_columns, false);
   for (size_t c = 0; c < num_columns; ++c) {
-    const uint64_t encoding = rng.NextBounded(4);
-    if (encoding == 0) builder.SetDictionaryEncoded(c);
-    if (encoding == 1) builder.SetBitPacked(c);
+    // Any encoding: RLE/FoR/delta aggregate columns (and RLE/delta
+    // predicates) send chunks through the positions fold.
+    const uint64_t encoding = rng.NextBounded(8);
+    if (encoding < 6) builder.SetEncoding(c, kAllEncodings[encoding]);
     // Narrow columns keep chunk dictionaries tiny so zone maps routinely
     // prune chunks or drop conjuncts — the shortcut paths above, now under
     // random shapes.
@@ -478,7 +512,7 @@ TEST_P(AggPushdownDifferentialTest, EnginesMatchMaterializeReference) {
   const auto scanner = TableScanner::Prepare(fuzz.table, fuzz.spec);
   if (!scanner.ok()) return;  // Non-representable literal.
 
-  const TableScanner::AggResult reference = FoldReference(*scanner);
+  const TableScanner::AggResult reference = FoldReference(*scanner, fuzz.spec);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
     const auto result = AggregateWith(*scanner, engine);
@@ -502,7 +536,7 @@ TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
   const auto scanner = TableScanner::Prepare(fuzz.table, fuzz.spec);
   if (!scanner.ok()) return;
 
-  const TableScanner::AggResult reference = FoldReference(*scanner);
+  const TableScanner::AggResult reference = FoldReference(*scanner, fuzz.spec);
   const ScanEngine engines[] = {
       ScanEngine::kScalarFused,
       GetCpuFeatures().HasFusedScanAvx512() ? ScanEngine::kAvx512Fused512
@@ -556,7 +590,7 @@ TEST_P(JitAggDifferentialTest, JitMatchesMaterializeReference) {
   const auto scanner = TableScanner::Prepare(fuzz.table, fuzz.spec);
   if (!scanner.ok()) return;
 
-  const TableScanner::AggResult reference = FoldReference(*scanner);
+  const TableScanner::AggResult reference = FoldReference(*scanner, fuzz.spec);
   for (const int threads : {1, 2, 4}) {
     ParallelScanOptions options = testing::JitOptions(512);
     options.threads = threads;
@@ -576,9 +610,57 @@ TEST_P(JitAggDifferentialTest, JitMatchesMaterializeReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JitAggDifferentialTest,
                          ::testing::ValuesIn(testing::SeedRange(200, 204)));
 
-// Database-level differential: the full SQL path with pushdown on vs off
-// renders value-identical rows for integer aggregates (the two arms share
-// finalization types by design).
+// ---- Database-level differential against testing::ReferenceAggregates ----
+
+// The oracle's row for an aggregate `sql` over `table`: the parsed WHERE
+// conjunction through testing::ReferenceScan, then the boxed row loop of
+// testing::ReferenceAggregates over the parsed aggregate list.
+std::vector<Value> OracleRow(const TablePtr& table, const std::string& sql) {
+  const StatusOr<SelectStatement> statement = ParseSelect(sql);
+  FTS_CHECK(statement.ok());
+  ScanSpec spec;
+  for (const AstPredicate& predicate : statement->predicates) {
+    spec.predicates.push_back(
+        {predicate.column, predicate.op, predicate.literal});
+  }
+  StatusOr<std::vector<Value>> row =
+      testing::ReferenceAggregates(table, spec, statement->aggregates);
+  FTS_CHECK(row.ok());
+  return *row;
+}
+
+// Byte-identical Value comparison: the same alternative holding the same
+// bytes (NaN equals NaN with the same payload; -0.0 differs from 0.0).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.index() != b.index()) return false;
+  return std::visit(
+      [&](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, std::monostate>) {
+          return true;
+        } else {
+          const T& y = std::get<T>(b);
+          return std::memcmp(&x, &y, sizeof(T)) == 0;
+        }
+      },
+      a);
+}
+
+void ExpectRowMatchesOracle(const std::vector<Value>& oracle,
+                            const QueryResult& result,
+                            const std::string& context) {
+  ASSERT_EQ(result.rows.size(), 1u) << context;
+  ASSERT_EQ(result.rows[0].size(), oracle.size()) << context;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_TRUE(SameValue(result.rows[0][i], oracle[i]))
+        << context << " column " << i << ": got "
+        << ValueToString(result.rows[0][i]) << ", oracle "
+        << ValueToString(oracle[i]);
+  }
+}
+
+// The full SQL path with pushdown on and off, at 1/2/4 threads: both arms
+// reproduce the oracle byte for byte, and the on arm pushes down.
 TEST(AggPushdownDatabaseTest, PushdownMatchesMaterializePath) {
   Database db;
   TableBuilder builder({{"k", DataType::kInt32}, {"v", DataType::kInt64}},
@@ -592,30 +674,251 @@ TEST(AggPushdownDatabaseTest, PushdownMatchesMaterializePath) {
                               (1 << 29))})
             .ok());
   }
-  ASSERT_TRUE(db.RegisterTable("t", builder.Build()).ok());
+  const TablePtr table = builder.Build();
+  ASSERT_TRUE(db.RegisterTable("t", table).ok());
 
   for (const char* sql :
        {"SELECT SUM(v), MIN(v), MAX(v), AVG(v), COUNT(*) FROM t WHERE k < 50",
         "SELECT SUM(v), COUNT(*) FROM t",
         "SELECT MIN(k), MAX(k) FROM t WHERE v >= 0 AND k >= 10"}) {
-    Database::QueryOptions off;
-    off.aggregate_pushdown = false;
-    const auto expected = db.Query(sql, off);
-    ASSERT_TRUE(expected.ok()) << sql;
-    EXPECT_FALSE(expected->execution_report.aggregate_pushdown);
+    const std::vector<Value> oracle = OracleRow(table, sql);
+    for (const bool pushdown : {false, true}) {
+      for (const int threads : {1, 2, 4}) {
+        Database::QueryOptions options;
+        options.aggregate_pushdown = pushdown;
+        options.threads = threads;
+        const auto result = db.Query(sql, options);
+        ASSERT_TRUE(result.ok()) << sql;
+        EXPECT_EQ(result->execution_report.aggregate_pushdown, pushdown)
+            << sql;
+        ExpectRowMatchesOracle(
+            oracle, *result,
+            StrFormat("%s pushdown=%d threads=%d", sql, pushdown, threads));
+      }
+    }
+  }
+}
 
-    for (const int threads : {1, 2, 4}) {
-      Database::QueryOptions on;
-      on.threads = threads;
-      const auto result = db.Query(sql, on);
-      ASSERT_TRUE(result.ok()) << sql;
-      EXPECT_TRUE(result->execution_report.aggregate_pushdown) << sql;
-      ASSERT_EQ(result->rows.size(), 1u);
-      ASSERT_EQ(result->rows[0].size(), expected->rows[0].size());
-      for (size_t i = 0; i < result->rows[0].size(); ++i) {
-        EXPECT_EQ(ValueToString(result->rows[0][i]),
-                  ValueToString(expected->rows[0][i]))
-            << sql << " column " << i << " threads " << threads;
+// Value columns of the encoding matrix: every integer width (signed and
+// unsigned) plus both float widths.
+constexpr DataType kMatrixTypes[] = {
+    DataType::kInt8,   DataType::kInt16,  DataType::kInt32,
+    DataType::kInt64,  DataType::kUInt16, DataType::kUInt64,
+    DataType::kFloat32, DataType::kFloat64};
+// Over 2 * PositionsFoldSink::kFoldBatch rows, and not a multiple of the
+// delta block: `k < 60` leaves each chunk two fold batches, the second
+// starting inside a delta block the first one decoded.
+constexpr size_t kMatrixChunkRows = 2100;
+constexpr size_t kMatrixRows = 6 * kMatrixChunkRows + 123;
+
+// Cell of matrix value column `type` at row `r`: runs of four equal values
+// (RLE-friendly) with a small spread per chunk (FoR and delta encode),
+// offset so int64/uint64 values sit above 2^53 and their SUMs wrap mod
+// 2^64; float cells are halves, so every double sum is exact in any order.
+Value MatrixCell(DataType type, size_t r) {
+  const int64_t small = static_cast<int64_t>(((r / 4) * 7) % 23) - 11;
+  switch (type) {
+    case DataType::kInt8:
+      return Value(static_cast<int8_t>(small * 9));
+    case DataType::kInt16:
+      return Value(static_cast<int16_t>(small * 1000 - 7));
+    case DataType::kInt32:
+      return Value(static_cast<int32_t>(small * 100000));
+    case DataType::kInt64:
+      return Value((int64_t{1} << 60) + small * 3);
+    case DataType::kUInt16:
+      return Value(static_cast<uint16_t>(40000 + small * 1000));
+    case DataType::kUInt64:
+      return Value((uint64_t{1} << 63) + static_cast<uint64_t>(small + 11));
+    case DataType::kFloat32:
+      return Value(static_cast<float>(small) / 2.0f);
+    default:
+      return Value(static_cast<double>(small) / 2.0);
+  }
+}
+
+// The matrix table: a plain int32 filter column `k`; an int32 column `p`
+// whose encoding rotates through all six per chunk, so predicates on it
+// run in the kernels on some chunks and in the compressed domain on
+// others; and one value column per kMatrixTypes entry (`v_int8`, ...)
+// whose encoding also rotates per chunk, offset per column, so every
+// column mixes encodings across its chunks (FoR/delta requests on float
+// columns fall back to plain).
+TablePtr BuildMatrixTable() {
+  std::vector<ColumnDefinition> schema = {{"k", DataType::kInt32},
+                                          {"p", DataType::kInt32}};
+  for (const DataType type : kMatrixTypes) {
+    schema.push_back(
+        {StrFormat("v_%s", DataTypeToString(type)), type});
+  }
+  TableBuilder builder(schema, kMatrixChunkRows);
+  Xoshiro256 rng(0xA66E);
+  std::vector<Value> row(schema.size(), Value(int32_t{0}));
+  for (size_t r = 0; r < kMatrixRows; ++r) {
+    if (r % kMatrixChunkRows == 0) {
+      const size_t chunk = r / kMatrixChunkRows;
+      for (size_t c = 1; c < schema.size(); ++c) {
+        builder.SetEncoding(c, kAllEncodings[(chunk + c) % 6]);
+      }
+    }
+    row[0] = Value(static_cast<int32_t>(rng.NextBounded(100)));
+    row[1] = Value(static_cast<int32_t>((r / 8) % 10));
+    for (size_t t = 0; t < std::size(kMatrixTypes); ++t) {
+      row[2 + t] = MatrixCell(kMatrixTypes[t], r);
+    }
+    FTS_CHECK(builder.AppendRow(row).ok());
+  }
+  return builder.Build();
+}
+
+// NaN cells cannot be appended row-wise (no literal is NaN), so the NaN
+// table is built chunk by chunk: a plain int32 `k` and a float64 `d` with
+// RLE chunks 1 and 3 and plain chunks otherwise. `d` holds a NaN every
+// 37th row, chunk 4 nothing but NaN, and chunk 5 NaN except every 97th
+// row — there a value is followed by NaN survivors in its SIMD lane,
+// which must not displace it from MIN/MAX.
+TablePtr BuildNanTable() {
+  TableBuilder builder({{"k", DataType::kInt32}, {"d", DataType::kFloat64}});
+  Xoshiro256 rng(0x7A7);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t chunk = 0; chunk < 6; ++chunk) {
+    AlignedVector<int32_t> k(kMatrixChunkRows);
+    AlignedVector<double> d(kMatrixChunkRows);
+    for (size_t i = 0; i < kMatrixChunkRows; ++i) {
+      const size_t r = chunk * kMatrixChunkRows + i;
+      k[i] = static_cast<int32_t>(rng.NextBounded(100));
+      const double value = ValueAs<double>(MatrixCell(DataType::kFloat64, r));
+      if (chunk == 4) {
+        d[i] = kNan;
+      } else if (chunk == 5) {
+        d[i] = i % 97 == 3 ? value - static_cast<double>(i) : kNan;
+      } else {
+        d[i] = r % 37 == 5 ? kNan : value;
+      }
+    }
+    ColumnPtr d_column =
+        chunk == 1 || chunk == 3
+            ? ColumnPtr(std::make_shared<RleColumn<double>>(
+                  RleColumn<double>::FromValues(d)))
+            : ColumnPtr(std::make_shared<ValueColumn<double>>(d));
+    FTS_CHECK(builder
+                  .AddChunk({std::make_shared<ValueColumn<int32_t>>(k),
+                             std::move(d_column)})
+                  .ok());
+  }
+  return builder.Build();
+}
+
+struct MatrixQuery {
+  std::string sql;
+  size_t predicates = 0;
+  bool jit = false;  // Also run pinned to JIT (bounded compile count).
+  bool too_many_terms = false;  // More than kMaxAggTerms fold terms.
+  bool nan_table = false;       // FROM n (BuildNanTable), not FROM t.
+};
+
+// Per value column: no WHERE (stage-free chunks), a kernel predicate, a
+// two-predicate chain (a 2-step plan on the SISD engines), a predicate
+// that is compressed-domain on the RLE/delta chunks of `p`, an empty
+// result, and a MIN/MAX/COUNT shape the zone maps can answer. Then the
+// NaN column, and one plan with more than kMaxAggTerms terms.
+std::vector<MatrixQuery> MatrixQueries() {
+  std::vector<std::string> columns;
+  for (const DataType type : kMatrixTypes) {
+    columns.push_back(StrFormat("v_%s", DataTypeToString(type)));
+  }
+  std::vector<MatrixQuery> queries;
+  for (const std::string& c : columns) {
+    const std::string all =
+        StrFormat("SELECT SUM(%s), MIN(%s), MAX(%s), AVG(%s), COUNT(*) FROM t",
+                  c.c_str(), c.c_str(), c.c_str(), c.c_str());
+    queries.push_back({all, 0, true});
+    queries.push_back({all + " WHERE k < 60", 1, true});
+    queries.push_back({all + " WHERE k < 60 AND p > 3", 2, false});
+    queries.push_back({all + " WHERE p = 2", 1, false});
+    queries.push_back({all + " WHERE k > 1000", 1, true});
+    queries.push_back(
+        {StrFormat("SELECT MIN(%s), MAX(%s), COUNT(*) FROM t", c.c_str(),
+                   c.c_str()),
+         0, true});
+  }
+  for (const char* where : {"", " WHERE k < 50", " WHERE k >= 50"}) {
+    queries.push_back(
+        {StrFormat("SELECT SUM(d), MIN(d), MAX(d), AVG(d), COUNT(*) FROM n%s",
+                   where),
+         where[0] == '\0' ? 0u : 1u, true, false, true});
+  }
+  queries.push_back({"SELECT MIN(d), MAX(d) FROM n WHERE k < 50", 1, true,
+                     false, true});
+  queries.push_back(
+      {"SELECT SUM(v_int8), MIN(v_int8), MAX(v_int16), SUM(v_int32), "
+       "MIN(v_int64), MAX(v_uint16), SUM(v_uint64), MIN(v_float32), "
+       "MAX(v_float64), AVG(v_int8) FROM t WHERE k < 50",
+       1, true, true});
+  return queries;
+}
+
+// SUM/MIN/MAX/AVG/COUNT over all six encodings, every integer width and
+// both float widths, on every static engine (plus JIT where it runs) at
+// 1/2/4 threads: every result is byte-identical to the oracle, and every
+// single-step plan with at most kMaxAggTerms terms pushes down.
+TEST(AggPushdownDatabaseTest, EveryEncodingAndWidthMatchesOracle) {
+  const TablePtr table = BuildMatrixTable();
+  const TablePtr nan_table = BuildNanTable();
+  // Every column holds every requested encoding in some chunk.
+  for (size_t c = 1; c < 2 + std::size(kMatrixTypes); ++c) {
+    const bool is_float =
+        c >= 2 && DataTypeIsFloat(kMatrixTypes[c - 2]);
+    for (const ColumnEncoding encoding : kAllEncodings) {
+      const bool representable =
+          !is_float || (encoding != ColumnEncoding::kFor &&
+                        encoding != ColumnEncoding::kDelta);
+      bool seen = false;
+      for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
+        seen = seen || table->chunk(chunk).column(c).encoding() == encoding;
+      }
+      EXPECT_EQ(seen, representable)
+          << table->column_definition(c).name << " "
+          << ColumnEncodingName(encoding);
+    }
+  }
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", table).ok());
+  ASSERT_TRUE(db.RegisterTable("n", nan_table).ok());
+
+  std::vector<ScanEngine> engines;
+  for (const ScanEngine engine : kAllEngines) {
+    if (ScanEngineAvailable(engine)) engines.push_back(engine);
+  }
+#if !defined(__SANITIZE_THREAD__)
+  if (GetCpuFeatures().HasFusedScanAvx512()) {
+    engines.push_back(ScanEngine::kJit);
+  }
+#endif
+
+  for (const MatrixQuery& query : MatrixQueries()) {
+    const std::vector<Value> oracle =
+        OracleRow(query.nan_table ? nan_table : table, query.sql);
+    for (const ScanEngine engine : engines) {
+      if (engine == ScanEngine::kJit && !query.jit) continue;
+      const bool per_predicate_steps = engine == ScanEngine::kSisdNoVec ||
+                                       engine == ScanEngine::kSisdAutoVec ||
+                                       engine == ScanEngine::kBlockwise;
+      const bool single_step = !per_predicate_steps || query.predicates <= 1;
+      for (const int threads : {1, 2, 4}) {
+        Database::QueryOptions options;
+        options.engine = engine;
+        options.threads = threads;
+        const std::string where =
+            StrFormat("%s engine=%s threads=%d", query.sql.c_str(),
+                      ScanEngineToString(engine), threads);
+        const auto result = db.Query(query.sql, options);
+        ASSERT_TRUE(result.ok()) << where << ": "
+                                 << result.status().ToString();
+        EXPECT_EQ(result->execution_report.aggregate_pushdown,
+                  single_step && !query.too_many_terms)
+            << where;
+        ExpectRowMatchesOracle(oracle, *result, where);
       }
     }
   }
@@ -623,10 +926,6 @@ TEST(AggPushdownDatabaseTest, PushdownMatchesMaterializePath) {
 
 // ---- SELECT COUNT(*) as a one-term pushdown ----
 
-constexpr ColumnEncoding kCountEncodings[] = {
-    ColumnEncoding::kPlain,     ColumnEncoding::kDictionary,
-    ColumnEncoding::kBitPacked, ColumnEncoding::kRle,
-    ColumnEncoding::kFor,       ColumnEncoding::kDelta};
 constexpr size_t kCountRows = 4000;
 
 // Value of column `c` at row `r` in the COUNT(*) table: runs of 8 equal
@@ -640,13 +939,13 @@ int32_t CountCell(size_t c, size_t r) {
 // in 1000-row chunks.
 TablePtr BuildCountTable() {
   std::vector<ColumnDefinition> schema;
-  for (const ColumnEncoding encoding : kCountEncodings) {
+  for (const ColumnEncoding encoding : kAllEncodings) {
     schema.push_back({StrFormat("e_%s", ColumnEncodingName(encoding)),
                       DataType::kInt32});
   }
   TableBuilder builder(schema, /*chunk_size=*/1000);
-  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
-    builder.SetEncoding(c, kCountEncodings[c]);
+  for (size_t c = 0; c < std::size(kAllEncodings); ++c) {
+    builder.SetEncoding(c, kAllEncodings[c]);
   }
   std::vector<Value> row(schema.size(), Value(int32_t{0}));
   for (size_t r = 0; r < kCountRows; ++r) {
@@ -668,10 +967,10 @@ struct CountQuery {
 // each with its brute-force count.
 std::vector<CountQuery> CountQueries() {
   std::vector<CountQuery> queries;
-  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
+  for (size_t c = 0; c < std::size(kAllEncodings); ++c) {
     CountQuery query;
     query.sql = StrFormat("SELECT COUNT(*) FROM t WHERE e_%s < 20",
-                          ColumnEncodingName(kCountEncodings[c]));
+                          ColumnEncodingName(kAllEncodings[c]));
     for (size_t r = 0; r < kCountRows; ++r) {
       if (CountCell(c, r) < 20) ++query.expected;
     }
@@ -691,9 +990,9 @@ std::vector<CountQuery> CountQueries() {
 TEST(AggPushdownDatabaseTest, CountStarPushdownMatchesOracle) {
   Database db;
   const TablePtr table = BuildCountTable();
-  for (size_t c = 0; c < std::size(kCountEncodings); ++c) {
-    ASSERT_EQ(table->chunk(0).column(c).encoding(), kCountEncodings[c])
-        << ColumnEncodingName(kCountEncodings[c]);
+  for (size_t c = 0; c < std::size(kAllEncodings); ++c) {
+    ASSERT_EQ(table->chunk(0).column(c).encoding(), kAllEncodings[c])
+        << ColumnEncodingName(kAllEncodings[c]);
   }
   ASSERT_TRUE(db.RegisterTable("t", table).ok());
 
@@ -760,7 +1059,7 @@ TEST(AggPushdownDatabaseTest, JitCountStarOverRleChainRunsCompiled) {
   const TablePtr table = BuildCountTable();
   ASSERT_TRUE(db.RegisterTable("t", table).ok());
   const size_t rle = 3;
-  ASSERT_EQ(kCountEncodings[rle], ColumnEncoding::kRle);
+  ASSERT_EQ(kAllEncodings[rle], ColumnEncoding::kRle);
   uint64_t expected = 0;
   for (size_t r = 0; r < kCountRows; ++r) {
     const int32_t v = CountCell(rle, r);
@@ -783,6 +1082,42 @@ TEST(AggPushdownDatabaseTest, JitCountStarOverRleChainRunsCompiled) {
     EXPECT_GT(report.jit_cache_hits + report.jit_cache_misses, 0u)
         << report.ToString();
     EXPECT_GT(report.rle_runs_classified, 0u) << report.ToString();
+  }
+}
+
+// Value terms over RLE/FoR/delta columns fold through the positions sink,
+// which no generated operator covers: pinned to JIT, every chunk runs the
+// sink on the best static engine as a choice, not a degradation, and the
+// static engine shows in the morsel engine mix.
+TEST(AggPushdownDatabaseTest, JitRunsPositionsFoldOnStaticPath) {
+  Database db;
+  const TablePtr table = BuildCountTable();
+  ASSERT_TRUE(db.RegisterTable("t", table).ok());
+  const std::string sql =
+      "SELECT SUM(e_rle), MAX(e_for), MIN(e_delta), AVG(e_rle) FROM t "
+      "WHERE e_plain < 20";
+  const std::vector<Value> oracle = OracleRow(table, sql);
+  for (const int threads : {1, 4}) {
+    Database::QueryOptions options;
+    options.engine = ScanEngine::kJit;
+    options.threads = threads;
+    const auto result = db.Query(sql, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ExecutionReport& report = result->execution_report;
+    EXPECT_TRUE(report.aggregate_pushdown);
+    EXPECT_FALSE(report.degraded) << report.ToString();
+    EXPECT_EQ(report.executed.engine, cost::BestFusedEngine())
+        << report.ToString();
+    EXPECT_GT(report.morsel_count, 0u);
+    EXPECT_EQ(report.agg_positions_chunks, report.morsel_count);
+    EXPECT_EQ(report.agg_kernel_chunks, 0u);
+    EXPECT_GT(report.agg_delta_blocks, 0u);
+    for (const EngineChoice& choice : report.morsel_choices) {
+      EXPECT_EQ(choice.engine, cost::BestFusedEngine());
+    }
+    EXPECT_EQ(report.jit_cache_hits + report.jit_cache_misses, 0u);
+    ExpectRowMatchesOracle(oracle, *result,
+                           StrFormat("threads=%d", threads));
   }
 }
 

@@ -75,7 +75,7 @@ TEST_F(AggregateTest, FloatAggregates) {
 TEST_F(AggregateTest, EmptyMatchNullSemantics) {
   // SQL semantics over zero matched rows: MIN/MAX/AVG are NULL, SUM stays
   // a typed 0, COUNT(*) a plain 0 — on both the pushed-down and the
-  // materialize-then-aggregate paths.
+  // unpushed paths.
   for (const bool pushdown : {true, false}) {
     Database::QueryOptions options;
     options.aggregate_pushdown = pushdown;

@@ -10,6 +10,7 @@
 #include "fts/db/database.h"
 #include "fts/sql/parser.h"
 #include "fts/storage/data_generator.h"
+#include "fts/storage/table_builder.h"
 
 namespace fts {
 namespace {
@@ -311,6 +312,66 @@ TEST_F(ExplainAnalyzeTest, AnalyzeMatchesPlainQueryResults) {
             analyzed->execution_report.rows_scanned);
   EXPECT_EQ(plain->execution_report.chunks_total,
             analyzed->execution_report.chunks_total);
+}
+
+// The AggregatePushdown line says which fold each chunk took: the kernel
+// loop for a plain aggregate column, positions through the sink for a
+// delta column (with the survivor blocks it decoded), and — for a 2-step
+// SISD plan, which does not push down — positions over the refined lists.
+TEST_F(ExplainAnalyzeTest, AnalyzeShowsWhichFoldEachChunkTook) {
+  TableBuilder builder({{"k", DataType::kInt32},
+                        {"v_plain", DataType::kInt32},
+                        {"v_delta", DataType::kInt32}},
+                       /*chunk_size=*/10000);
+  builder.SetEncoding(2, ColumnEncoding::kDelta);
+  for (int32_t r = 0; r < 50000; ++r) {
+    ASSERT_TRUE(
+        builder.AppendRow({Value(r % 100), Value(r % 7), Value(r / 3)}).ok());
+  }
+  ASSERT_TRUE(db_.RegisterTable("enc", builder.Build()).ok());
+
+  const auto kernel = db_.Query(
+      "EXPLAIN ANALYZE SELECT SUM(v_plain) FROM enc WHERE k < 50");
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  const ExecutionReport& kernel_report = kernel->execution_report;
+  EXPECT_TRUE(kernel_report.aggregate_pushdown);
+  EXPECT_EQ(kernel_report.agg_kernel_chunks, 5u);
+  EXPECT_EQ(kernel_report.agg_positions_chunks, 0u);
+  EXPECT_NE(kernel->explain_text.find(
+                "AggregatePushdown: yes (rows folded=25000, kernel "
+                "chunks=5, positions chunks=0)\n"),
+            std::string::npos)
+      << kernel->explain_text;
+
+  const auto positions = db_.Query(
+      "EXPLAIN ANALYZE SELECT SUM(v_delta) FROM enc WHERE k < 50");
+  ASSERT_TRUE(positions.ok()) << positions.status().ToString();
+  const ExecutionReport& report = positions->execution_report;
+  EXPECT_TRUE(report.aggregate_pushdown);
+  EXPECT_EQ(report.agg_kernel_chunks, 0u);
+  EXPECT_EQ(report.agg_positions_chunks, 5u);
+  // Every 1024-row block holds survivors (k cycles through 0..99).
+  EXPECT_EQ(report.agg_delta_blocks, 5u * 10u);
+  EXPECT_NE(positions->explain_text.find(
+                "AggregatePushdown: yes (rows folded=25000, kernel "
+                "chunks=0, positions chunks=5, delta blocks decoded=50)\n"),
+            std::string::npos)
+      << positions->explain_text;
+
+  Database::QueryOptions sisd;
+  sisd.engine = ScanEngine::kSisdNoVec;
+  const auto refined = db_.Query(
+      "EXPLAIN ANALYZE SELECT SUM(v_delta) FROM enc WHERE k < 50 AND "
+      "v_plain > 2",
+      sisd);
+  ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+  EXPECT_FALSE(refined->execution_report.aggregate_pushdown);
+  EXPECT_NE(refined->explain_text.find(StrFormat(
+                "AggregatePushdown: no (rows folded=%llu, positions "
+                "chunks=5, delta blocks decoded=50)\n",
+                static_cast<unsigned long long>(refined->matched_rows))),
+            std::string::npos)
+      << refined->explain_text;
 }
 
 }  // namespace

@@ -13,12 +13,14 @@
 //
 // ReferenceScan: the ground truth the scan suites compare against (see
 // below). StrictOptions / JitOptions / ScanWith / CountWith: one engine on
-// the morsel executor. ReferenceStatistics: the row-loop ground truth for
+// the morsel executor. ReferenceAggregates: the row-loop ground truth for
+// every aggregate path. ReferenceStatistics: the row-loop ground truth for
 // TableStatistics::Compute.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -29,9 +31,11 @@
 #include "fts/common/string_util.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/scan/table_scan.h"
+#include "fts/sql/ast.h"
 #include "fts/storage/bitpacked_column.h"
 #include "fts/storage/dictionary_column.h"
 #include "fts/storage/table_statistics.h"
+#include "fts/storage/value.h"
 #include "fts/storage/value_column.h"
 
 namespace fts::testing {
@@ -133,6 +137,95 @@ inline StatusOr<uint64_t> CountWith(TablePtr table, const ScanSpec& spec,
   FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
                        TableScanner::Prepare(std::move(table), spec));
   return ExecuteParallelScanCount(scanner, StrictOptions({engine, 0}));
+}
+
+// Test-only aggregate oracle: a row loop that boxes every matched value
+// through BaseColumn::GetValue, sharing no code with the fold kernels, the
+// positions sink or the finalizer, but with the finalizer's semantics:
+//   - COUNT(*) is a uint64 count;
+//   - SUM is exact integer arithmetic in int64 (signed columns) or uint64
+//     (unsigned columns) wrapping mod 2^64, or a double sum in row order
+//     for float columns;
+//   - MIN/MAX stay in the column's type; a NaN never wins a float
+//     comparison (the search starts at -inf/+inf);
+//   - AVG is that SUM converted to double, divided by the count;
+//   - over zero rows MIN/MAX/AVG are NULL, SUM a typed 0.
+inline std::vector<Value> ReferenceAggregates(
+    const Table& table, const TableMatches& matches,
+    const std::vector<AggregateItem>& items) {
+  const uint64_t matched = matches.TotalMatches();
+  std::vector<Value> row;
+  for (const AggregateItem& item : items) {
+    if (item.kind == AggregateKind::kCountStar) {
+      row.emplace_back(matched);
+      continue;
+    }
+    const size_t column_index = *table.ColumnIndex(item.column);
+    DispatchDataType(table.column_definition(column_index).type,
+                     [&](auto tag) {
+      using T = decltype(tag);
+      constexpr bool kFloat = std::is_floating_point_v<T>;
+      using Sum = std::conditional_t<
+          kFloat, double,
+          std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>>;
+      uint64_t sum_bits = 0;
+      double sum_double = 0.0;
+      T min = kFloat ? std::numeric_limits<T>::infinity()
+                     : std::numeric_limits<T>::max();
+      T max = kFloat ? -std::numeric_limits<T>::infinity()
+                     : std::numeric_limits<T>::lowest();
+      for (const ChunkMatches& chunk : matches.chunks) {
+        const BaseColumn& column =
+            table.chunk(chunk.chunk_id).column(column_index);
+        for (const ChunkOffset position : chunk.positions) {
+          const T value = ValueAs<T>(column.GetValue(position));
+          if constexpr (kFloat) {
+            sum_double += static_cast<double>(value);
+          } else {
+            sum_bits += static_cast<uint64_t>(static_cast<Sum>(value));
+          }
+          if (value < min) min = value;
+          if (value > max) max = value;
+        }
+      }
+      Sum sum;
+      if constexpr (kFloat) {
+        sum = sum_double;
+      } else {
+        sum = static_cast<Sum>(sum_bits);
+      }
+      switch (item.kind) {
+        case AggregateKind::kSum:
+          row.emplace_back(sum);
+          break;
+        case AggregateKind::kMin:
+          row.push_back(matched == 0 ? NullValue() : Value(min));
+          break;
+        case AggregateKind::kMax:
+          row.push_back(matched == 0 ? NullValue() : Value(max));
+          break;
+        case AggregateKind::kAvg:
+          row.push_back(matched == 0
+                            ? NullValue()
+                            : Value(static_cast<double>(sum) /
+                                    static_cast<double>(matched)));
+          break;
+        case AggregateKind::kCountStar:
+          break;
+      }
+    });
+  }
+  return row;
+}
+
+// ReferenceAggregates over the rows ReferenceScan matches for `spec`'s
+// predicates.
+inline StatusOr<std::vector<Value>> ReferenceAggregates(
+    TablePtr table, const ScanSpec& spec,
+    const std::vector<AggregateItem>& items) {
+  FTS_ASSIGN_OR_RETURN(const TableMatches matches,
+                       ReferenceScan(table, spec));
+  return ReferenceAggregates(*table, matches, items);
 }
 
 // Test-only reference for TableStatistics::Compute, sharing none of its
