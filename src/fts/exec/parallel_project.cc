@@ -1,8 +1,6 @@
 #include "fts/exec/parallel_project.h"
 
-#include <atomic>
-#include <memory>
-
+#include "fts/exec/morsel_loop.h"
 #include "fts/simd/gather_kernels.h"
 
 namespace fts {
@@ -42,54 +40,50 @@ Status ExecuteParallelGather(const ProjectionGatherer& gatherer,
   out->SetRowCount(total_rows);
   if (total_rows == 0) return Status::Ok();
 
-  const auto gather_chunk = [&](size_t i, GatherStats* slot_stats) {
-    const ChunkMatches& chunk = matches.chunks[i];
-    gatherer.GatherChunk(fn, chunk.chunk_id, chunk.positions.data(),
-                         chunk.positions.size(), out, offsets[i],
-                         slot_stats);
-  };
-
-  const int threads =
-      options.threads > 0 ? options.threads : TaskPool::DefaultThreadCount();
-  std::unique_ptr<TaskPool> local_pool;
-  TaskPool* const pool =
-      MorselPool(options.pool, threads, chunk_count, &local_pool);
-  if (pool == nullptr) {
-    for (size_t i = 0; i < chunk_count; ++i) {
-      if (ctx != nullptr) {
-        if (Status cancel = ctx->CheckCancelled(); !cancel.ok()) {
-          out->Clear();
-          return cancel;
-        }
-      }
-      gather_chunk(i, stats);
-    }
-    return Status::Ok();
-  }
-
-  // Parallel path: per-morsel stats slots merged after the drain (the
-  // counters are additive, but slots keep the workers write-disjoint).
   std::vector<GatherStats> slots(chunk_count);
-  std::atomic<bool> stop{false};
-  const auto body = [&](size_t i) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    if (ctx != nullptr && ctx->cancelled()) {
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    gather_chunk(i, &slots[i]);
-  };
-
-  pool->ParallelFor(chunk_count, body);
-
-  if (ctx != nullptr) {
-    if (Status cancel = ctx->CheckCancelled(); !cancel.ok()) {
-      out->Clear();
-      return cancel;
-    }
+  const MorselLoop loop = RunPositionMorsels(
+      matches, {options.threads, options.pool, ctx, nullptr}, [&](size_t i) {
+        const ChunkMatches& chunk = matches.chunks[i];
+        gatherer.GatherChunk(fn, chunk.chunk_id, chunk.positions.data(),
+                             chunk.positions.size(), out, offsets[i],
+                             &slots[i]);
+        return Status::Ok();
+      });
+  if (!loop.status.ok()) {
+    out->Clear();
+    return loop.status;
   }
   for (const GatherStats& slot : slots) stats->Merge(slot);
   return Status::Ok();
+}
+
+StatusOr<TableScanner::AggResult> ExecuteParallelFold(
+    const PositionsFoldSink& sink, const TableMatches& matches,
+    const ParallelProjectOptions& options, GatherStats* stats) {
+  FTS_ASSIGN_OR_RETURN(const GatherFn fn, GetGatherKernel(options.kernel));
+  std::vector<std::vector<AggAccumulator>> partials(matches.chunks.size());
+  std::vector<GatherStats> slots(matches.chunks.size());
+  const MorselLoop loop = RunPositionMorsels(
+      matches, {options.threads, options.pool, options.context, nullptr},
+      [&](size_t i) {
+        const ChunkMatches& chunk = matches.chunks[i];
+        partials[i].resize(sink.num_terms());
+        sink.Fold(fn, chunk.chunk_id, chunk.positions.data(),
+                  chunk.positions.size(), partials[i].data(), &slots[i]);
+        return Status::Ok();
+      });
+  FTS_RETURN_IF_ERROR(loop.status);
+  TableScanner::AggResult result;
+  result.accumulators.resize(sink.num_terms());
+  result.matched = matches.TotalMatches();
+  for (size_t i = 0; i < partials.size(); ++i) {
+    if (partials[i].empty()) continue;  // No survivors in this chunk.
+    for (size_t t = 0; t < partials[i].size(); ++t) {
+      result.accumulators[t].Merge(partials[i][t]);
+    }
+    stats->Merge(slots[i]);
+  }
+  return result;
 }
 
 }  // namespace fts

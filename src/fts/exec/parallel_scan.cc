@@ -1,12 +1,10 @@
 #include "fts/exec/parallel_scan.h"
 
-#include <algorithm>
-
 #include "fts/cost/cost_profile.h"
+#include "fts/exec/morsel_loop.h"
 #include "fts/jit/jit_scan_engine.h"
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
-#include "fts/perf/counter_attribution.h"
 #include "fts/simd/scan_stage.h"
 
 namespace fts {
@@ -16,16 +14,11 @@ namespace {
 // aggregate partials (aggregate pushdown; COUNT(*) is a one-term fold).
 enum class MorselMode { kMaterialize, kAggregate };
 
-// Everything one morsel produces. Each task writes only its own slot of a
-// preallocated vector, so the scheduler needs no cross-task locking and
-// the merge is deterministic by construction.
+// What one scan morsel produces beyond its MorselRecord. Each task writes
+// only its own slot of a preallocated vector, so the scheduler needs no
+// cross-task locking and the merge is deterministic by construction.
 struct MorselOutcome {
-  bool ok = false;
-  // Morsel hit a cancellation boundary and was discarded without a rung
-  // completing (partial-abort accounting; `error` holds the cancel status).
-  bool aborted = false;
-  Status error;           // Last rung's failure when !ok.
-  EngineChoice executed;  // Rung that ran when ok.
+  EngineChoice executed;  // Rung that ran when the morsel completed.
   size_t rung_index = 0;  // Ladder depth of `executed` (0 = requested).
   // `executed` is a per-chunk choice, not a ladder rung: the cost model's
   // pick (DESIGN.md §14), or the static engine that runs the positions
@@ -37,11 +30,6 @@ struct MorselOutcome {
   std::vector<AggAccumulator> aggs;  // Aggregate mode: per-term partials.
   // JIT cache/compile attribution for this morsel's ladder walk.
   JitChunkStats jit;
-  // PMU delta for this morsel's ladder walk on its executing worker
-  // (invalid when collection was off or the worker's PMU never opened),
-  // plus the worker's trace rank for distinct-thread coverage accounting.
-  CounterDelta counters;
-  int64_t thread_rank = -1;
 };
 
 // Copies the scanner's PruningSummary into the report's zone-map fields
@@ -124,26 +112,15 @@ std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
   return {options.requested};
 }
 
-// Walks the ladder for one chunk — the only ladder walk in the engine. A
-// kUnavailable JIT failure (no AVX-512, no usable compiler) dooms every JIT
-// width for this morsel, so skip straight to the precompiled rungs instead
-// of burning a compile attempt per width.
-void RunMorsel(const TableScanner& scanner, JitCache& cache,
-               const std::vector<EngineChoice>& rungs, MorselMode mode,
-               ChunkId chunk_id, QueryContext* ctx, bool collect_counters,
-               MorselOutcome* out) {
+// Walks the ladder for one chunk — the only ladder walk in the engine —
+// and returns the last rung's failure when no rung ran. A kUnavailable JIT
+// failure (no AVX-512, no usable compiler) dooms every JIT width for this
+// morsel, so skip straight to the precompiled rungs instead of burning a
+// compile attempt per width.
+Status RunMorsel(const TableScanner& scanner, JitCache& cache,
+                 const std::vector<EngineChoice>& rungs, MorselMode mode,
+                 ChunkId chunk_id, QueryContext* ctx, MorselOutcome* out) {
   const TableScanner::ChunkPlan& plan = scanner.chunk_plans()[chunk_id];
-  // Morsel boundary = cancellation point. A canceled morsel is discarded
-  // before any rung runs; its outcome slot records the abort so the merge
-  // and the report see the deterministic partial-abort.
-  if (ctx != nullptr) {
-    const Status cancel = ctx->CheckCancelled();
-    if (!cancel.ok()) {
-      out->aborted = true;
-      out->error = cancel;
-      return;
-    }
-  }
   // The morsel span covers the whole ladder walk; the chunk-execution
   // spans underneath it (scan_chunk) nest inside on the worker's track.
   obs::TraceSpan span("morsel", "exec");
@@ -159,13 +136,9 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
   ScopedMemoryReservation reservation;
   PosList buffer;
   if (!fold) {
-    const Status reserved = reservation.Reserve(
+    FTS_RETURN_IF_ERROR(reservation.Reserve(
         ctx, static_cast<uint64_t>(plan.row_count + kScanOutputSlack) *
-                 sizeof(ChunkOffset));
-    if (!reserved.ok()) {
-      out->error = reserved;
-      return;
-    }
+                 sizeof(ChunkOffset)));
     buffer.resize(plan.row_count + kScanOutputSlack);
   }
   std::vector<AggAccumulator> aggs;
@@ -190,17 +163,8 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
     }
   }
 
-  // Measured region = the ladder walk on this worker (kernel work plus
-  // any JIT compile a rung triggers; compile wall time stays separately
-  // attributed via JitChunkStats). perf_event fds are per-thread, so this
-  // region runs on the worker's own cached counter group — the per-worker
-  // attribution the old calling-thread-only scope could not see.
-  CounterRegion region(collect_counters);
-  if (collect_counters) {
-    out->thread_rank = static_cast<int64_t>(obs::CurrentThreadRank());
-  }
+  Status error;
   bool jit_unavailable = false;
-  Status jit_unavailable_status;
   for (size_t r = 0; r < walk_rungs->size(); ++r) {
     EngineChoice choice = (*walk_rungs)[r];
     // A chunk whose value terms fold through the positions sink has no
@@ -214,13 +178,9 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
     // Checked via cancelled() rather than a rung's status code so the
     // compile-budget floor (kDeadlineExceeded WITHOUT a canceled context)
     // still demotes to a precompiled rung.
-    if (ctx != nullptr && ctx->cancelled()) {
-      out->aborted = true;
-      out->error = ctx->CancelStatus();
-      return;
-    }
+    if (ctx != nullptr && ctx->cancelled()) return ctx->CancelStatus();
     if (choice.engine == ScanEngine::kJit && jit_unavailable) {
-      out->attempts.push_back({choice, jit_unavailable_status});
+      out->attempts.push_back({choice, error});
       continue;
     }
 
@@ -257,34 +217,27 @@ void RunMorsel(const TableScanner& scanner, JitCache& cache,
             1, std::memory_order_relaxed);
       }
       out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
-      out->ok = true;
-      out->counters = region.Finish();
       if (span.active()) {
         span.AddArg("engine", choice.ToString());
         span.AddArg("matches", uint64_t{*result});
       }
-      return;
+      return Status::Ok();
     }
-    const Status& status = result.status();
-    out->attempts.push_back({choice, status});
-    out->error = status;
-    if (choice.engine == ScanEngine::kJit &&
-        status.code() == StatusCode::kUnavailable) {
-      jit_unavailable = true;
-      jit_unavailable_status = status;
-    }
+    error = result.status();
+    out->attempts.push_back({choice, error});
+    jit_unavailable = jit_unavailable ||
+                      (choice.engine == ScanEngine::kJit &&
+                       error.code() == StatusCode::kUnavailable);
   }
+  return error;
 }
 
-// Schedules every runnable chunk as one morsel and merges the outcomes
-// into the report's execution fields. Chunks the prepared scanner proved
-// impossible (dictionary translation or zone-map bounds) and 0-row chunks
-// are excluded BEFORE morsel creation, so pruned chunks cost no
-// scheduling, no thread
-// hand-off, and no ladder walk — their outcome slots simply stay empty,
-// which the merge reads as zero matches. On failure the first failed
-// morsel in chunk order decides the returned status (deterministic
-// regardless of scheduling).
+// Schedules every runnable chunk as one morsel of the morsel loop and
+// merges the outcomes into the report's execution fields. Chunks the
+// prepared scanner proved impossible (dictionary translation or zone-map
+// bounds) and 0-row chunks are excluded BEFORE morsel creation, so pruned
+// chunks cost no scheduling and no ladder walk — their outcome slots
+// simply stay empty, which the merge reads as zero matches.
 Status ScheduleMorsels(const TableScanner& scanner,
                        const ParallelScanOptions& options, MorselMode mode,
                        std::vector<MorselOutcome>* outcomes,
@@ -297,11 +250,6 @@ Status ScheduleMorsels(const TableScanner& scanner,
       options.cache != nullptr ? *options.cache : GlobalJitCache();
   const std::vector<EngineChoice> rungs = RungsFor(options);
   const size_t chunk_count = scanner.chunk_plans().size();
-
-  int threads = options.pool != nullptr ? options.pool->thread_count()
-                : options.threads <= 0
-                    ? TaskPool::DefaultThreadCount()
-                    : std::min(options.threads, kMaxTaskPoolThreads);
 
   outcomes->clear();
   outcomes->resize(chunk_count);
@@ -318,26 +266,16 @@ Status ScheduleMorsels(const TableScanner& scanner,
     return Status::Ok();
   }
 
-  const auto run_morsel = [&](size_t index) {
-    const ChunkId chunk = runnable[index];
-    RunMorsel(scanner, cache, rungs, mode, chunk, ctx,
-              options.collect_counters, &(*outcomes)[chunk]);
-  };
-  std::unique_ptr<TaskPool> local_pool;
-  if (TaskPool* pool =
-          MorselPool(options.pool, threads, runnable.size(), &local_pool)) {
-    pool->ParallelFor(runnable.size(), run_morsel);
-  } else {
-    threads = 1;
-    for (size_t i = 0; i < runnable.size(); ++i) {
-      run_morsel(i);
-      // Undispatched morsels of a canceled scan are discarded here; the
-      // pool path reaches the same state by draining aborting morsels.
-      if (ctx != nullptr && ctx->cancelled()) break;
-    }
-  }
+  const MorselLoop loop = RunMorselLoop(
+      runnable.size(),
+      {options.threads, options.pool, ctx,
+       options.collect_counters ? &report->counters : nullptr},
+      [&](size_t i) {
+        return RunMorsel(scanner, cache, rungs, mode, runnable[i], ctx,
+                         &(*outcomes)[runnable[i]]);
+      });
 
-  report->worker_count = threads;
+  report->worker_count = loop.worker_count;
   report->morsel_count = runnable.size();
   obs::Metrics().morsels_total->Add(runnable.size());
   for (const ChunkId chunk_id : runnable) {
@@ -346,89 +284,47 @@ Status ScheduleMorsels(const TableScanner& scanner,
     report->jit_cache_hits += outcome.jit.cache_hits;
     report->jit_cache_misses += outcome.jit.cache_misses;
   }
-
-  // Partial-abort accounting. A morsel either completed (ran a rung to its
-  // boundary), aborted at a cancellation point, or — when the inline loop
-  // stopped early — was never dispatched (its slot is untouched: !ok with
-  // an OK error), which counts as aborted too.
-  const bool cancelled = ctx != nullptr && ctx->cancelled();
-  size_t completed = 0;
-  size_t aborted = 0;
-  for (const ChunkId chunk_id : runnable) {
-    const MorselOutcome& outcome = (*outcomes)[chunk_id];
-    if (outcome.ok) {
-      ++completed;
-    } else if (outcome.aborted || (cancelled && outcome.error.ok())) {
-      ++aborted;
-    }
-  }
-  report->morsels_completed = completed;
-  report->morsels_aborted = aborted;
-  if (aborted > 0) obs::Metrics().morsels_aborted_total->Add(aborted);
-  if (cancelled) {
-    // The context's status — not whichever morsel noticed first — decides
-    // the result, so a canceled scan is deterministic regardless of
-    // scheduling.
+  report->morsels_completed = loop.completed;
+  report->morsels_aborted = loop.aborted;
+  if (loop.aborted > 0) obs::Metrics().morsels_aborted_total->Add(loop.aborted);
+  if (loop.cancelled) {
     report->cancelled = true;
-    const Status cancel = ctx->CancelStatus();
-    report->deadline_hit = cancel.code() == StatusCode::kDeadlineExceeded;
-    return cancel;
+    report->deadline_hit =
+        loop.status.code() == StatusCode::kDeadlineExceeded;
+    return loop.status;
   }
-
-  for (const ChunkId chunk_id : runnable) {
-    const MorselOutcome& outcome = (*outcomes)[chunk_id];
-    if (outcome.ok) continue;
-    report->attempts = outcome.attempts;
-    return outcome.error;
+  if (!loop.status.ok()) {
+    // The first failed morsel in chunk order decides the status and the
+    // ladder trail.
+    for (size_t i = 0; i < runnable.size(); ++i) {
+      if (loop.morsels[i].ok) continue;
+      report->attempts = (*outcomes)[runnable[i]].attempts;
+      break;
+    }
+    return loop.status;
   }
 
   // The deepest rung any morsel reached defines the scan-level ladder
   // trail; per-morsel decisions stay visible in morsel_choices (one entry
   // per *runnable* chunk, in chunk order — pruned chunks never chose an
-  // engine).
+  // engine). Measured morsels are also attributed to their engine.
   ChunkId deepest = runnable.front();
   report->morsel_choices.reserve(runnable.size());
-  for (const ChunkId chunk_id : runnable) {
-    const MorselOutcome& outcome = (*outcomes)[chunk_id];
+  for (size_t i = 0; i < runnable.size(); ++i) {
+    const MorselOutcome& outcome = (*outcomes)[runnable[i]];
     if (outcome.rung_index > (*outcomes)[deepest].rung_index) {
-      deepest = chunk_id;
+      deepest = runnable[i];
     }
     report->morsel_choices.push_back(outcome.executed);
+    const CounterDelta& delta = loop.morsels[i].counters;
+    if (delta.valid) {
+      report->AttributeEngineCounters(outcome.executed, delta.cycles,
+                                      delta.instructions, delta.branches,
+                                      delta.branch_misses);
+    }
   }
   report->attempts = (*outcomes)[deepest].attempts;
   report->executed = (*outcomes)[deepest].executed;
-  // Per-worker PMU aggregation with explicit coverage: every completed
-  // morsel is measurable; a morsel counts as covered only when its
-  // worker's counter group produced a valid delta. Distinct thread ranks
-  // make the "N workers" claim auditable.
-  if (options.collect_counters) {
-    ScanCounters& sc = report->counters;
-    std::vector<int64_t> ranks;
-    for (const ChunkId chunk_id : runnable) {
-      const MorselOutcome& outcome = (*outcomes)[chunk_id];
-      if (!outcome.ok) continue;
-      ++sc.morsels_measurable;
-      if (!outcome.counters.valid) continue;
-      ++sc.morsels_covered;
-      sc.cycles += outcome.counters.cycles;
-      sc.instructions += outcome.counters.instructions;
-      sc.branches += outcome.counters.branches;
-      sc.branch_misses += outcome.counters.branch_misses;
-      report->AttributeEngineCounters(
-          outcome.executed, outcome.counters.cycles,
-          outcome.counters.instructions, outcome.counters.branches,
-          outcome.counters.branch_misses);
-      if (outcome.thread_rank >= 0) ranks.push_back(outcome.thread_rank);
-    }
-    std::sort(ranks.begin(), ranks.end());
-    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    sc.threads_covered = static_cast<int>(ranks.size());
-    if (sc.morsels_covered > 0) {
-      sc.source = CounterSource::kHardware;
-      sc.detail = "perf_event_open";
-      sc.partial = sc.morsels_covered < sc.morsels_measurable;
-    }
-  }
   // A cost-model engine pick is a choice, not a degradation: only a rung
   // that ran because an earlier one failed counts as degraded.
   report->degraded = !(report->executed == report->requested) &&
@@ -436,10 +332,9 @@ Status ScheduleMorsels(const TableScanner& scanner,
   return Status::Ok();
 }
 
-// The one driver of a prepared scan, at every thread count and for every
-// engine: fills the report's scan fields, runs the morsels, then refreshes
-// the counters the finished morsels accumulated (on every return path, so
-// a failed or canceled scan reports the work it did).
+// Fills the report's scan fields, runs the morsels, then refreshes the
+// counters the finished morsels accumulated (on every return path, so a
+// failed or canceled scan reports the work it did).
 Status RunMorsels(const TableScanner& scanner,
                   const ParallelScanOptions& options, MorselMode mode,
                   std::vector<MorselOutcome>* outcomes,
@@ -507,6 +402,32 @@ StatusOr<TableScanner::AggResult> ExecuteParallelScanAggregate(
     }
   }
   return result;
+}
+
+StatusOr<TableMatches> ExecuteParallelRefine(
+    const TableScanner& scanner, const TableMatches& input,
+    const ParallelScanOptions& options, ExecutionReport* report) {
+  TableMatches refined;
+  refined.chunks.resize(input.chunks.size());
+  for (size_t i = 0; i < input.chunks.size(); ++i) {
+    refined.chunks[i].chunk_id = input.chunks[i].chunk_id;
+  }
+  const MorselLoop loop = RunPositionMorsels(
+      input,
+      {options.threads, options.pool,
+       options.context != nullptr ? options.context : scanner.context(),
+       options.collect_counters && report != nullptr ? &report->counters
+                                                      : nullptr},
+      [&](size_t i) {
+        const ChunkMatches& in = input.chunks[i];
+        PosList& out = refined.chunks[i].positions;
+        out.resize(in.positions.size());
+        out.resize(scanner.RefineChunk(in.chunk_id, in.positions.data(),
+                                       in.positions.size(), out.data()));
+        return Status::Ok();
+      });
+  FTS_RETURN_IF_ERROR(loop.status);
+  return refined;
 }
 
 }  // namespace fts

@@ -10,13 +10,13 @@
 
 namespace fts {
 
-// Morsel-driven execution of a prepared scan (Hyrise-style chunk-granular
-// parallelism) — the only driver of a prepared scan, for every engine
-// (kJit included) and every thread count. Each chunk is one morsel; a
-// TaskPool worker (or, at 1 thread, the calling thread inline) runs the
-// selected engine rung over its morsels into a thread-local PosList, and
-// the per-chunk lists are stitched together in chunk order — the output is
-// byte-identical for every thread count.
+// Morsel-driven execution of a prepared scan step (Hyrise-style
+// chunk-granular parallelism), for every engine (kJit included) and every
+// thread count, on the morsel loop (fts/exec/morsel_loop.h). Each chunk is
+// one morsel; a TaskPool worker (or, at 1 thread, the calling thread
+// inline) runs the selected engine rung over its morsels into a
+// thread-local PosList, and the per-chunk lists are stitched together in
+// chunk order — the output is byte-identical for every thread count.
 //
 // Degradation is per-morsel: under FallbackPolicy::kLadder each morsel
 // walks DegradationLadder() independently, so one chunk's JIT compile
@@ -48,10 +48,11 @@ struct ParallelScanOptions {
   // context's cancel status deterministically.
   QueryContext* context = nullptr;
   // Per-worker PMU attribution (fts/perf/counter_attribution.h): each
-  // morsel's ladder walk runs inside a counter region on its executing
-  // worker, and the deltas are aggregated into the report's ScanCounters
-  // (with morsel/thread coverage accounting) and per-engine totals. Off by
-  // default — the steady-state cost of false is one branch per morsel.
+  // morsel runs inside a counter region on its executing worker, and the
+  // deltas are aggregated into the report's ScanCounters (with
+  // morsel/thread coverage accounting) and, for scan morsels, per-engine
+  // totals. Off by default — the steady-state cost of false is one branch
+  // per morsel.
   bool collect_counters = false;
 };
 
@@ -80,6 +81,17 @@ StatusOr<uint64_t> ExecuteParallelScanCount(
 StatusOr<TableScanner::AggResult> ExecuteParallelScanAggregate(
     const TableScanner& scanner, const ParallelScanOptions& options,
     ExecutionReport* report = nullptr);
+
+// A later scan step of a non-fused plan: refines `input`, the previous
+// step's position lists, through the scanner's conjunction. Every chunk
+// with survivors is one position-list morsel (TableScanner::RefineChunk);
+// the result has one ChunkMatches per input chunk, in input order. Only
+// `threads`, `pool`, `context` and `collect_counters` apply: refine
+// morsels run no engine, and their measured regions count into
+// `report->counters` like scan morsels.
+StatusOr<TableMatches> ExecuteParallelRefine(
+    const TableScanner& scanner, const TableMatches& input,
+    const ParallelScanOptions& options, ExecutionReport* report = nullptr);
 
 }  // namespace fts
 

@@ -183,15 +183,6 @@ TaskPool& TaskPool::Global() {
   return pool;
 }
 
-TaskPool* MorselPool(TaskPool* pool, int threads, size_t morsels,
-                     std::unique_ptr<TaskPool>* local) {
-  if (threads <= 1 || morsels <= 1) return nullptr;
-  if (pool != nullptr) return pool;
-  if (TaskPool::Global().thread_count() == threads) return &TaskPool::Global();
-  *local = std::make_unique<TaskPool>(threads);
-  return local->get();
-}
-
 TaskPool::Stats TaskPool::stats() const {
   Stats stats;
   stats.executed = executed_.load(std::memory_order_relaxed);

@@ -16,8 +16,8 @@ namespace fts {
 // Upper bound on pool width; FTS_THREADS is clamped to it.
 inline constexpr int kMaxTaskPoolThreads = 256;
 
-// Fixed-size work-stealing thread pool — the scheduler under the
-// morsel-driven parallel scan (fts/exec/parallel_scan.h).
+// Fixed-size work-stealing thread pool — the scheduler under the morsel
+// loop (fts/exec/morsel_loop.h).
 //
 // Structure (Hyrise/TBB-style, sized for chunk-granular morsels):
 //   - N worker threads, fixed at construction; no dynamic growth.
@@ -91,14 +91,6 @@ class TaskPool {
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> steals_{0};
 };
-
-// Dispatch policy shared by the morsel executors (scan and gather): the
-// pool that runs `morsels` tasks on `threads` workers, or null when they
-// run inline on the calling thread (one worker or one morsel). The
-// caller's `pool` wins; else TaskPool::Global() when its width equals
-// `threads`; else a `threads`-wide pool built into `*local`.
-TaskPool* MorselPool(TaskPool* pool, int threads, size_t morsels,
-                     std::unique_ptr<TaskPool>* local);
 
 }  // namespace fts
 

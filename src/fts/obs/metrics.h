@@ -165,8 +165,7 @@ struct EngineMetrics {
   Histogram* jit_compile_micros;
   Histogram* query_micros;
   Histogram* admission_queue_wait_micros;
-  // Per-worker PMU attribution totals (hardware-sourced reads only; the
-  // gshare simulator never feeds these).
+  // Per-worker PMU attribution totals (hardware-sourced reads only).
   Counter* scan_cycles_total;
   Counter* scan_instructions_total;
   Counter* scan_branches_total;

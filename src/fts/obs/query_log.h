@@ -28,7 +28,7 @@ struct QueryLogEntry {
   // Terminal outcome: "ok", "cancelled", "deadline", "rejected", "error".
   std::string status;
   std::string engine;          // Executed engine label ("jit", ...).
-  std::string counter_source;  // "hardware", "simulated", "unavailable".
+  std::string counter_source;  // "hardware" or "unavailable".
   double total_millis = 0.0;
   double scan_millis = 0.0;
   double jit_compile_millis = 0.0;

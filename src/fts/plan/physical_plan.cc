@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <optional>
 
 #include "fts/common/query_context.h"
 #include "fts/common/string_util.h"
@@ -14,123 +13,44 @@
 #include "fts/exec/task_pool.h"
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
-#include "fts/perf/branch_predictor.h"
-#include "fts/perf/counter_attribution.h"
 #include "fts/scan/positions_fold.h"
 #include "fts/scan/table_scan.h"
 
 namespace fts {
 namespace {
 
-// The plan's worker count, shared by the first scan step and the Project
-// stage: PhysicalPlan::threads, else FTS_THREADS; unset runs morsels
-// inline on the calling thread.
+// The plan's worker count, shared by every morsel loop of the plan:
+// PhysicalPlan::threads, else FTS_THREADS; unset runs morsels inline on
+// the calling thread.
 int ResolvePlanThreads(const PhysicalPlan& plan) {
   return plan.threads != 0 ? plan.threads : TaskPool::ThreadCountFromEnv(1);
 }
 
-// The requested rung for the morsel executor. Static engines carry no
-// register width (EngineChoice contract).
-EngineChoice StepEngineChoice(const PhysicalPlan::ScanStep& step) {
-  return {step.engine,
-          step.engine == ScanEngine::kJit ? step.jit_register_bits : 0};
-}
-
-// Applies `spec` to an existing position list, evaluating predicates
-// row-at-a-time at the surviving positions (the materialize-and-refine
-// execution of non-fused plans).
-StatusOr<TableMatches> RefineMatches(const TablePtr& table,
-                                     const ScanSpec& spec,
-                                     const TableMatches& previous,
-                                     double* est_selectivity) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(table, spec));
-  if (est_selectivity != nullptr) {
-    // The refine predicate's whole-table selectivity under the model's
-    // zone-map estimates: what fraction of rows reaching this step
-    // survive it (independence assumption).
-    uint64_t rows = 0;
-    for (const TableScanner::ChunkPlan& plan : scanner.chunk_plans()) {
-      rows += plan.row_count;
-    }
-    *est_selectivity =
-        rows > 0 ? scanner.est_rows() / static_cast<double>(rows) : 1.0;
-  }
-  TableMatches refined;
-  refined.chunks.reserve(previous.chunks.size());
-  for (const ChunkMatches& chunk_matches : previous.chunks) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(spec.context));
-    const TableScanner::ChunkPlan& plan =
-        scanner.chunk_plans()[chunk_matches.chunk_id];
-    ChunkMatches out;
-    out.chunk_id = chunk_matches.chunk_id;
-    if (plan.impossible) {
-      refined.chunks.push_back(std::move(out));
-      continue;
-    }
-    if (plan.stages.empty() && plan.compressed.empty()) {
-      out.positions = chunk_matches.positions;
-      refined.chunks.push_back(std::move(out));
-      continue;
-    }
-    out.positions.reserve(chunk_matches.positions.size());
-    for (const uint32_t pos : chunk_matches.positions) {
-      bool all = true;
-      for (const ScanStage& stage : plan.stages) {
-        if (!EvaluateStageAtRow(stage, pos)) {
-          all = false;
-          break;
-        }
-      }
-      // Predicates on RLE/delta columns live in plan.compressed, not
-      // plan.stages — a refine step must evaluate those too or the
-      // conjunct is silently dropped.
-      for (size_t s = 0; all && s < plan.compressed.size(); ++s) {
-        all = EvaluateCompressedStageAtRow(plan.compressed[s], pos);
-      }
-      if (all) out.positions.push_back(pos);
-    }
-    refined.chunks.push_back(std::move(out));
-  }
-  return refined;
-}
-
-// Folds one refine step's measured region (on the calling thread) into the
-// report's whole-query counters. Refine steps run no engine, so the region
-// is attributed to the stage only. No-op when the region produced no valid
-// delta (PMU absent or a read failed).
-void AccumulateRefineCounters(const CounterDelta& delta,
-                              ExecutionReport* report) {
-  if (!delta.valid) return;
-  ScanCounters& sc = report->counters;
-  sc.source = CounterSource::kHardware;
-  sc.detail = "perf_event_open";
-  sc.cycles += delta.cycles;
-  sc.instructions += delta.instructions;
-  sc.branches += delta.branches;
-  sc.branch_misses += delta.branch_misses;
-}
-
-// Runs the plan's first (full-chunk) scan step on `threads` workers:
-// prepares the scanner once and hands it to the morsel executor, which
-// walks the degradation ladder per morsel at every thread count (morsels
-// run inline at 1 thread) and fills `report`. `execute` is
-// ExecuteParallelScan or ExecuteParallelScanAggregate.
-template <typename T>
-StatusOr<T> RunFirstStep(const PhysicalPlan& plan,
-                         const PhysicalPlan::ScanStep& step, int threads,
-                         StatusOr<T> (*execute)(const TableScanner&,
-                                                const ParallelScanOptions&,
-                                                ExecutionReport*),
-                         ExecutionReport* report) {
-  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
-                       TableScanner::Prepare(plan.table, step.spec));
+// The morsel-executor options of one scan step on the plan's `threads`
+// workers; the step's scanner supplies the query context. Static engines
+// carry no register width (EngineChoice contract).
+ParallelScanOptions StepOptions(const PhysicalPlan& plan,
+                                const PhysicalPlan::ScanStep& step,
+                                int threads) {
   ParallelScanOptions options;
-  options.requested = StepEngineChoice(step);
+  options.requested = {
+      step.engine, step.engine == ScanEngine::kJit ? step.jit_register_bits
+                                                   : 0};
   options.fallback = plan.fallback;
   options.threads = threads;
   options.collect_counters = plan.collect_counters;
-  return execute(scanner, options, report);
+  return options;
+}
+
+// A refine predicate's whole-table selectivity under the model's zone-map
+// estimates: what fraction of rows reaching its step survive it
+// (independence assumption).
+double EstSelectivity(const TableScanner& scanner) {
+  uint64_t rows = 0;
+  for (const TableScanner::ChunkPlan& plan : scanner.chunk_plans()) {
+    rows += plan.row_count;
+  }
+  return rows > 0 ? scanner.est_rows() / static_cast<double>(rows) : 1.0;
 }
 
 // Turns the merged accumulators into the aggregate projection's output
@@ -228,31 +148,6 @@ Status FinalizeAggregates(const PhysicalPlan& plan,
   return Status::Ok();
 }
 
-StatusOr<TableMatches> RunStep(const PhysicalPlan& plan,
-                               const PhysicalPlan::ScanStep& step, int threads,
-                               const std::optional<TableMatches>& previous,
-                               size_t* measured_refines,
-                               ExecutionReport* report,
-                               double* refine_selectivity) {
-  if (!previous.has_value()) {
-    return RunFirstStep(plan, step, threads, ExecuteParallelScan, report);
-  }
-  // Later steps refine position lists tuple-at-a-time; no engine involved
-  // — the measured region (always on the calling thread) is attributed to
-  // the stage, not an engine.
-  CounterRegion region(plan.collect_counters);
-  StatusOr<TableMatches> refined =
-      RefineMatches(plan.table, step.spec, *previous, refine_selectivity);
-  if (refined.ok()) {
-    const CounterDelta delta = region.Finish();
-    if (delta.valid) {
-      AccumulateRefineCounters(delta, report);
-      if (measured_refines != nullptr) ++*measured_refines;
-    }
-  }
-  return refined;
-}
-
 // Operator name used by both Explain() and the ANALYZE renderer.
 const char* StepOpName(const PhysicalPlan::ScanStep& step) {
   return (step.spec.predicates.size() > 1 || step.engine == ScanEngine::kJit)
@@ -260,121 +155,16 @@ const char* StepOpName(const PhysicalPlan::ScanStep& step) {
              : "TableScan";
 }
 
-// --- Scan counter collection ----------------------------------------------
-
-// Lanes the fused-branch replay models for the executed engine; 0 selects
-// the SISD (tuple-at-a-time) replay. The scalar fused kernel keeps the
-// fused control structure at the narrowest width, so it maps to 4 lanes.
-int ReplayLanesFor(const EngineChoice& choice) {
-  switch (choice.engine) {
-    case ScanEngine::kSisdNoVec:
-    case ScanEngine::kSisdAutoVec:
-    case ScanEngine::kBlockwise:
-      return 0;
-    case ScanEngine::kScalarFused:
-    case ScanEngine::kAvx2Fused128:
-    case ScanEngine::kAvx512Fused128:
-      return 4;
-    case ScanEngine::kAvx512Fused256:
-      return 8;
-    case ScanEngine::kAvx512Fused512:
-      return 16;
-    case ScanEngine::kJit:
-      return choice.jit_register_bits == 0 ? 16
-                                           : choice.jit_register_bits / 32;
-  }
-  return 0;
-}
-
-// Replays the first scan step's branch trace through a gshare predictor
-// (the closest simple model to the hardware the paper measured) and fills
-// `report->counters` labelled as simulated. O(rows) — only called when the
-// plan asked for counters and the PMU was unavailable.
-void SimulateScanCounters(const PhysicalPlan& plan, ExecutionReport* report) {
-  if (plan.scan_steps.empty()) return;
-  const StatusOr<TableScanner> scanner =
-      TableScanner::Prepare(plan.table, plan.scan_steps[0].spec);
-  if (!scanner.ok()) return;
-  GsharePredictor predictor;
-  const int lanes = ReplayLanesFor(report->executed);
-  uint64_t branches = 0;
-  uint64_t misses = 0;
-  for (const TableScanner::ChunkPlan& chunk : scanner->chunk_plans()) {
-    if (chunk.impossible || chunk.row_count == 0 || chunk.stages.empty()) {
-      continue;
-    }
-    const BranchStats stats =
-        lanes == 0
-            ? ReplaySisdScanBranches(chunk.stages.data(), chunk.stages.size(),
-                                     chunk.row_count, predictor)
-            : ReplayFusedScanBranches(chunk.stages.data(),
-                                      chunk.stages.size(), chunk.row_count,
-                                      lanes, predictor);
-    branches += stats.branches;
-    misses += stats.mispredictions;
-  }
-  report->counters.source = CounterSource::kSimulated;
-  report->counters.detail =
-      lanes == 0 ? std::string("gshare replay, sisd loop")
-                 : StrFormat("gshare replay, %d-lane fused", lanes);
-  report->counters.branches = branches;
-  report->counters.branch_misses = misses;
-}
-
-// Composes the human-readable coverage scope for the `Counters:` line and
-// flags partial measurements (satellite: partial PMU numbers must say what
-// they cover instead of posing as whole-query truth). `measured_refines`
-// counts refine steps whose region produced a valid hardware delta.
-void LabelCounterCoverage(const PhysicalPlan& plan, size_t measured_refines,
-                          ExecutionReport* report) {
-  ScanCounters& sc = report->counters;
-  if (sc.source == CounterSource::kSimulated) {
-    sc.coverage = "first scan step only";
-    sc.partial = plan.scan_steps.size() > 1;
-    return;
-  }
+// Surfaces a query's hardware counter reads in the metrics registry. The
+// morsel loop has already labelled their coverage; without a PMU (or
+// without collection) the counters stay unavailable and nothing is added.
+void RecordCounterMetrics(const ExecutionReport& report) {
+  const ScanCounters& sc = report.counters;
   if (sc.source != CounterSource::kHardware) return;
-  std::string scope;
-  if (report->morsel_count > 0) {
-    scope = StrFormat("%llu/%llu morsels on %d thread%s",
-                      static_cast<unsigned long long>(sc.morsels_covered),
-                      static_cast<unsigned long long>(sc.morsels_measurable),
-                      sc.threads_covered, sc.threads_covered == 1 ? "" : "s");
-    if (sc.morsels_covered < sc.morsels_measurable) sc.partial = true;
-  } else {
-    scope = "0 morsels (every chunk pruned or empty)";
-  }
-  const size_t total_refines =
-      plan.scan_steps.empty() ? 0 : plan.scan_steps.size() - 1;
-  if (total_refines > 0) {
-    scope += StrFormat(" + %zu/%zu refine steps", measured_refines,
-                       total_refines);
-    if (measured_refines < total_refines) sc.partial = true;
-  }
-  sc.coverage = scope;
-}
-
-// Finalizes counter collection once execution is done: when no hardware
-// delta landed anywhere, replays the simulator (first scan step only),
-// then labels whatever source won with its coverage scope. No-op when the
-// plan did not ask for counters.
-void FinishCounters(const PhysicalPlan& plan, size_t measured_refines,
-                    ExecutionReport* report) {
-  if (!plan.collect_counters) return;
-  if (report->counters.source == CounterSource::kUnavailable) {
-    SimulateScanCounters(plan, report);
-  }
-  LabelCounterCoverage(plan, measured_refines, report);
-  // Surface hardware reads in the metrics registry (simulated numbers stay
-  // out — mixing modeled and measured counters in one series would make
-  // the series meaningless).
-  if (report->counters.source == CounterSource::kHardware) {
-    const ScanCounters& sc = report->counters;
-    obs::Metrics().scan_cycles_total->Add(sc.cycles);
-    obs::Metrics().scan_instructions_total->Add(sc.instructions);
-    obs::Metrics().scan_branches_total->Add(sc.branches);
-    obs::Metrics().scan_branch_misses_total->Add(sc.branch_misses);
-  }
+  obs::Metrics().scan_cycles_total->Add(sc.cycles);
+  obs::Metrics().scan_instructions_total->Add(sc.instructions);
+  obs::Metrics().scan_branches_total->Add(sc.branches);
+  obs::Metrics().scan_branch_misses_total->Add(sc.branch_misses);
 }
 
 // Copies the hardware delta a stage added on top of `cycles_before` /
@@ -389,39 +179,6 @@ void FillStageCounters(const ExecutionReport& report, uint64_t cycles_before,
   stage->branch_misses = sc.branch_misses - misses_before;
 }
 
-// Folds the position lists of a plan that did not push its aggregates
-// down (multi-step plans, more than kMaxAggTerms terms, or pushdown
-// switched off) through the positions sink: per-chunk partials merged in
-// chunk order, exactly as the pushed-down morsels merge. `kernel` picks
-// the batch-gather kernel.
-StatusOr<TableScanner::AggResult> FoldMatches(const PhysicalPlan& plan,
-                                              const TableMatches& matches,
-                                              FusedKernelKind kernel,
-                                              ExecutionReport* report) {
-  FTS_ASSIGN_OR_RETURN(const PositionsFoldSink sink,
-                       PositionsFoldSink::Prepare(plan.table, plan.agg_terms));
-  FTS_ASSIGN_OR_RETURN(const GatherFn fn, GetGatherKernel(kernel));
-  TableScanner::AggResult result;
-  result.accumulators.resize(sink.num_terms());
-  result.matched = matches.TotalMatches();
-  std::vector<AggAccumulator> partial(sink.num_terms());
-  GatherStats stats;
-  for (const ChunkMatches& chunk : matches.chunks) {
-    if (chunk.positions.empty()) continue;
-    FTS_RETURN_IF_ERROR(CheckCancellation(plan.context));
-    std::fill(partial.begin(), partial.end(), AggAccumulator{});
-    sink.Fold(fn, chunk.chunk_id, chunk.positions.data(),
-              chunk.positions.size(), partial.data(), &stats);
-    for (size_t t = 0; t < partial.size(); ++t) {
-      result.accumulators[t].Merge(partial[t]);
-    }
-    ++report->agg_positions_chunks;
-  }
-  report->agg_delta_blocks = stats.delta_blocks_decoded;
-  report->rows_folded = result.matched;
-  return result;
-}
-
 // The pushed-down aggregate path: one pass folds every term inside the
 // scan (kernel loop or positions sink per chunk), the per-chunk partials
 // merge in chunk order, and the accumulators finalize straight into the
@@ -434,12 +191,13 @@ StatusOr<QueryResult> ExecuteAggregatePushdown(const PhysicalPlan& plan,
   ExecutionReport& report = result.execution_report;
   report.aggregate_pushdown = true;
   Stopwatch timer;
-  const StatusOr<TableScanner::AggResult> agg =
-      RunFirstStep(plan, step, threads, ExecuteParallelScanAggregate,
-                   &report);
+  FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
+                       TableScanner::Prepare(plan.table, step.spec));
+  const StatusOr<TableScanner::AggResult> agg = ExecuteParallelScanAggregate(
+      scanner, StepOptions(plan, step, threads), &report);
   const double millis = timer.ElapsedMillis();
   FTS_RETURN_IF_ERROR(agg.status());
-  FinishCounters(plan, 0, &report);
+  RecordCounterMetrics(report);
   report.rows_matched = agg->matched;
   report.rows_folded = agg->matched;
   report.scan_millis = millis;
@@ -718,26 +476,28 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
   }
 
   ExecutionReport report;
-  std::optional<TableMatches> matches;
+  TableMatches matches;
   // Running row estimate through the step chain: the first step's scanner
   // estimate, narrowed by each refine predicate's estimated selectivity.
   double est_rows = 0.0;
-  size_t measured_refines = 0;
-  for (const PhysicalPlan::ScanStep& step : plan.scan_steps) {
+  for (size_t s = 0; s < plan.scan_steps.size(); ++s) {
+    const PhysicalPlan::ScanStep& step = plan.scan_steps[s];
     FTS_RETURN_IF_ERROR(CheckCancellation(plan.context));
-    const bool first = !matches.has_value();
-    const uint64_t rows_in = first ? 0 : matches->TotalMatches();
+    const bool first = s == 0;
+    const uint64_t rows_in = first ? 0 : matches.TotalMatches();
     const uint64_t cycles_before = report.counters.cycles;
     const uint64_t misses_before = report.counters.branch_misses;
     Stopwatch timer;
-    double refine_selectivity = 1.0;
+    FTS_ASSIGN_OR_RETURN(const TableScanner scanner,
+                         TableScanner::Prepare(plan.table, step.spec));
+    const ParallelScanOptions options = StepOptions(plan, step, threads);
     FTS_ASSIGN_OR_RETURN(
         TableMatches next,
-        RunStep(plan, step, threads, matches, &measured_refines, &report,
-                first ? nullptr : &refine_selectivity));
+        first ? ExecuteParallelScan(scanner, options, &report)
+              : ExecuteParallelRefine(scanner, matches, options, &report));
     const double millis = timer.ElapsedMillis();
     report.scan_millis += millis;
-    est_rows = first ? report.est_rows : est_rows * refine_selectivity;
+    est_rows = first ? report.est_rows : est_rows * EstSelectivity(scanner);
     StageReport stage{
         first ? StrFormat("%s [%s]", StepOpName(step),
                           report.executed.ToString().c_str())
@@ -749,26 +509,21 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     report.stages.push_back(std::move(stage));
     matches = std::move(next);
   }
-  FinishCounters(plan, measured_refines, &report);
+  RecordCounterMetrics(report);
   // No scan steps: every row matches.
-  if (!matches.has_value()) {
-    TableMatches all;
-    all.chunks.reserve(plan.table->chunk_count());
+  if (plan.scan_steps.empty()) {
+    matches.chunks.resize(plan.table->chunk_count());
     for (ChunkId chunk_id = 0; chunk_id < plan.table->chunk_count();
          ++chunk_id) {
-      ChunkMatches chunk_matches;
-      chunk_matches.chunk_id = chunk_id;
-      chunk_matches.positions.resize(
-          plan.table->chunk(chunk_id).row_count());
-      std::iota(chunk_matches.positions.begin(),
-                chunk_matches.positions.end(), 0u);
-      all.chunks.push_back(std::move(chunk_matches));
+      ChunkMatches& all = matches.chunks[chunk_id];
+      all.chunk_id = chunk_id;
+      all.positions.resize(plan.table->chunk(chunk_id).row_count());
+      std::iota(all.positions.begin(), all.positions.end(), 0u);
     }
-    matches = std::move(all);
   }
 
   QueryResult result;
-  report.rows_matched = matches->TotalMatches();
+  report.rows_matched = matches.TotalMatches();
   result.execution_report = std::move(report);
   result.matched_rows = result.execution_report.rows_matched;
   if (plan.output == PhysicalPlan::Output::kCountStar) {
@@ -777,16 +532,31 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
     return result;
   }
   if (plan.output == PhysicalPlan::Output::kAggregate) {
+    // A plan that did not push its aggregates down (multi-step plans, more
+    // than kMaxAggTerms terms, or pushdown switched off) folds its
+    // position lists through the positions sink, one fold morsel per
+    // chunk, exactly as the pushed-down morsels fold.
     Stopwatch aggregate_timer;
-    const FusedKernelKind kernel =
-        plan.scan_steps.empty()
-            ? BestAvailableKernel()
-            : GatherKernelFor(result.execution_report.executed.engine);
+    ExecutionReport& folded_report = result.execution_report;
     FTS_ASSIGN_OR_RETURN(
-        const TableScanner::AggResult folded,
-        FoldMatches(plan, *matches, kernel, &result.execution_report));
+        const PositionsFoldSink sink,
+        PositionsFoldSink::Prepare(plan.table, plan.agg_terms));
+    ParallelProjectOptions options;
+    options.kernel = plan.scan_steps.empty()
+                         ? BestAvailableKernel()
+                         : GatherKernelFor(folded_report.executed.engine);
+    options.threads = threads;
+    options.context = plan.context;
+    GatherStats stats;
+    FTS_ASSIGN_OR_RETURN(const TableScanner::AggResult folded,
+                         ExecuteParallelFold(sink, matches, options, &stats));
+    for (const ChunkMatches& chunk : matches.chunks) {
+      folded_report.agg_positions_chunks += chunk.positions.empty() ? 0 : 1;
+    }
+    folded_report.agg_delta_blocks = stats.delta_blocks_decoded;
+    folded_report.rows_folded = folded.matched;
     FTS_RETURN_IF_ERROR(FinalizeAggregates(plan, folded, &result));
-    result.execution_report.stages.push_back(
+    folded_report.stages.push_back(
         StageReport{"Aggregate", result.matched_rows, 1,
                     aggregate_timer.ElapsedMillis()});
     return result;
@@ -794,7 +564,7 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan) {
 
   Stopwatch project_timer;
   result.column_names = plan.projection_names;
-  FTS_RETURN_IF_ERROR(ProjectColumnar(plan, *matches, threads, &result));
+  FTS_RETURN_IF_ERROR(ProjectColumnar(plan, matches, threads, &result));
   StageReport project_stage{"Project", result.matched_rows,
                             result.RowCountOut(),
                             project_timer.ElapsedMillis()};

@@ -78,11 +78,10 @@ struct PhysicalPlan {
   // compiler is missing): demote along DegradationLadder() or fail.
   FallbackPolicy fallback = FallbackPolicy::kLadder;
 
-  // Worker threads for the first (full-chunk) scan step and the Project
-  // stage, both morsel-driven over chunks when > 1 (fts/exec/
-  // parallel_scan.h, parallel_project.h). 0 = resolve from FTS_THREADS,
-  // defaulting to single-threaded; results are byte-identical for every
-  // value.
+  // Worker threads for every morsel-driven operator of the plan: the scan
+  // and refine steps, the unpushed fold and the Project stage's gather
+  // (fts/exec/morsel_loop.h). 0 = resolve from FTS_THREADS, defaulting to
+  // single-threaded; results are byte-identical for every value.
   int threads = 0;
 
   // Query lifecycle context (fts/common/query_context.h), mirrored into
@@ -93,9 +92,9 @@ struct PhysicalPlan {
   QueryContext* context = nullptr;
 
   // Collect per-scan microarchitectural counters into the report: a PMU
-  // read (perf_event_open) when the host exposes one, else a
-  // branch-predictor-simulator replay of the first scan step. The
-  // simulator is O(rows), so this is opt-in (EXPLAIN ANALYZE sets it).
+  // read (perf_event_open) per scan and refine morsel when the host
+  // exposes one, else the counters stay unavailable. Opt-in (EXPLAIN
+  // ANALYZE sets it): each measured morsel costs two ioctls and a read.
   bool collect_counters = false;
 
   // Result shape. kCountStar (SELECT COUNT(*)) answers in
@@ -137,8 +136,9 @@ struct PhysicalPlan {
   std::string Explain() const;
 };
 
-// Runs the plan. The first step scans full chunks; subsequent steps refine
-// the surviving position lists tuple-at-a-time.
+// Runs the plan as a step loop over the morsel executors: the first step
+// scans full chunks; subsequent steps refine the surviving position lists
+// tuple-at-a-time, one position-list morsel per chunk.
 StatusOr<QueryResult> ExecutePlan(const PhysicalPlan& plan);
 
 // Renders the physical plan annotated with the actuals recorded in

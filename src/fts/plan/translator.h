@@ -17,7 +17,7 @@ struct TranslatorOptions {
   int jit_register_bits = 512;
   // Runtime demotion behavior when the engine fails (see scan_engine.h).
   FallbackPolicy fallback = FallbackPolicy::kLadder;
-  // Worker threads for the plan's first scan step and Project stage
+  // Worker threads for every morsel-driven operator of the plan
   // (PhysicalPlan::threads; 0 = FTS_THREADS env, defaulting to
   // single-threaded).
   int threads = 0;

@@ -82,8 +82,6 @@ const char* CounterSourceToString(CounterSource source) {
       return "unavailable";
     case CounterSource::kHardware:
       return "hardware";
-    case CounterSource::kSimulated:
-      return "simulated";
   }
   return "?";
 }

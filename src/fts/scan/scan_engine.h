@@ -71,42 +71,40 @@ struct EngineAttempt {
 };
 
 // Where a scan's cycle/branch counters came from. kHardware means a real
-// PMU read via perf_event_open; kSimulated means the branch-predictor
-// simulator replayed the scan's branch stream (fts/perf/branch_predictor.h);
-// kUnavailable means neither ran (the default for untraced queries when
-// the PMU is inaccessible — the simulator is O(rows) and only runs when
-// counter collection is explicitly requested).
+// PMU read via perf_event_open; kUnavailable means nothing was measured —
+// the default for queries that do not collect counters, and what EXPLAIN
+// ANALYZE reports on a host without a readable PMU. (The branch-predictor
+// replay in fts/perf/branch_predictor.h serves the paper-figure benches,
+// not the query path.)
 enum class CounterSource : uint8_t {
   kUnavailable = 0,
   kHardware,
-  kSimulated,
 };
 
 const char* CounterSourceToString(CounterSource source);
 
 // Per-scan microarchitectural counters with their provenance. Populated by
-// the plan executor (EXPLAIN ANALYZE, or any query when the PMU opens).
+// the morsel loop (fts/exec/morsel_loop.h) when the plan collects counters
+// (EXPLAIN ANALYZE).
 //
 // Coverage labeling (DESIGN.md §15): the numbers are only meaningful
-// together with the scope they were measured over. The first scan step is
-// measured per worker per morsel (at every thread count); refine steps per
-// step on the calling thread; the simulator fallback replays only the
-// first scan step. `coverage` says which, `partial` flags any measurement
-// that does NOT cover every executed scan region, and the morsel/thread
-// counts make the coverage auditable.
+// together with the scope they were measured over. Every morsel of every
+// scan step — the first step's chunk morsels and the refine steps'
+// position-list morsels — is measured on its executing worker at every
+// thread count. `coverage` says how many morsels on how many threads the
+// numbers cover, and `partial` flags a measurement that missed some
+// completed morsel.
 struct ScanCounters {
   CounterSource source = CounterSource::kUnavailable;
-  // Which PMU events or which simulator produced the numbers, e.g.
-  // "perf_event_open" or "gshare(14)".
+  // Which PMU interface produced the numbers ("perf_event_open").
   std::string detail;
-  // Human-readable scope, e.g. "12/12 morsels on 4 threads",
-  // "3/3 morsels on 1 thread + 1/1 refine steps", "first scan step only".
+  // Human-readable scope, e.g. "12/12 morsels on 4 threads".
   std::string coverage;
-  // True when some executed scan work was not measured (e.g. a morsel
-  // whose PMU read failed, or the simulated first-step-only fallback on a
-  // multi-step plan). EXPLAIN ANALYZE renders partial numbers as such.
+  // True when some completed morsel was not measured (e.g. its PMU read
+  // failed). EXPLAIN ANALYZE renders partial numbers as such.
   bool partial = false;
-  // Morsel coverage accounting of the first scan step.
+  // Morsel coverage accounting over every scan step; `threads_covered` is
+  // the widest step's count of distinct measured threads.
   uint64_t morsels_covered = 0;
   uint64_t morsels_measurable = 0;
   int threads_covered = 0;
@@ -276,8 +274,7 @@ struct ExecutionReport {
   // stage in execution order.
   std::vector<StageReport> stages;
   // Whole-query microarchitectural counters with coverage labeling: the
-  // first scan step's per-worker per-morsel PMU reads plus per-step reads
-  // of the refine steps on the calling thread.
+  // per-worker per-morsel PMU reads of every scan step.
   ScanCounters counters;
   // Counter totals split by the engine that executed each measured region,
   // in first-seen order. Empty without hardware coverage.

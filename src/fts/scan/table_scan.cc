@@ -819,6 +819,28 @@ StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
   return count;
 }
 
+size_t TableScanner::RefineChunk(ChunkId chunk_id, const ChunkOffset* in,
+                                 size_t n, ChunkOffset* out) const {
+  const ChunkPlan& plan = chunk_plans_[chunk_id];
+  if (plan.impossible) return 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const ChunkOffset pos = in[i];
+    bool all = true;
+    for (size_t s = 0; all && s < plan.stages.size(); ++s) {
+      all = EvaluateStageAtRow(plan.stages[s], pos);
+    }
+    // Predicates on RLE/delta columns live in plan.compressed, not
+    // plan.stages — a refine step must evaluate those too or the conjunct
+    // is silently dropped.
+    for (size_t s = 0; all && s < plan.compressed.size(); ++s) {
+      all = EvaluateCompressedStageAtRow(plan.compressed[s], pos);
+    }
+    if (all) out[kept++] = pos;
+  }
+  return kept;
+}
+
 StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
     ScanEngine engine, ChunkId chunk_id, AggAccumulator* accs) const {
   FTS_RETURN_IF_ERROR(ValidateEngine(engine));

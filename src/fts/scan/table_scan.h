@@ -137,6 +137,14 @@ class TableScanner {
   StatusOr<size_t> ExecuteChunk(ScanEngine engine, ChunkId chunk_id,
                                 ChunkOffset* out) const;
 
+  // Refine morsel primitive (a later step of a non-fused plan): keeps the
+  // `n` ascending offsets at `in` that satisfy this chunk's conjunction,
+  // evaluated row-at-a-time at each survivor, and writes them to `out`
+  // (capacity n; may alias `in`). Returns the survivor count. Impossible
+  // chunks keep nothing; predicate-free chunks keep every offset.
+  size_t RefineChunk(ChunkId chunk_id, const ChunkOffset* in, size_t n,
+                     ChunkOffset* out) const;
+
   // Aggregate-pushdown morsel primitive: evaluates the chunk's conjunction
   // and folds the spec's aggregates. `accs` must hold
   // spec.aggregates.size() slots; they are reset to fresh accumulators

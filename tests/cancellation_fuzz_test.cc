@@ -1,7 +1,9 @@
 // Cancellation fuzzer: injects a cancel at a random morsel/chunk boundary
 // (QueryContext::CancelAtCheck — deterministic per seed, no timer races)
 // into the morsel-driven parallel scan across the static engine rungs and
-// the JIT path at 1/2/4 threads, then asserts the lifecycle contract:
+// the JIT path, and into whole 2-step plans whose refine, fold and gather
+// morsels run on the same morsel loop, at 1/2/4 threads, then asserts the
+// lifecycle contract:
 //
 //   - a run that fails does so with exactly kQueryCanceled;
 //   - a run that completes (the cancel landed after the last boundary) is
@@ -20,7 +22,12 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/query_context.h"
 #include "fts/exec/parallel_scan.h"
+#include "fts/plan/lqp.h"
+#include "fts/plan/optimizer.h"
+#include "fts/plan/physical_plan.h"
+#include "fts/plan/translator.h"
 #include "fts/scan/table_scan.h"
+#include "fts/sql/parser.h"
 #include "fts/storage/data_generator.h"
 #include "test_util.h"
 
@@ -182,6 +189,86 @@ TEST_P(CancellationFuzzTest, CancelCountPath) {
     const auto rerun = ExecuteParallelScanCount(*prepared, clean);
     ASSERT_TRUE(rerun.ok());
     EXPECT_EQ(*rerun, *reference) << testing::ReplayCommand(kBinary, seed);
+  }
+}
+
+// Plans `sql` over `table` (registered as "t") as a non-fused sisd-novec
+// plan — one scan step per predicate — on `threads` workers armed with
+// `ctx`, runs it, and renders every result row.
+StatusOr<std::string> RunSisdPlan(const TablePtr& table,
+                                  const std::string& sql, int threads,
+                                  QueryContext* ctx) {
+  FTS_ASSIGN_OR_RETURN(const SelectStatement statement, ParseSelect(sql));
+  FTS_ASSIGN_OR_RETURN(LqpNodePtr lqp, BuildLqp(statement, "t", table));
+  OptimizerOptions optimizer_options;
+  optimizer_options.enable_fusion = false;
+  FTS_RETURN_IF_ERROR(OptimizeLqp(&lqp, optimizer_options));
+  TranslatorOptions options;
+  options.engine = ScanEngine::kSisdNoVec;
+  options.threads = threads;
+  options.context = ctx;
+  FTS_ASSIGN_OR_RETURN(const PhysicalPlan plan, TranslateLqp(lqp, options));
+  if (plan.scan_steps.size() != 2 || plan.pushdown_step.has_value()) {
+    return Status::Internal("expected an unpushed 2-step plan: " +
+                            plan.Explain());
+  }
+  FTS_ASSIGN_OR_RETURN(const QueryResult result, ExecutePlan(plan));
+  return result.ToString(SIZE_MAX);
+}
+
+// ExecutePlan twin: 2-step sisd-novec plans for COUNT(*), SUM/MIN (refine,
+// then fold) and a top-k projection (refine, then gather), each canceled
+// at a random boundary of its scan, refine, fold or gather morsels. A
+// canceled run fails with exactly kQueryCanceled; a completed run and a
+// clean rerun match the 1-thread reference byte for byte.
+TEST_P(CancellationFuzzTest, CancelPlanSteps) {
+  const uint64_t seed = GetParam();
+  ScanTableOptions options;
+  options.rows = 200000;
+  options.chunk_size = 16384;  // 13 chunks.
+  // c2 matches half the rows and is random elsewhere: varied fold values
+  // and sort keys.
+  options.selectivities = {0.3, 0.6, 0.5};
+  options.seed = seed;
+  const GeneratedScanTable generated = MakeScanTable(options);
+  const std::string where =
+      StrFormat(" FROM t WHERE c0 = %d AND c1 = %d",
+                generated.search_values[0], generated.search_values[1]);
+  const std::vector<std::string> queries = {
+      "SELECT COUNT(*)" + where, "SELECT SUM(c2), MIN(c2)" + where,
+      "SELECT c0, c2" + where + " ORDER BY c2 DESC LIMIT 25"};
+
+  uint64_t rng = Mix(seed ^ 0x5eed);
+  for (const std::string& sql : queries) {
+    const auto reference = RunSisdPlan(generated.table, sql, 1, nullptr);
+    ASSERT_TRUE(reference.ok()) << sql << ": "
+                                << reference.status().ToString();
+    for (const int threads : {1, 2, 4}) {
+      // A clean run passes 29 (COUNT) to 54 (top-k) boundaries; cancel
+      // within the first 80 so both sides of the contract get exercised.
+      rng = Mix(rng);
+      const uint64_t cancel_at = rng % 80 + 1;
+      const std::string what =
+          StrFormat("%s threads=%d cancel_at=%llu", sql.c_str(), threads,
+                    static_cast<unsigned long long>(cancel_at));
+      QueryContext ctx;
+      ctx.CancelAtCheck(cancel_at);
+      const auto result = RunSisdPlan(generated.table, sql, threads, &ctx);
+      if (result.ok()) {
+        EXPECT_EQ(*result, *reference)
+            << what << "\n" << testing::ReplayCommand(kBinary, seed);
+      } else {
+        EXPECT_EQ(result.status().code(), StatusCode::kQueryCanceled)
+            << what << ": " << result.status().ToString() << "\n"
+            << testing::ReplayCommand(kBinary, seed);
+        EXPECT_TRUE(ctx.cancelled()) << what;
+      }
+      const auto rerun = RunSisdPlan(generated.table, sql, threads, nullptr);
+      ASSERT_TRUE(rerun.ok()) << what << " rerun: "
+                              << rerun.status().ToString();
+      EXPECT_EQ(*rerun, *reference)
+          << what << " (rerun)\n" << testing::ReplayCommand(kBinary, seed);
+    }
   }
 }
 

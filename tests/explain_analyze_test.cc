@@ -8,6 +8,7 @@
 
 #include "fts/common/string_util.h"
 #include "fts/db/database.h"
+#include "fts/perf/counter_attribution.h"
 #include "fts/sql/parser.h"
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
@@ -113,22 +114,17 @@ TEST_F(ExplainAnalyzeTest, AnalyzeExecutesAndAnnotates) {
             std::string::npos)
       << text;
 
-  // EXPLAIN ANALYZE collects counters; the source is always labelled,
-  // and the Counters line now states what the numbers actually cover
-  // (whole query vs first scan step / a subset of morsels).
-  EXPECT_NE(report.counters.source, CounterSource::kUnavailable);
-  EXPECT_NE(text.find("counters ("), std::string::npos) << text;
-  EXPECT_NE(text.find(CounterSourceToString(report.counters.source)),
-            std::string::npos)
-      << text;
-  EXPECT_FALSE(report.counters.coverage.empty());
-  EXPECT_NE(text.find(", covers " + report.counters.coverage),
-            std::string::npos)
-      << text;
-  if (report.counters.source == CounterSource::kSimulated) {
-    // The gshare replay only models the first scan step; a single-step
-    // COUNT(*) plan is therefore full coverage, not partial.
-    EXPECT_EQ(report.counters.coverage, "first scan step only");
+  // EXPLAIN ANALYZE collects counters. Hardware numbers state what they
+  // cover; without a readable PMU the line says so and nothing else.
+  if (report.counters.source == CounterSource::kHardware) {
+    EXPECT_NE(text.find("counters (hardware"), std::string::npos) << text;
+    EXPECT_FALSE(report.counters.coverage.empty());
+    EXPECT_NE(text.find(", covers " + report.counters.coverage),
+              std::string::npos)
+        << text;
+  } else {
+    EXPECT_EQ(report.counters.source, CounterSource::kUnavailable);
+    EXPECT_NE(text.find("counters: unavailable"), std::string::npos) << text;
   }
 
   // Stage table: COUNT(*) is a pushed-down one-term aggregate — one fused
@@ -190,7 +186,7 @@ TEST_F(ExplainAnalyzeTest, PlainQueryCollectsNoCounters) {
       db_.Query("SELECT COUNT(*) FROM tbl WHERE c0 = 5 AND c1 = 2");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->explain_text.empty());
-  // Counter collection is opt-in (the simulator is O(rows)).
+  // Counter collection is opt-in (EXPLAIN ANALYZE turns it on).
   EXPECT_EQ(result->execution_report.counters.source,
             CounterSource::kUnavailable);
 }
@@ -229,11 +225,9 @@ TEST_F(ExplainAnalyzeTest, AnalyzeParallelScanReportsWorkers) {
   EXPECT_NE(text.find("engines={"), std::string::npos) << text;
   EXPECT_EQ(*result->count, generated_.stage_matches.back());
 
-  // Counter coverage is host-dependent (PMU vs gshare replay), but
-  // whichever path ran must label itself honestly: hardware numbers on a
-  // parallel scan state their morsel/thread coverage and attribute
-  // per-engine; the simulator admits it replays the first step only.
-  EXPECT_FALSE(report.counters.coverage.empty());
+  // Counter coverage is host-dependent, but a PMU read on a parallel scan
+  // states its morsel/thread coverage and attributes per engine; without
+  // a PMU the counters are unavailable.
   if (report.counters.source == CounterSource::kHardware) {
     EXPECT_NE(report.counters.coverage.find("morsels"), std::string::npos);
     EXPECT_GT(report.counters.morsels_measurable, 0u);
@@ -241,9 +235,47 @@ TEST_F(ExplainAnalyzeTest, AnalyzeParallelScanReportsWorkers) {
               report.counters.morsels_covered);
     EXPECT_FALSE(report.engine_counters.empty());
   } else {
-    EXPECT_EQ(report.counters.source, CounterSource::kSimulated);
-    EXPECT_NE(report.counters.coverage.find("first scan step"),
-              std::string::npos);
+    EXPECT_EQ(report.counters.source, CounterSource::kUnavailable);
+    EXPECT_TRUE(report.counters.coverage.empty());
+  }
+}
+
+// The counter contract of a 2-step plan: its refine step runs as
+// position-list morsels that are measured and counted like scan morsels,
+// so hardware coverage counts more morsels than the first step ran and
+// carries no separate refine-step suffix. Without a PMU nothing is
+// measured and the Counters line says `counters: unavailable`.
+TEST_F(ExplainAnalyzeTest, AnalyzeCountersCoverRefineMorsels) {
+  Database::QueryOptions options;
+  options.engine = ScanEngine::kSisdNoVec;
+  options.threads = 4;
+  const auto result = db_.Query(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM tbl WHERE c0 = 5 AND c1 = 2",
+      options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ExecutionReport& report = result->execution_report;
+  const std::string& text = result->explain_text;
+  EXPECT_EQ(*result->count, generated_.stage_matches.back());
+  ASSERT_EQ(report.stages.size(), 2u) << text;  // Scan, then refine.
+  EXPECT_EQ(text.find("refine steps"), std::string::npos) << text;
+  EXPECT_EQ(text.find("simulated"), std::string::npos) << text;
+  if (ThreadCounters::ForCurrentThread().available()) {
+    EXPECT_EQ(report.counters.source, CounterSource::kHardware) << text;
+  }
+  if (report.counters.source == CounterSource::kHardware) {
+    EXPECT_GT(report.counters.morsels_measurable, report.morsel_count);
+    EXPECT_NE(text.find(StrFormat(
+                  "covers %llu/%llu morsels",
+                  static_cast<unsigned long long>(
+                      report.counters.morsels_covered),
+                  static_cast<unsigned long long>(
+                      report.counters.morsels_measurable))),
+              std::string::npos)
+        << text;
+  } else {
+    EXPECT_EQ(report.counters.source, CounterSource::kUnavailable);
+    EXPECT_NE(text.find("counters: unavailable\n"), std::string::npos)
+        << text;
   }
 }
 

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "fts/common/stats.h"
+#include "fts/common/string_util.h"
 #include "fts/common/timer.h"
+#include "fts/db/database.h"
 #include "fts/obs/query_log.h"
 #include "fts/obs/trace.h"
 #include "fts/perf/counter_attribution.h"
@@ -152,6 +154,53 @@ TEST(ObsOverheadTest, AlwaysOnQueryStatsStayUnderOnePercentOfScan) {
   // (a stray allocation or lock convoy costs multiples of it).
   EXPECT_LT(on, off * 1.01 + 0.05)
       << "FTS_OBS=0 " << off << "ms vs always-on " << on << "ms";
+}
+
+TEST(ObsOverheadTest, ExplainAnalyzeCostsAboutTheQuery) {
+  // EXPLAIN ANALYZE measures the query that ran — per-morsel PMU regions
+  // when the host has a PMU, nothing otherwise — so it must cost about
+  // what the plain query costs: no replay or re-scan rides along.
+  // Interleaves the two so host noise hits both equally.
+  ScanTableOptions options;
+  options.rows = 400000;
+  options.selectivities = {0.1, 0.5};
+  options.seed = 99;
+  options.chunk_size = 10000;
+  const GeneratedScanTable generated = MakeScanTable(options);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", generated.table).ok());
+  Database::QueryOptions query_options;
+  query_options.engine = ScanEngineAvailable(ScanEngine::kAvx512Fused512)
+                             ? ScanEngine::kAvx512Fused512
+                             : ScanEngine::kScalarFused;
+  const std::string sql =
+      StrFormat("SELECT COUNT(*) FROM t WHERE c0 = %d AND c1 = %d",
+                generated.search_values[0], generated.search_values[1]);
+  const uint64_t expected = generated.stage_matches.back();
+
+  auto timed = [&](const std::string& statement) {
+    Stopwatch stopwatch;
+    const auto result = db.Query(statement, query_options);
+    const double millis = stopwatch.ElapsedMillis();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (result.ok()) {
+      EXPECT_EQ(result->count.value_or(0), expected);
+    }
+    return millis;
+  };
+
+  constexpr int kReps = 21;
+  std::vector<double> plain_ms, explain_ms;
+  timed(sql);  // Warm-up outside the timed region.
+  timed("EXPLAIN ANALYZE " + sql);
+  for (int rep = 0; rep < kReps; ++rep) {
+    plain_ms.push_back(timed(sql));
+    explain_ms.push_back(timed("EXPLAIN ANALYZE " + sql));
+  }
+  const double plain = Median(plain_ms);
+  const double explain = Median(explain_ms);
+  EXPECT_LT(explain, plain * 1.5 + 0.5)
+      << "plain=" << plain << "ms explain analyze=" << explain << "ms";
 }
 
 TEST(ObsOverheadTest, DisabledCounterRegionsAreOneBranch) {

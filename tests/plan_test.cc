@@ -333,8 +333,8 @@ TEST(ExecutePlanTest, MultiStepRefinementMatchesFused) {
 }
 
 // Regression: a refine step whose predicate lands on an RLE/delta column
-// carries it in ChunkPlan::compressed, not ChunkPlan::stages. RefineMatches
-// used to consult only `stages`, so the conjunct was silently dropped and
+// carries it in ChunkPlan::compressed, not ChunkPlan::stages. The refine
+// step used to consult only `stages`, so the conjunct was silently dropped and
 // non-fused plans over-counted.
 TEST(ExecutePlanTest, MultiStepRefinementEvaluatesCompressedStages) {
   constexpr size_t kRows = 2000;

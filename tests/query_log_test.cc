@@ -127,7 +127,7 @@ TEST(QueryLogTest, RenderJsonParsesWithSchema) {
   entry.digest = "SELECT COUNT(*) FROM t WHERE c0 = ?";
   entry.status = "ok";
   entry.engine = "jit";
-  entry.counter_source = "simulated";
+  entry.counter_source = "hardware";
   entry.total_millis = 1.5;
   entry.rows_scanned = 1000;
   entry.rows_matched = 10;
@@ -144,7 +144,7 @@ TEST(QueryLogTest, RenderJsonParsesWithSchema) {
   EXPECT_EQ(q.Find("digest")->string, "SELECT COUNT(*) FROM t WHERE c0 = ?");
   EXPECT_EQ(q.Find("status")->string, "ok");
   EXPECT_EQ(q.Find("engine")->string, "jit");
-  EXPECT_EQ(q.Find("counter_source")->string, "simulated");
+  EXPECT_EQ(q.Find("counter_source")->string, "hardware");
   EXPECT_EQ(q.Find("rows_scanned")->number, 1000.0);
   EXPECT_EQ(q.Find("est_error_permille")->number, 42.0);
   EXPECT_TRUE(q.Find("model_active")->boolean);
