@@ -26,7 +26,7 @@
 //
 // Scaling knobs: FTS_BENCH_MAX_ROWS / FTS_BENCH_REPS / FTS_BENCH_FULL
 // (see bench_util.h). The first adaptive Prepare calibrates the profile
-// (~1.3 s, once); set FTS_COST_PROFILE to cache it across runs.
+// (~0.15 s, once); set FTS_COST_PROFILE to cache it across runs.
 
 #include <algorithm>
 #include <cstdio>

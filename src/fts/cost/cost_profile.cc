@@ -4,9 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "fts/common/aligned_buffer.h"
 #include "fts/common/cpu_info.h"
@@ -34,6 +38,28 @@ constexpr const char* kEngineNames[kNumEngines] = {
 };
 
 constexpr const char* kEncNames[kNumEncClasses] = {"p32", "p64", "packed"};
+
+// Units the compute-bound constants are timed over: the SISD pair (5-14
+// ns/row, under 1 GB/s), the RLE run classifier and the delta row decoder
+// price instructions, not bandwidth, so 2^16 rows (256 KiB of plain32,
+// L2-resident) time the same work as the full fixture at a twentieth of
+// the cost.
+constexpr size_t kComputeBoundUnits = size_t{1} << 16;
+
+// Minimum block visits per timed delta_block_ns run: a visit is ~1 ns, so
+// fewer would let the clock reads dominate. 2^11 is what a 2^21-row
+// column visits once.
+constexpr size_t kDeltaBlockVisits = size_t{1} << 11;
+
+// The adaptation set: the engines AdaptEngine prices against each other
+// (the SISD pair every chunk may fall back to, and the best fused engine
+// the default request and the chain ranking use). Calibrate() measures
+// exactly these; other fused engines stay unmeasured, and AdaptEngine
+// leaves a request for them unchanged.
+std::array<ScanEngine, 3> AdaptationSet() {
+  return {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec,
+          BestFusedEngine()};
+}
 
 double NowNanos() {
   return static_cast<double>(
@@ -156,10 +182,11 @@ CollectFn CollectFnFor(ScanEngine engine) {
 }
 
 // Solves the three-point system described in cost_profile.h for one
-// (engine, class): t(sel) = first + sel * emit for a single stage, and a
-// two-stage chain with a pass-all first stage adds one full-width rest
-// term. `emit` is shared across classes (output side), so it is passed in
-// for every class after kPlain32.
+// (engine, class) over the first `rows` rows of the fixture: t(sel) =
+// first + sel * emit for a single stage, and a two-stage chain with a
+// pass-all first stage adds one full-width rest term. `emit` is shared
+// across classes (output side), so it is passed in for every class after
+// kPlain32.
 struct ClassConstants {
   double first_ns = 0.0;
   double rest_ns = 0.0;
@@ -167,9 +194,9 @@ struct ClassConstants {
 };
 
 ClassConstants MeasureClass(CollectFn fn, CountFn count_fn,
-                            const ClassFixture& fixture, EncClass enc,
-                            int reps, double shared_emit) {
-  const size_t rows = fixture.rows;
+                            const ClassFixture& fixture, size_t rows,
+                            EncClass enc, int reps, double shared_emit) {
+  FTS_CHECK(rows <= fixture.rows);
   const ScanStage half = fixture.StageFor(enc, 0.5);
   const ScanStage full = fixture.StageFor(enc, 1.0);
 
@@ -203,7 +230,14 @@ ClassConstants MeasureClass(CollectFn fn, CountFn count_fn,
     });
     c.emit_ns = std::max(0.02, t_full - t_count);
   } else {
-    c.emit_ns = std::max(0.0, (t_full - t_half) / 0.5);
+    // The fused compress-store is branch-free, so t(sel) is linear; the
+    // whole 0..1 span carries twice the signal of the half slope. Floored
+    // like the SISD branch: a zero emit would price every gathered cell
+    // at nothing.
+    const ScanStage none = fixture.StageFor(enc, 0.0);
+    const double t_none =
+        MeasureNsPerUnit(rows, reps, [&] { return collect(&none, 1); });
+    c.emit_ns = std::max(0.02, t_full - t_none);
   }
   c.first_ns = std::max(0.05, t_half - 0.5 * c.emit_ns);
   c.rest_ns = std::max(0.02, t_two - c.first_ns - 0.5 * c.emit_ns);
@@ -226,11 +260,14 @@ void FinalizeDerived(CostProfile* profile) {
   jit.emit_ns = best.emit_ns * profile->jit_speed_factor;
 }
 
+// `rows` sizes the store-bound position emission; the compute-bound RLE
+// and delta constants run over at most kComputeBoundUnits units.
 void MeasureCompressedConstants(CostProfile* profile, size_t rows,
                                 int reps) {
   // RLE: classify one run and account its length — the per-run work of
   // BuildCompressedStageRanges' RLE path.
-  const size_t runs = std::max<size_t>(rows / 4, 1024);
+  const size_t runs =
+      std::max<size_t>(std::min(rows / 4, kComputeBoundUnits), 1024);
   std::vector<uint32_t> run_values(runs);
   std::vector<uint32_t> run_ends(runs);
   uint32_t state = 0xabcd1234u;
@@ -284,26 +321,33 @@ void MeasureCompressedConstants(CostProfile* profile, size_t rows,
 
   // Delta: block classification from stored min/max, and per-row prefix
   // reconstruction + compare for maybe-blocks.
-  AlignedVector<int64_t> values(rows);
+  const size_t delta_rows = std::min(rows, kComputeBoundUnits);
+  AlignedVector<int64_t> values(delta_rows);
   int64_t acc = 0;
-  for (size_t i = 0; i < rows; ++i) {
+  for (size_t i = 0; i < delta_rows; ++i) {
     acc += static_cast<int64_t>(Lcg(state) % 5);
     values[i] = acc;
   }
   auto column = DeltaColumn<int64_t>::TryFromValues(values);
   if (column.has_value()) {
     const auto& blocks = column->blocks();
-    const int64_t needle = values[rows / 2];
+    const int64_t needle = values[delta_rows / 2];
+    // A short column has few blocks: tile its metadata until one timed
+    // pass makes kDeltaBlockVisits visits.
+    std::vector<DeltaColumn<int64_t>::BlockMeta> visits;
+    while (visits.size() < kDeltaBlockVisits) {
+      visits.insert(visits.end(), blocks.begin(), blocks.end());
+    }
     profile->delta_block_ns =
-        MeasureNsPerUnit(blocks.size(), reps, [&] {
+        MeasureNsPerUnit(visits.size(), reps, [&] {
           size_t maybe = 0;
-          for (const auto& meta : blocks) {
+          for (const auto& meta : visits) {
             maybe += (meta.min < needle && needle <= meta.max) ? 1 : 0;
           }
           return maybe;
         });
     std::vector<int64_t> buf(kDeltaBlockRows);
-    profile->delta_row_ns = MeasureNsPerUnit(rows, reps, [&] {
+    profile->delta_row_ns = MeasureNsPerUnit(delta_rows, reps, [&] {
       size_t matches = 0;
       for (size_t b = 0; b < blocks.size(); ++b) {
         const size_t n = column->DecodeBlock(b, buf.data());
@@ -407,6 +451,17 @@ StatusOr<CostProfile> CostProfile::Parse(const std::string& text) {
         StrFormat("cost profile version %d != expected %d", profile.version,
                   kVersion));
   }
+  // The engine-independent constants; bit i of `scalars_seen` records
+  // that scalars[i] was read.
+  const std::pair<const char*, double*> scalars[] = {
+      {"rle_run_ns", &profile.rle_run_ns},
+      {"delta_block_ns", &profile.delta_block_ns},
+      {"delta_row_ns", &profile.delta_row_ns},
+      {"compressed_emit_ns", &profile.compressed_emit_ns},
+      {"jit_speed_factor", &profile.jit_speed_factor},
+      {"jit_compile_millis", &profile.jit_compile_millis},
+  };
+  uint32_t scalars_seen = 0;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -446,22 +501,30 @@ StatusOr<CostProfile> CostProfile::Parse(const std::string& text) {
         return Status::InvalidArgument(StrFormat(
             "cost profile engine line for '%s' is malformed", name.c_str()));
       }
-    } else if (key == "rle_run_ns") {
-      fields >> profile.rle_run_ns;
-    } else if (key == "delta_block_ns") {
-      fields >> profile.delta_block_ns;
-    } else if (key == "delta_row_ns") {
-      fields >> profile.delta_row_ns;
-    } else if (key == "compressed_emit_ns") {
-      fields >> profile.compressed_emit_ns;
-    } else if (key == "jit_speed_factor") {
-      fields >> profile.jit_speed_factor;
-    } else if (key == "jit_compile_millis") {
-      fields >> profile.jit_compile_millis;
     } else {
-      return Status::InvalidArgument(
-          StrFormat("cost profile has unknown key '%s'", key.c_str()));
+      size_t i = 0;
+      while (i < std::size(scalars) && key != scalars[i].first) ++i;
+      if (i == std::size(scalars)) {
+        return Status::InvalidArgument(
+            StrFormat("cost profile has unknown key '%s'", key.c_str()));
+      }
+      fields >> *scalars[i].second;
+      scalars_seen |= 1u << i;
     }
+  }
+  // A calibrated profile holds every engine Calibrate() measures or
+  // derives and every constant. One that lacks any (a file cut short
+  // mid-write) must recalibrate, not load with adaptation silently
+  // degraded.
+  const auto available = [&](ScanEngine engine) {
+    return profile.For(engine).available;
+  };
+  const auto measured = AdaptationSet();
+  if (profile.calibrated &&
+      (scalars_seen != (1u << std::size(scalars)) - 1 ||
+       !available(ScanEngine::kJit) ||
+       !std::all_of(measured.begin(), measured.end(), available))) {
+    return Status::InvalidArgument("calibrated cost profile is incomplete");
   }
   return profile;
 }
@@ -500,10 +563,12 @@ CostProfile CostProfile::Defaults() {
 }
 
 CostProfile CostProfile::Calibrate() {
-  // Full calibration streams 8 MiB per plain32 column — past L2 on every
-  // target CPU — so the constants reflect the memory-bound regime real
-  // scans run in, not an L2-resident toy. Fast mode trades that fidelity
-  // for a ~20 ms startup (tests, CI smoke).
+  // Each constant is timed in the regime it prices. The best fused engine
+  // streams 8 MiB per plain32 column, past L2 on every target CPU, so its
+  // constants reflect the memory-bound regime real scans run in; the
+  // compute-bound SISD pair reads an L2-resident prefix of the same
+  // fixture (kComputeBoundUnits). Fast mode trades fidelity for a ~20 ms
+  // startup (tests).
   const bool fast = GetEnvBool("FTS_CALIBRATE_FAST", false);
   const size_t rows = fast ? (size_t{1} << 14) : (size_t{1} << 21);
   const int reps = fast ? 2 : 3;
@@ -513,20 +578,17 @@ CostProfile CostProfile::Calibrate() {
   profile.calibrated = true;
 
   const ClassFixture fixture = ClassFixture::Build(rows);
-  // The adaptation set: the engines AdaptEngine prices against each other
-  // (the SISD pair every chunk may fall back to, and the best fused engine
-  // the default request and the chain ranking use). Other fused engines
-  // stay unmeasured; AdaptEngine leaves a request for them unchanged.
-  const ScanEngine measured[] = {ScanEngine::kSisdNoVec,
-                                 ScanEngine::kSisdAutoVec, BestFusedEngine()};
-  for (ScanEngine engine : measured) {
+  for (ScanEngine engine : AdaptationSet()) {
     CollectFn fn = CollectFnFor(engine);
+    const size_t engine_rows = engine == BestFusedEngine()
+                                   ? rows
+                                   : std::min(rows, kComputeBoundUnits);
     EngineCostConstants& e = profile.engines[static_cast<size_t>(engine)];
     e.available = true;
     double shared_emit = -1.0;
     for (size_t c = 0; c < kNumEncClasses; ++c) {
       const ClassConstants constants =
-          MeasureClass(fn, CountFnFor(engine), fixture,
+          MeasureClass(fn, CountFnFor(engine), fixture, engine_rows,
                        static_cast<EncClass>(c), reps, shared_emit);
       e.first_ns[c] = constants.first_ns;
       e.rest_ns[c] = constants.rest_ns;
@@ -561,7 +623,7 @@ const CostProfile& CalibratedProfile() {
         }
       }
     }
-    // Calibrate on a dedicated, labelled thread so the multi-second
+    // Calibrate on a dedicated, labelled thread so the calibration
     // microbenchmark shows up as its own named Perfetto track instead of
     // an anonymous stall on whichever query thread asked first. The join
     // keeps the blocking semantics callers rely on.
@@ -573,8 +635,17 @@ const CostProfile& CalibratedProfile() {
     });
     calibrator.join();
     if (!path.empty()) {
-      std::ofstream out(path, std::ios::trunc);
-      if (out) out << measured.Serialize();  // Best effort.
+      // Best effort. Write a sibling file and rename(2) it over the
+      // target, so a concurrent reader sees the old profile or the new
+      // one, never a prefix.
+      const std::string tmp = StrFormat("%s.tmp.%d", path.c_str(),
+                                        static_cast<int>(getpid()));
+      std::ofstream out(tmp, std::ios::trunc);
+      out << measured.Serialize();
+      out.close();
+      if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+      }
     }
     return measured;
   }();

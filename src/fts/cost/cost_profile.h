@@ -89,8 +89,9 @@ struct CostProfile {
   }
 
   // Versioned key-value text round-trip. Parse fails on a version or
-  // malformed-line mismatch; callers treat a cpu-string mismatch as a
-  // stale profile and recalibrate.
+  // malformed-line mismatch, and on a calibrated profile that lacks an
+  // engine Calibrate() measures (a truncated file); callers treat a
+  // cpu-string mismatch as a stale profile and recalibrate.
   std::string Serialize() const;
   static StatusOr<CostProfile> Parse(const std::string& text);
 
@@ -98,12 +99,14 @@ struct CostProfile {
   // supports marked available. Used when only chain ranking is needed.
   static CostProfile Defaults();
 
-  // Measures the constants on this machine with synthetic-column runs
-  // sized past L2 (memory-bound, like real scans). Only the adaptation set
-  // is measured: kSisdNoVec, kSisdAutoVec and BestFusedEngine(), from
-  // which kJit is derived; the other fused engines stay unavailable.
-  // FTS_CALIBRATE_FAST=1 shrinks rows/reps (CI smoke); expect ~1.3 s full,
-  // ~20 ms fast.
+  // Measures the constants on this machine with synthetic-column runs,
+  // each in the regime it prices: the best fused engine over 2^21 rows
+  // (past L2, memory-bound like real scans), the compute-bound SISD pair
+  // and RLE/delta constants over 2^16 units (L2-resident). Only the
+  // adaptation set is measured: kSisdNoVec, kSisdAutoVec and
+  // BestFusedEngine(), from which kJit is derived; the other fused
+  // engines stay unavailable. FTS_CALIBRATE_FAST=1 shrinks rows/reps
+  // (tests); expect ~0.15 s full, ~20 ms fast.
   static CostProfile Calibrate();
 };
 
@@ -130,8 +133,9 @@ BitPackedColumn<int32_t> PackCalibrationCodes(
 
 // Process-wide profiles. DefaultProfile() is the static table;
 // CalibratedProfile() loads FTS_COST_PROFILE (when set) if its version
-// and CPU string match, else calibrates and (best-effort) rewrites the
-// file. Both are computed once and cached for the process lifetime.
+// and CPU string match, else calibrates and (best-effort) replaces the
+// file atomically. Both are computed once and cached for the process
+// lifetime.
 const CostProfile& DefaultProfile();
 const CostProfile& CalibratedProfile();
 

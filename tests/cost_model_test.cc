@@ -117,6 +117,12 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
       EXPECT_GT(e.rest_ns[c], 0.0) << ScanEngineToString(engine);
     }
   }
+  // A zero emit would price every gathered kernel cell at nothing.
+  for (const ScanEngine engine : {ScanEngine::kSisdNoVec,
+                                  ScanEngine::kSisdAutoVec, best,
+                                  ScanEngine::kJit}) {
+    EXPECT_GT(profile.For(engine).emit_ns, 0.0) << ScanEngineToString(engine);
+  }
   for (size_t i = 0; i < cost::kNumEngines; ++i) {
     const auto engine = static_cast<ScanEngine>(i);
     const bool expected = engine == ScanEngine::kSisdNoVec ||
@@ -136,6 +142,40 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->calibrated);
   EXPECT_EQ(parsed->cpu, profile.cpu);
+}
+
+TEST(CostProfileTest, ParseRejectsIncompleteCalibratedProfile) {
+  // What Calibrate() writes: the SISD pair, the best fused engine and the
+  // derived kJit, in that (enum) order, then the scalar constants.
+  CostProfile profile = CostProfile::Defaults();
+  profile.calibrated = true;
+  for (size_t i = 0; i < cost::kNumEngines; ++i) {
+    const auto engine = static_cast<ScanEngine>(i);
+    profile.engines[i].available =
+        engine == ScanEngine::kSisdNoVec ||
+        engine == ScanEngine::kSisdAutoVec ||
+        engine == cost::BestFusedEngine() || engine == ScanEngine::kJit;
+  }
+  const std::string text = profile.Serialize();
+  ASSERT_TRUE(CostProfile::Parse(text).ok());
+
+  // Without the best fused engine's line, `calibrated 1` must not parse,
+  // so the loader recalibrates instead of running with adaptation
+  // silently degraded.
+  size_t begin = text.find("\nengine ");  // The third engine line.
+  for (int i = 0; i < 2; ++i) begin = text.find("\nengine ", begin + 1);
+  ASSERT_NE(begin, std::string::npos);
+  const size_t end = text.find('\n', begin + 1);
+  EXPECT_FALSE(
+      CostProfile::Parse(text.substr(0, begin) + text.substr(end)).ok());
+
+  // A file cut short at any line boundary never loads as calibrated.
+  for (size_t cut = text.find('\n'); cut + 1 < text.size();
+       cut = text.find('\n', cut + 1)) {
+    const auto parsed = CostProfile::Parse(text.substr(0, cut + 1));
+    EXPECT_FALSE(parsed.ok() && parsed->calibrated)
+        << text.substr(0, cut + 1);
+  }
 }
 
 TEST(CostProfileTest, DirectPackedFixtureMatchesFromValues) {
