@@ -11,6 +11,7 @@
 #include "fts/common/stats.h"
 #include "fts/common/timer.h"
 #include "fts/db/database.h"
+#include "fts/jit/jit_cache.h"
 #include "fts/storage/data_generator.h"
 
 namespace {
@@ -28,13 +29,16 @@ void RunWithEngine(const Database& db, const std::string& sql,
   Database::QueryOptions options;
   options.engine = engine;
 
-  // Warm-up run (also compiles the operator for the JIT engine).
+  // Warm-up run. For the JIT engine it queues the operator's compile
+  // and runs on the static fused kernel meanwhile; wait for the compile
+  // so the timed runs measure the compiled operator.
   auto warmup = db.Query(sql, options);
   if (!warmup.ok()) {
     std::printf("  %-26s  error: %s\n", fts::ScanEngineToString(engine),
                 warmup.status().ToString().c_str());
     return;
   }
+  fts::GlobalJitCache().WaitForPendingCompiles();
 
   std::vector<double> millis;
   for (int rep = 0; rep < 5; ++rep) {

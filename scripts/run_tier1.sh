@@ -41,7 +41,8 @@ cmake -S . -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target task_pool_test \
   differential_test agg_pushdown_test zone_pruning_test metrics_test \
   trace_test query_log_test cancellation_fuzz_test cost_model_test \
-  projection_differential_test property_test encoding_roundtrip_test
+  projection_differential_test property_test encoding_roundtrip_test \
+  jit_cache_test jit_tiered_test
 ctest --test-dir "${TSAN_DIR}" -L concurrency -j "${JOBS}" \
   --output-on-failure
 # The encoding fuzzers are tier1-labelled (not concurrency), but their

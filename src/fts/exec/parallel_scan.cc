@@ -1,5 +1,7 @@
 #include "fts/exec/parallel_scan.h"
 
+#include <optional>
+
 #include "fts/cost/cost_profile.h"
 #include "fts/exec/morsel_loop.h"
 #include "fts/jit/jit_scan_engine.h"
@@ -21,8 +23,9 @@ struct MorselOutcome {
   EngineChoice executed;  // Rung that ran when the morsel completed.
   size_t rung_index = 0;  // Ladder depth of `executed` (0 = requested).
   // `executed` is a per-chunk choice, not a ladder rung: the cost model's
-  // pick (DESIGN.md §14), or the static engine that runs the positions
-  // fold of a chunk no JIT operator covers. A choice is not a degradation.
+  // pick (DESIGN.md §14), the static engine that runs the positions fold
+  // of a chunk no JIT operator covers, or tier 0 of a JIT rung whose
+  // compile has not landed. A choice is not a degradation.
   bool adapted = false;
   std::vector<EngineAttempt> attempts;
   PosList positions;  // Materialize mode.
@@ -117,9 +120,16 @@ std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
 // failure (no AVX-512, no usable compiler) dooms every JIT width for this
 // morsel, so skip straight to the precompiled rungs instead of burning a
 // compile attempt per width.
+//
+// Tiered JIT: unless `wait_for_compile`, a JIT rung whose operator is not
+// compiled yet queues the compile and runs this morsel on the best static
+// fused engine (tier 0). Every morsel asks the cache again, so the scan
+// switches to the compiled operator at the first morsel boundary after
+// the compile lands.
 Status RunMorsel(const TableScanner& scanner, JitCache& cache,
-                 const std::vector<EngineChoice>& rungs, MorselMode mode,
-                 ChunkId chunk_id, QueryContext* ctx, MorselOutcome* out) {
+                 const std::vector<EngineChoice>& rungs, bool wait_for_compile,
+                 MorselMode mode, ChunkId chunk_id, QueryContext* ctx,
+                 MorselOutcome* out) {
   const TableScanner::ChunkPlan& plan = scanner.chunk_plans()[chunk_id];
   // The morsel span covers the whole ladder walk; the chunk-execution
   // spans underneath it (scan_chunk) nest inside on the worker's track.
@@ -173,25 +183,32 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
                              plan.agg_needs_sink;
     if (sink_choice) choice = {cost::BestFusedEngine(), 0};
     // Rung boundary = cancellation point: a deadline firing mid-ladder
-    // (e.g. during a JIT compile on an earlier rung) aborts the walk
-    // instead of demoting — lower rungs of a dead query cannot help.
-    // Checked via cancelled() rather than a rung's status code so the
-    // compile-budget floor (kDeadlineExceeded WITHOUT a canceled context)
-    // still demotes to a precompiled rung.
+    // aborts the walk instead of demoting — lower rungs of a dead query
+    // cannot help. Checked via cancelled() rather than a rung's status
+    // code, so a compile that itself timed out (kDeadlineExceeded without
+    // a canceled context) still demotes to a precompiled rung.
     if (ctx != nullptr && ctx->cancelled()) return ctx->CancelStatus();
     if (choice.engine == ScanEngine::kJit && jit_unavailable) {
       out->attempts.push_back({choice, error});
       continue;
     }
 
+    bool tier0 = false;
     const StatusOr<size_t> result = [&]() -> StatusOr<size_t> {
       if (choice.engine == ScanEngine::kJit) {
-        return fold ? JitExecuteChunkAggregate(
-                          cache, plan, choice.jit_register_bits, aggs.data(),
-                          &out->jit, ctx, scanner.compressed_stats().get())
-                    : JitExecuteChunk(cache, plan, choice.jit_register_bits,
-                                      buffer.data(), &out->jit, ctx,
-                                      scanner.compressed_stats().get());
+        FTS_ASSIGN_OR_RETURN(
+            const std::optional<size_t> count,
+            fold ? JitExecuteChunkAggregate(
+                       cache, plan, choice.jit_register_bits,
+                       wait_for_compile, aggs.data(), &out->jit, ctx,
+                       scanner.compressed_stats().get())
+                 : JitExecuteChunk(cache, plan, choice.jit_register_bits,
+                                   wait_for_compile, buffer.data(),
+                                   &out->jit, ctx,
+                                   scanner.compressed_stats().get()));
+        if (count.has_value()) return *count;
+        tier0 = true;
+        choice = {cost::BestFusedEngine(), 0};
       }
       return fold ? scanner.ExecuteChunkAggregate(choice.engine, chunk_id,
                                                   aggs.data())
@@ -211,12 +228,15 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
       out->executed = choice;
       // Ladder depth stays relative to the ORIGINAL rungs so the
       // deepest-rung report logic is unaffected by the prepended pick.
-      out->adapted = (adapted_first && r == 0) || sink_choice;
+      out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
+      // Tier 0 of the requested rung is a choice; tier 0 of a lower JIT
+      // width ran because the requested rung failed.
+      out->adapted = (adapted_first && r == 0) || sink_choice ||
+                     (tier0 && out->rung_index == 0);
       if (fold && choice.engine == ScanEngine::kJit) {
         scanner.agg_fold_stats()->kernel_chunks.fetch_add(
             1, std::memory_order_relaxed);
       }
-      out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
       if (span.active()) {
         span.AddArg("engine", choice.ToString());
         span.AddArg("matches", uint64_t{*result});
@@ -249,6 +269,8 @@ Status ScheduleMorsels(const TableScanner& scanner,
   JitCache& cache =
       options.cache != nullptr ? *options.cache : GlobalJitCache();
   const std::vector<EngineChoice> rungs = RungsFor(options);
+  // Strict means "this engine or fail": only it waits for a JIT compile.
+  const bool wait_for_compile = options.fallback == FallbackPolicy::kStrict;
   const size_t chunk_count = scanner.chunk_plans().size();
 
   outcomes->clear();
@@ -271,8 +293,8 @@ Status ScheduleMorsels(const TableScanner& scanner,
       {options.threads, options.pool, ctx,
        options.collect_counters ? &report->counters : nullptr},
       [&](size_t i) {
-        return RunMorsel(scanner, cache, rungs, mode, runnable[i], ctx,
-                         &(*outcomes)[runnable[i]]);
+        return RunMorsel(scanner, cache, rungs, wait_for_compile, mode,
+                         runnable[i], ctx, &(*outcomes)[runnable[i]]);
       });
 
   report->worker_count = loop.worker_count;

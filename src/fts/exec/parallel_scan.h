@@ -24,11 +24,18 @@ namespace fts {
 // and negative caching keep concurrent morsels from stampeding a broken
 // toolchain). The ExecutionReport records the worker count, the morsel
 // count, and every morsel's executed engine.
+//
+// JIT rungs are tiered: under kLadder a morsel whose operator is not
+// compiled yet queues the compile on the cache's worker and runs on
+// cost::BestFusedEngine() (tier 0, a choice like the cost model's picks,
+// not a degradation); later morsels switch to the compiled operator once
+// it lands. Only kStrict waits for the compile.
 struct ParallelScanOptions {
   // Engine to run (any rung, including kJit with its register width).
   EngineChoice requested;
   // kLadder demotes failing morsels rung by rung; kStrict fails the scan
-  // on the first morsel whose requested rung fails.
+  // on the first morsel whose requested rung fails (and waits for a JIT
+  // compile instead of running tier 0).
   FallbackPolicy fallback = FallbackPolicy::kLadder;
   // Worker threads: 0 = TaskPool::DefaultThreadCount() (FTS_THREADS env,
   // else hardware concurrency), 1 = run morsels inline on the caller,

@@ -5,6 +5,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
+#include <spawn.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/stat.h>
@@ -77,13 +78,29 @@ struct ScratchDirGuard {
   }
 };
 
-// Runs the external compiler: fork/exec with stdout+stderr redirected into
-// `log_path`, transient spawn failures retried with exponential backoff,
-// and a waitpid poll loop enforcing both the compile deadline and the
-// owning query's cancellation (SIGKILL + reap on either, so no compiler
+// SIGKILLs the compiler's whole process group (the driver's cc1plus and
+// as, or a wrapper script's children, die with it) and reaps the driver.
+// SIGKILL is unblockable, so the blocking reap cannot hang.
+void KillAndReap(pid_t pid, int* wait_status) {
+  kill(-pid, SIGKILL);
+  kill(pid, SIGKILL);
+  waitpid(pid, wait_status, 0);
+}
+
+// Runs the external compiler: posix_spawn in a process group of its own
+// with stdout+stderr redirected into `log_path` and TMPDIR pointed at
+// `scratch_dir` (so the driver's temporary files are swept with it),
+// transient spawn failures retried with exponential backoff, and a
+// waitpid poll loop enforcing both the compile deadline and the owner's
+// cancellation (SIGKILL of the group + reap on either, so no compiler
 // process ever outlives the call). `child` reports the pid and whether it
 // was killed/reaped, for the zombie-free assertions in tests.
+//
+// posix_spawn (a vfork-style clone in glibc) rather than fork: a fork
+// would mark every page of a large process copy-on-write, and the query
+// threads would then take a minor fault on each page they write next.
 Status RunCompilerProcess(const std::vector<std::string>& command,
+                          const std::string& scratch_dir,
                           const std::string& log_path,
                           const JitCompilerOptions& options, QueryContext* ctx,
                           JitCompiler::ChildStats* child) {
@@ -93,6 +110,36 @@ Status RunCompilerProcess(const std::vector<std::string>& command,
     argv.push_back(const_cast<char*>(arg.c_str()));
   }
   argv.push_back(nullptr);
+  const std::string tmpdir = "TMPDIR=" + scratch_dir;
+  std::vector<char*> envp;
+  for (char** var = environ; *var != nullptr; ++var) {
+    if (strncmp(*var, "TMPDIR=", 7) != 0) envp.push_back(*var);
+  }
+  envp.push_back(const_cast<char*>(tmpdir.c_str()));
+  envp.push_back(nullptr);
+
+  // The log is opened here, not as a spawn file action: posix_spawn would
+  // report a failed open like a failed exec, and a missing compiler is
+  // the one spawn failure that latches the JIT off. A log that cannot be
+  // opened only leaves the compiler's output uncaptured.
+  const int log_fd = open(log_path.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  if (log_fd >= 0) {
+    posix_spawn_file_actions_adddup2(&actions, log_fd, STDOUT_FILENO);
+    posix_spawn_file_actions_adddup2(&actions, log_fd, STDERR_FILENO);
+  }
+  // The compiler inherits no other descriptor of this process (a pipe it
+  // held open would outlive a killed compiler in its grandchildren).
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 34))
+  posix_spawn_file_actions_addclosefrom_np(&actions, STDERR_FILENO + 1);
+#endif
+  posix_spawnattr_t attributes;
+  posix_spawnattr_init(&attributes);
+  posix_spawnattr_setflags(&attributes, POSIX_SPAWN_SETPGROUP);
+  posix_spawnattr_setpgroup(&attributes, 0);  // Lead a new group.
 
   pid_t pid = -1;
   int64_t backoff = options.retry_backoff_millis > 0
@@ -100,36 +147,32 @@ Status RunCompilerProcess(const std::vector<std::string>& command,
                         : 1;
   const int max_attempts =
       options.max_spawn_attempts > 0 ? options.max_spawn_attempts : 1;
-  for (int attempt = 1;; ++attempt) {
-    int spawn_errno = 0;
-    if (FaultInjection::Instance().ShouldFail(kFaultJitSpawnTransient)) {
-      spawn_errno = EAGAIN;
-    } else {
-      pid = fork();
-      if (pid == 0) {
-        // Child: capture everything the compiler says, then exec. 127 is
-        // the shell convention for "command not found".
-        const int fd =
-            open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd >= 0) {
-          dup2(fd, STDOUT_FILENO);
-          dup2(fd, STDERR_FILENO);
-          close(fd);
-        }
-        execvp(argv[0], argv.data());
-        _exit(127);
-      }
-      if (pid > 0) break;
-      spawn_errno = errno;
-    }
+  int spawn_errno = 0;
+  int attempt = 1;
+  for (;; ++attempt) {
+    spawn_errno =
+        FaultInjection::Instance().ShouldFail(kFaultJitSpawnTransient)
+            ? EAGAIN
+            : posix_spawnp(&pid, argv[0], &actions, &attributes,
+                           argv.data(), envp.data());
     const bool transient = spawn_errno == EAGAIN || spawn_errno == ENOMEM;
-    if (!transient || attempt >= max_attempts) {
-      return Status::Internal(StrFormat(
-          "cannot spawn JIT compiler '%s': %s (attempt %d of %d)",
-          command[0].c_str(), strerror(spawn_errno), attempt, max_attempts));
-    }
+    if (!transient || attempt >= max_attempts) break;
     SleepMillis(backoff);
     backoff *= 2;
+  }
+  posix_spawn_file_actions_destroy(&actions);
+  posix_spawnattr_destroy(&attributes);
+  if (log_fd >= 0) close(log_fd);
+  if (spawn_errno == ENOENT || spawn_errno == EACCES ||
+      spawn_errno == ENOEXEC) {
+    return Status::Unavailable(StrFormat(
+        "JIT compiler '%s' not executable: %s", command[0].c_str(),
+        strerror(spawn_errno)));
+  }
+  if (spawn_errno != 0) {
+    return Status::Internal(StrFormat(
+        "cannot spawn JIT compiler '%s': %s (attempt %d of %d)",
+        command[0].c_str(), strerror(spawn_errno), attempt, max_attempts));
   }
 
   child->pid = pid;
@@ -146,14 +189,13 @@ Status RunCompilerProcess(const std::vector<std::string>& command,
       return Status::Internal(
           StrFormat("waitpid(compiler) failed: %s", strerror(errno)));
     }
-    // The owning query was canceled (or its deadline fired): the compile
-    // result can never be used, so kill the child now rather than letting
-    // it burn the core until its own timeout. SIGKILL is unblockable, so
-    // the blocking reap below cannot hang.
+    // The owner was canceled (the JIT cache clearing or shutting down, or
+    // a direct caller's query): the compile result can never be used, so
+    // kill the child now rather than letting it burn the core until its
+    // own timeout.
     const Status cancel = CheckCancellation(ctx);
     if (!cancel.ok()) {
-      kill(pid, SIGKILL);
-      waitpid(pid, &wait_status, 0);
+      KillAndReap(pid, &wait_status);
       child->killed = true;
       child->reaped = true;
       obs::Metrics().jit_compiles_killed_total->Increment();
@@ -163,8 +205,7 @@ Status RunCompilerProcess(const std::vector<std::string>& command,
     if (options.compile_timeout_millis > 0 &&
         stopwatch.ElapsedMillis() >
             static_cast<double>(options.compile_timeout_millis)) {
-      kill(pid, SIGKILL);
-      waitpid(pid, &wait_status, 0);  // SIGKILL is unblockable: reap now.
+      KillAndReap(pid, &wait_status);
       child->killed = true;
       child->reaped = true;
       return Status::DeadlineExceeded(StrFormat(
@@ -267,8 +308,9 @@ StatusOr<std::shared_ptr<JitModule>> JitCompiler::Compile(
   command.push_back(so_path);
   command.push_back(src_path);
   ChildStats child;
-  const Status run_status =
-      RunCompilerProcess(command, log_path, options_, ctx, &child);
+  const Status run_status = RunCompilerProcess(command, scratch.path,
+                                               log_path, options_, ctx,
+                                               &child);
   if (child.pid > 0) RecordChild(child);
   FTS_RETURN_IF_ERROR(run_status);
 

@@ -97,8 +97,9 @@ class JitCompiler {
   //   kDeadlineExceeded — the compiler exceeded compile_timeout_millis (or
   //                       the query's deadline fired mid-compile) and was
   //                       killed;
-  //   kQueryCanceled    — `ctx` was canceled mid-compile; the compiler
-  //                       process was SIGKILLed and reaped;
+  //   kQueryCanceled    — `ctx` was canceled mid-compile; the compiler's
+  //                       process group was SIGKILLed and the compiler
+  //                       reaped;
   //   kInternal         — compile error (with the compiler's stderr),
   //                       dlopen or symbol-resolution failure.
   // Scratch artifacts are removed on every path unless keep_artifacts —

@@ -1,20 +1,45 @@
 #include "fts/jit/jit_cache.h"
 
-#include <thread>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
-#include "fts/common/env.h"
-#include "fts/common/string_util.h"
+#include <chrono>
+#include <cstdlib>
+
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
 
 namespace fts {
+namespace {
+
+StatusOr<JitCache::Entry> CompileSignature(JitCompiler& compiler,
+                                           const std::string& key,
+                                           const JitScanSignature& signature,
+                                           QueryContext* cancel) {
+  obs::TraceSpan span("jit_compile", "jit");
+  FTS_ASSIGN_OR_RETURN(const std::string source,
+                       GenerateFusedScanSource(signature));
+  FTS_ASSIGN_OR_RETURN(std::shared_ptr<JitModule> module,
+                       compiler.Compile(source, kJitScanSymbol, cancel));
+  JitCache::Entry entry;
+  entry.module = std::move(module);
+  entry.fn = reinterpret_cast<JitScanFn>(entry.module->symbol_address());
+  entry.compile_millis = entry.module->compile_millis();
+  if (span.active()) {
+    span.AddArg("signature", key);
+    span.AddArg("compile_millis",
+                static_cast<uint64_t>(entry.compile_millis));
+  }
+  return entry;
+}
+
+}  // namespace
 
 JitCache::JitCache(JitCacheOptions options)
     : compiler_(options.compiler), options_(std::move(options)) {
   if (options_.capacity == 0) options_.capacity = 1;
   if (options_.max_compile_attempts < 1) options_.max_compile_attempts = 1;
-  options_.min_compile_budget_millis = GetEnvInt64(
-      "FTS_JIT_MIN_COMPILE_BUDGET_MS", options_.min_compile_budget_millis);
 }
 
 JitCache::JitCache(JitCompilerOptions compiler_options)
@@ -23,6 +48,8 @@ JitCache::JitCache(JitCompilerOptions compiler_options)
         options.compiler = std::move(compiler_options);
         return options;
       }()) {}
+
+JitCache::~JitCache() { StopWorker(); }
 
 void JitCache::InsertLocked(const std::string& key, const Entry& entry) {
   lru_.push_front(key);
@@ -35,125 +62,196 @@ void JitCache::InsertLocked(const std::string& key, const Entry& entry) {
   }
 }
 
+StatusOr<JitCache::Entry> JitCache::LookupLocked(
+    const std::string& key, const JitScanSignature& signature,
+    std::shared_ptr<Job>* job) {
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    ++stats_.hits;
+    obs::Metrics().jit_cache_hits_total->Increment();
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    Entry entry = it->second.entry;
+    entry.compile_millis = 0.0;
+    entry.cache_hit = true;
+    return entry;
+  }
+  if (compiler_unavailable_) {
+    ++stats_.negative_hits;
+    obs::Metrics().jit_cache_negative_hits_total->Increment();
+    return compiler_unavailable_status_;
+  }
+  const auto failed = failures_.find(key);
+  if (failed != failures_.end() &&
+      failed->second.attempts >= options_.max_compile_attempts) {
+    ++stats_.negative_hits;
+    obs::Metrics().jit_cache_negative_hits_total->Increment();
+    return failed->second.status;
+  }
+  Entry pending;
+  const auto flight = pending_.find(key);
+  if (flight != pending_.end()) {
+    *job = flight->second;
+    return pending;
+  }
+  if (stopping_) return pending;  // No worker to queue on; *job stays null.
+
+  // Queue the compile (single flight: pending_ holds it until it retires).
+  auto queued = std::make_shared<Job>();
+  queued->key = key;
+  queued->signature = signature;
+  pending_[key] = queued;
+  queue_.push_back(queued);
+  ++stats_.misses;
+  obs::Metrics().jit_cache_misses_total->Increment();
+  if (!worker_.joinable()) {
+    worker_ = std::thread(&JitCache::CompileLoop, this);
+    worker_pid_.store(getpid());
+  }
+  work_cv_.notify_one();
+  *job = queued;
+  pending.queued = true;
+  return pending;
+}
+
+StatusOr<JitCache::Entry> JitCache::Lookup(const JitScanSignature& signature) {
+  const std::string key = signature.CacheKey();
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_ptr<Job> job;
+  FTS_ASSIGN_OR_RETURN(const Entry entry, LookupLocked(key, signature, &job));
+  if (entry.fn == nullptr) ++stats_.pending_lookups;
+  return entry;
+}
+
 StatusOr<JitCache::Entry> JitCache::GetOrCompile(
     const JitScanSignature& signature, QueryContext* ctx) {
   const std::string key = signature.CacheKey();
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    std::shared_ptr<Job> job;
+    FTS_ASSIGN_OR_RETURN(const Entry found,
+                         LookupLocked(key, signature, &job));
+    if (found.fn != nullptr) return found;
+    if (job == nullptr) {
+      return Status::Unavailable("the JIT compile worker has stopped");
+    }
+    if (!found.queued) ++stats_.single_flight_waits;
+    // Wait in short slices so a canceled or expired query stops waiting
+    // promptly; the compile itself belongs to the cache and runs on.
+    while (!job->done) {
+      if (ctx == nullptr) {
+        done_cv_.wait(lock, [&job] { return job->done; });
+        break;
+      }
+      done_cv_.wait_for(lock, std::chrono::milliseconds(1),
+                        [&job] { return job->done; });
+      if (!job->done) FTS_RETURN_IF_ERROR(CheckCancellation(ctx));
+    }
+    if (job->dropped) continue;  // Cleared before a verdict: look again.
+    if (!job->status.ok()) return job->status;
     const auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    if (it == entries_.end()) continue;  // Evicted already: look again.
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    Entry entry = it->second.entry;
+    if (found.queued) {
+      entry.queued = true;  // compile_millis: the compile this call waited.
+    } else {
       ++stats_.hits;
       obs::Metrics().jit_cache_hits_total->Increment();
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      Entry entry = it->second.entry;
       entry.compile_millis = 0.0;
       entry.cache_hit = true;
-      return entry;
     }
-    // Cache miss: deadline-aware engine selection. A remaining budget
-    // below the compile floor cannot amortize a compile (nor a wait on
-    // someone else's), so refuse here and let the ladder demote to a
-    // precompiled rung. Intentionally NOT recorded as a failure: the
-    // signature stays compilable for queries with room.
-    if (ctx != nullptr && options_.min_compile_budget_millis > 0 &&
-        ctx->has_deadline() &&
-        ctx->RemainingMillis() <
-            static_cast<double>(options_.min_compile_budget_millis)) {
-      obs::Metrics().jit_compiles_skipped_budget_total->Increment();
-      return Status::DeadlineExceeded(StrFormat(
-          "remaining deadline budget %.1f ms is below the %lld ms JIT "
-          "compile floor; demoting to a precompiled engine",
-          ctx->RemainingMillis(),
-          static_cast<long long>(options_.min_compile_budget_millis)));
-    }
-    if (compiler_unavailable_) {
-      ++stats_.negative_hits;
-      obs::Metrics().jit_cache_negative_hits_total->Increment();
-      return compiler_unavailable_status_;
-    }
-    const auto failed = failures_.find(key);
-    if (failed != failures_.end() &&
-        failed->second.attempts >= options_.max_compile_attempts) {
-      ++stats_.negative_hits;
-      obs::Metrics().jit_cache_negative_hits_total->Increment();
-      return failed->second.status;
-    }
-    const auto flight = inflight_.find(key);
-    if (flight == inflight_.end()) break;
-    // Another thread is compiling this signature: wait for its verdict and
-    // re-check (single-flight — no compiler stampede per chunk/query).
-    ++stats_.single_flight_waits;
-    const std::shared_ptr<InFlight> shared = flight->second;
-    shared->cv.wait(lock, [&shared] { return shared->done; });
+    return entry;
   }
+}
 
-  // This thread leads the compilation for `key`.
-  const auto flight = std::make_shared<InFlight>();
-  inflight_[key] = flight;
-  ++stats_.misses;
-  obs::Metrics().jit_cache_misses_total->Increment();
-  lock.unlock();
+void JitCache::CompileLoop() {
+  obs::SetCurrentThreadLabel("jit compile");
+  // Compiles are background work. At the lowest CPU priority they take
+  // only the cycles the query threads leave idle (Linux nice values are
+  // per thread, and the spawned compiler inherits this thread's).
+  setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 19);
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (stopping_) return;
+    const std::shared_ptr<Job> job = queue_.front();
+    queue_.pop_front();
+    const auto cancel = std::make_shared<QueryContext>();
+    running_ = job;
+    running_ctx_ = cancel;
+    lock.unlock();
 
-  // A compile is a slow (>=100ms) external-toolchain round trip: run it on
-  // a short-lived named thread so its span lands on a dedicated "jit
-  // compile" track in traces instead of interleaving with whichever query
-  // thread happened to lead the single flight. Spawn cost is noise at this
-  // scale, and the cancellation kill path is unaffected (child-pid
-  // bookkeeping lives inside the compiler driver).
-  StatusOr<Entry> compiled =
-      Status::Internal("jit compile thread did not run");
-  std::thread compile_thread([&]() {
-    obs::SetCurrentThreadLabel("jit compile");
-    compiled = [&]() -> StatusOr<Entry> {
-      obs::TraceSpan span("jit_compile", "jit");
-      FTS_ASSIGN_OR_RETURN(const std::string source,
-                           GenerateFusedScanSource(signature));
-      FTS_ASSIGN_OR_RETURN(std::shared_ptr<JitModule> module,
-                           compiler_.Compile(source, kJitScanSymbol, ctx));
-      Entry entry;
-      entry.module = std::move(module);
-      entry.fn = reinterpret_cast<JitScanFn>(entry.module->symbol_address());
-      entry.compile_millis = entry.module->compile_millis();
-      entry.cache_hit = false;
-      if (span.active()) {
-        span.AddArg("signature", key);
-        span.AddArg("compile_millis",
-                    static_cast<uint64_t>(entry.compile_millis));
+    const StatusOr<Entry> compiled =
+        CompileSignature(compiler_, job->key, job->signature, cancel.get());
+
+    lock.lock();
+    if (cancel->cancelled()) {
+      // Clear() or shutdown killed the compile, which says nothing about
+      // the signature or the toolchain: no poisoning, no sticky latch.
+      job->dropped = true;
+    } else if (compiled.ok()) {
+      stats_.total_compile_millis += compiled->compile_millis;
+      obs::Metrics().jit_compile_micros->Record(
+          static_cast<uint64_t>(compiled->compile_millis * 1000.0));
+      failures_.erase(job->key);
+      InsertLocked(job->key, *compiled);
+    } else {
+      ++stats_.compile_failures;
+      obs::Metrics().jit_compile_failures_total->Increment();
+      Failure& failure = failures_[job->key];
+      ++failure.attempts;
+      failure.status = compiled.status();
+      if (compiled.status().code() == StatusCode::kUnavailable) {
+        // The compiler binary itself is unusable; no signature can compile
+        // until the operator intervenes (or Clear() is called).
+        compiler_unavailable_ = true;
+        compiler_unavailable_status_ = compiled.status();
       }
-      return entry;
-    }();
-  });
-  compile_thread.join();
-
-  lock.lock();
-  if (compiled.ok()) {
-    stats_.total_compile_millis += compiled->module->compile_millis();
-    obs::Metrics().jit_compile_micros->Record(
-        static_cast<uint64_t>(compiled->module->compile_millis() * 1000.0));
-    failures_.erase(key);
-    InsertLocked(key, *compiled);
-  } else if (ctx != nullptr && ctx->cancelled()) {
-    // The compile was aborted because THIS query died, which says nothing
-    // about the signature or the toolchain: no poisoning, no sticky
-    // unavailable latch. Single-flight waiters wake, find neither an
-    // entry nor a failure, and the next one leads a fresh compile.
-  } else {
-    ++stats_.compile_failures;
-    obs::Metrics().jit_compile_failures_total->Increment();
-    Failure& failure = failures_[key];
-    ++failure.attempts;
-    failure.status = compiled.status();
-    if (compiled.status().code() == StatusCode::kUnavailable) {
-      // The compiler binary itself is unusable; no signature can compile
-      // until the operator intervenes (or Clear() is called).
-      compiler_unavailable_ = true;
-      compiler_unavailable_status_ = compiled.status();
+      job->status = compiled.status();
     }
+    job->done = true;
+    const auto flight = pending_.find(job->key);
+    if (flight != pending_.end() && flight->second == job) {
+      pending_.erase(flight);
+    }
+    running_ = nullptr;
+    running_ctx_ = nullptr;
+    done_cv_.notify_all();
   }
-  inflight_.erase(key);
-  flight->done = true;
-  flight->cv.notify_all();
-  return compiled;
+}
+
+void JitCache::DrainLocked(std::unique_lock<std::mutex>& lock) {
+  for (const std::shared_ptr<Job>& job : queue_) {
+    job->done = true;
+    job->dropped = true;
+    pending_.erase(job->key);
+  }
+  queue_.clear();
+  done_cv_.notify_all();
+  const std::shared_ptr<Job> victim = running_;
+  if (victim == nullptr) return;
+  running_ctx_->Cancel(StatusCode::kQueryCanceled);
+  // The driver notices within one waitpid poll, kills the compiler's
+  // process group, reaps it and removes the scratch directory.
+  done_cv_.wait(lock, [this, &victim] { return running_ != victim; });
+}
+
+void JitCache::StopWorker() {
+  std::thread worker;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    stopping_ = true;
+    DrainLocked(lock);
+    work_cv_.notify_all();
+    worker = std::move(worker_);
+  }
+  if (worker.joinable()) worker.join();
+}
+
+void JitCache::WaitForPendingCompiles() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock,
+                [this] { return queue_.empty() && running_ == nullptr; });
 }
 
 JitCache::Stats JitCache::stats() const {
@@ -167,7 +265,8 @@ size_t JitCache::size() const {
 }
 
 void JitCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  DrainLocked(lock);
   entries_.clear();
   lru_.clear();
   failures_.clear();
@@ -179,6 +278,16 @@ JitCache& GlobalJitCache() {
   // Function-local static reference; never destroyed (see style guide on
   // static storage duration objects).
   static JitCache& cache = *new JitCache();
+  // Process exit still stops its compile worker, which kills a running
+  // compiler and removes its scratch directory; a worker left running
+  // past exit would orphan both. A forked child (a death test, say) holds
+  // a copy of the parent's worker handle but not its thread: it skips
+  // the stop.
+  static const bool stop_registered = std::atexit([] {
+    JitCache& global = GlobalJitCache();
+    if (global.worker_pid_.load() == getpid()) global.StopWorker();
+  }) == 0;
+  (void)stop_registered;
   // Expose residency as a gauge. Registered here (not in fts_obs) so the
   // metrics layer keeps no dependency on the JIT layer; the callback runs
   // at exposition time under the cache mutex only, never re-entering the

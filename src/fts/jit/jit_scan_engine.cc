@@ -57,20 +57,21 @@ void CreditRleRuns(const TableScanner::ChunkPlan& plan,
   compressed_stats->Add(credit);
 }
 
-// Fetches (or compiles) the operator for `signature` and credits the
-// lookup to `stats` (nullable).
-StatusOr<JitCache::Entry> Compile(JitCache& cache,
-                                  const JitScanSignature& signature,
-                                  JitChunkStats* stats, QueryContext* ctx) {
+using MorselCount = std::optional<size_t>;
+
+// Looks up the operator for `signature` — tiered, or waiting for the
+// compile when `wait` — and credits the lookup to `stats` (nullable). The
+// entry's fn is null while the compile is pending.
+StatusOr<JitCache::Entry> Kernel(JitCache& cache,
+                                 const JitScanSignature& signature, bool wait,
+                                 JitChunkStats* stats, QueryContext* ctx) {
   FTS_ASSIGN_OR_RETURN(JitCache::Entry entry,
-                       cache.GetOrCompile(signature, ctx));
+                       wait ? cache.GetOrCompile(signature, ctx)
+                            : cache.Lookup(signature));
   if (stats != nullptr) {
     stats->compile_millis += entry.compile_millis;
-    if (entry.cache_hit) {
-      ++stats->cache_hits;
-    } else {
-      ++stats->cache_misses;
-    }
+    if (entry.cache_hit) ++stats->cache_hits;
+    if (entry.queued) ++stats->cache_misses;
   }
   return entry;
 }
@@ -80,12 +81,12 @@ StatusOr<JitCache::Entry> Compile(JitCache& cache,
 // and `out` is the caller's AggAccumulator array. Mixed compressed/kernel
 // chains fail with InvalidArgument (the ladder demotes them to the
 // interpreted range path), as do non-RLE compressed stages.
-StatusOr<size_t> RunRleChain(JitCache& cache,
-                             const TableScanner::ChunkPlan& plan,
-                             int register_bits,
-                             std::vector<JitAggSignature> aggs, uint32_t* out,
-                             JitChunkStats* stats, QueryContext* ctx,
-                             AtomicCompressedStats* compressed_stats) {
+JitMorselResult RunRleChain(JitCache& cache,
+                            const TableScanner::ChunkPlan& plan,
+                            int register_bits, bool wait,
+                            std::vector<JitAggSignature> aggs, uint32_t* out,
+                            JitChunkStats* stats, QueryContext* ctx,
+                            AtomicCompressedStats* compressed_stats) {
   if (!plan.stages.empty()) {
     return Status::InvalidArgument(
         "JIT compiles all-RLE chains only; mixed compressed/kernel "
@@ -95,7 +96,8 @@ StatusOr<size_t> RunRleChain(JitCache& cache,
                        SignatureForRleChain(plan.compressed, register_bits));
   signature.aggs = std::move(aggs);
   FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       Compile(cache, signature, stats, ctx));
+                       Kernel(cache, signature, wait, stats, ctx));
+  if (entry.fn == nullptr) return MorselCount();
   JitRleView views[kMaxScanStages];
   const void* columns[kMaxScanStages];
   alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
@@ -115,36 +117,39 @@ StatusOr<size_t> RunRleChain(JitCache& cache,
     span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
     span.AddArg("matches", static_cast<uint64_t>(count));
   }
-  return count;
+  return MorselCount(count);
 }
 
 }  // namespace
 
-StatusOr<size_t> JitExecuteChunk(JitCache& cache,
-                                 const TableScanner::ChunkPlan& plan,
-                                 int register_bits, ChunkOffset* out,
-                                 JitChunkStats* stats, QueryContext* ctx,
-                                 AtomicCompressedStats* compressed_stats) {
+JitMorselResult JitExecuteChunk(JitCache& cache,
+                                const TableScanner::ChunkPlan& plan,
+                                int register_bits, bool wait_for_compile,
+                                ChunkOffset* out, JitChunkStats* stats,
+                                QueryContext* ctx,
+                                AtomicCompressedStats* compressed_stats) {
   if (!GetCpuFeatures().HasFusedScanAvx512()) {
     return Status::Unavailable(
         "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
   }
-  if (plan.impossible || plan.row_count == 0) return size_t{0};
+  if (plan.impossible || plan.row_count == 0) return MorselCount(0);
   if (!plan.compressed.empty()) {
-    return RunRleChain(cache, plan, register_bits, {}, out, stats, ctx,
-                       compressed_stats);
+    return RunRleChain(cache, plan, register_bits, wait_for_compile, {}, out,
+                       stats, ctx, compressed_stats);
   }
   if (plan.stages.empty()) {
     std::iota(out, out + plan.row_count, ChunkOffset{0});
-    return plan.row_count;
+    return MorselCount(plan.row_count);
   }
 
   // One compiled operator per chain signature; chunks of the same table
   // usually share it (dictionary rewrites can vary per chunk).
   const JitScanSignature signature =
       SignatureForStages(plan.stages, register_bits);
-  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       Compile(cache, signature, stats, ctx));
+  FTS_ASSIGN_OR_RETURN(
+      const JitCache::Entry entry,
+      Kernel(cache, signature, wait_for_compile, stats, ctx));
+  if (entry.fn == nullptr) return MorselCount();
 
   const void* columns[kMaxScanStages];
   alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
@@ -169,17 +174,13 @@ StatusOr<size_t> JitExecuteChunk(JitCache& cache,
     span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
     span.AddArg("matches", static_cast<uint64_t>(count));
   }
-  return count;
+  return MorselCount(count);
 }
 
-StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
-                                          const TableScanner::ChunkPlan& plan,
-                                          int register_bits,
-                                          AggAccumulator* accs,
-                                          JitChunkStats* stats,
-                                          QueryContext* ctx,
-                                          AtomicCompressedStats*
-                                              compressed_stats) {
+JitMorselResult JitExecuteChunkAggregate(
+    JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
+    bool wait_for_compile, AggAccumulator* accs, JitChunkStats* stats,
+    QueryContext* ctx, AtomicCompressedStats* compressed_stats) {
   if (!GetCpuFeatures().HasFusedScanAvx512()) {
     return Status::Unavailable(
         "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
@@ -189,11 +190,11 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
     return Status::InvalidArgument("chunk plan carries no aggregate terms");
   }
   for (size_t i = 0; i < num_terms; ++i) accs[i] = AggAccumulator{};
-  if (plan.impossible || plan.row_count == 0) return size_t{0};
+  if (plan.impossible || plan.row_count == 0) return MorselCount(0);
   if (plan.agg_zone_shortcut) {
     std::copy(plan.agg_zone_partials.begin(), plan.agg_zone_partials.end(),
               accs);
-    return plan.row_count;
+    return MorselCount(plan.row_count);
   }
   std::vector<JitAggSignature> aggs;
   aggs.reserve(num_terms);
@@ -214,8 +215,8 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
   }
   if (!plan.compressed.empty()) {
     // COUNT terms ride the all-RLE run-coiteration operator.
-    return RunRleChain(cache, plan, register_bits, std::move(aggs), out,
-                       stats, ctx, compressed_stats);
+    return RunRleChain(cache, plan, register_bits, wait_for_compile,
+                       std::move(aggs), out, stats, ctx, compressed_stats);
   }
   for (const AggTerm& term : plan.agg_terms) {
     if (term.dict != nullptr || term.packed_bits != 0) {
@@ -228,14 +229,17 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
   if (plan.stages.empty()) {
     // Every row matches and there is no chain to specialize; the scalar
     // reference fold is already a tight typed loop.
-    return FusedAggScanScalar(nullptr, 0, plan.row_count,
-                              plan.agg_terms.data(), num_terms, accs);
+    return MorselCount(FusedAggScanScalar(nullptr, 0, plan.row_count,
+                                          plan.agg_terms.data(), num_terms,
+                                          accs));
   }
 
   JitScanSignature signature = SignatureForStages(plan.stages, register_bits);
   signature.aggs = std::move(aggs);
-  FTS_ASSIGN_OR_RETURN(const JitCache::Entry entry,
-                       Compile(cache, signature, stats, ctx));
+  FTS_ASSIGN_OR_RETURN(
+      const JitCache::Entry entry,
+      Kernel(cache, signature, wait_for_compile, stats, ctx));
+  if (entry.fn == nullptr) return MorselCount();
 
   const void* columns[kMaxScanStages + kMaxAggTerms];
   alignas(8) unsigned char values[kMaxScanStages * kJitValueSlotBytes] = {};
@@ -265,7 +269,7 @@ StatusOr<size_t> JitExecuteChunkAggregate(JitCache& cache,
     span.AddArg("rows", static_cast<uint64_t>(plan.row_count));
     span.AddArg("matches", static_cast<uint64_t>(count));
   }
-  return count;
+  return MorselCount(count);
 }
 
 }  // namespace fts

@@ -1,6 +1,8 @@
 #ifndef FTS_JIT_JIT_SCAN_ENGINE_H_
 #define FTS_JIT_JIT_SCAN_ENGINE_H_
 
+#include <optional>
+
 #include "fts/common/status.h"
 #include "fts/jit/jit_cache.h"
 #include "fts/scan/scan_engine.h"
@@ -13,6 +15,8 @@ namespace fts {
 
 // Per-call JIT attribution, accumulated across chunk executions so a
 // query's ExecutionReport can split compile time from scan time.
+// `cache_misses` counts the lookups that queued a compile: one per compile
+// the query started.
 struct JitChunkStats {
   double compile_millis = 0.0;
   uint64_t cache_hits = 0;
@@ -25,16 +29,21 @@ struct JitChunkStats {
   }
 };
 
+// A JIT morsel's match count, or nothing when the tiered lookup found the
+// operator's compile still queued or running: the morsel ran nothing, and
+// the caller runs it on a static engine (tier 0).
+using JitMorselResult = StatusOr<std::optional<size_t>>;
+
 // Runs one chunk's prepared plan through a JIT-compiled operator — the
 // morsel primitive the scan executor (fts/exec/parallel_scan.h) runs for
-// every kJit rung. Compiles (or fetches from `cache`) the
-// operator for the chunk's chain signature at `register_bits`. `out` must
-// have capacity for row_count + kScanOutputSlack positions; returns the
-// match count. When `stats` is non-null, cache/compile
-// attribution for this call is accumulated into it. Thread-safe: JitCache
-// single-flights concurrent compiles of one signature. `ctx` (nullable)
-// makes the compile lifecycle-aware (budget floor, kill on cancel); the
-// generated kernel itself is uninterruptible once running.
+// every kJit rung. Looks up the operator for the chunk's chain signature
+// at `register_bits` in `cache`. With `wait_for_compile` false a miss
+// queues the compile and returns an empty result at once; with it true
+// the call blocks on the compile worker (cancellable through `ctx`).
+// `out` must have capacity for row_count + kScanOutputSlack positions.
+// When `stats` is non-null, cache/compile attribution for this call is
+// accumulated into it. Thread-safe: the cache queues each signature once.
+// The generated kernel itself is uninterruptible once running.
 //
 // Chunks whose plan carries compressed-domain stages compile the all-RLE
 // run-coiteration operator when every predicate is an RLE stage and the
@@ -43,29 +52,29 @@ struct JitChunkStats {
 // interpreted range path the static engines share. `compressed_stats`
 // (nullable) receives the run-classification credit for such chunks —
 // pass the scanner's accumulator so EXPLAIN counters cover JIT morsels.
-StatusOr<size_t> JitExecuteChunk(
+JitMorselResult JitExecuteChunk(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
-    ChunkOffset* out, JitChunkStats* stats = nullptr,
+    bool wait_for_compile, ChunkOffset* out, JitChunkStats* stats = nullptr,
     QueryContext* ctx = nullptr,
     AtomicCompressedStats* compressed_stats = nullptr);
 
-// Aggregate-pushdown morsel primitive: compiles (or fetches) a specialized
-// operator that folds the chunk's aggregate terms at every emission site
-// and writes the partials into `accs` (one slot per term, reset here).
-// Zone-shortcut chunks are answered without compiling anything. Only plain
-// aggregate columns are JIT-eligible; dictionary / bit-packed terms return
-// InvalidArgument so the per-morsel ladder demotes to the static kernels,
-// and chunks whose value terms fold through the positions sink
-// (ChunkPlan::agg_needs_sink) return InvalidArgument too — the morsel
-// executor never sends them here. When every term is COUNT (SELECT
-// COUNT(*)), the generated loop only popcounts, and an all-RLE compressed
-// chain compiles the counting run-coiteration operator (crediting
-// `compressed_stats` like JitExecuteChunk); other compressed chains
-// return InvalidArgument.
-StatusOr<size_t> JitExecuteChunkAggregate(
+// Aggregate-pushdown morsel primitive: looks up (as JitExecuteChunk does)
+// a specialized operator that folds the chunk's aggregate terms at every
+// emission site and writes the partials into `accs` (one slot per term,
+// reset here). Zone-shortcut chunks are answered without compiling
+// anything. Only plain aggregate columns are JIT-eligible; dictionary /
+// bit-packed terms return InvalidArgument so the per-morsel ladder demotes
+// to the static kernels, and chunks whose value terms fold through the
+// positions sink (ChunkPlan::agg_needs_sink) return InvalidArgument too —
+// the morsel executor never sends them here. When every term is COUNT
+// (SELECT COUNT(*)), the generated loop only popcounts, and an all-RLE
+// compressed chain compiles the counting run-coiteration operator
+// (crediting `compressed_stats` like JitExecuteChunk); other compressed
+// chains return InvalidArgument.
+JitMorselResult JitExecuteChunkAggregate(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
-    AggAccumulator* accs, JitChunkStats* stats = nullptr,
-    QueryContext* ctx = nullptr,
+    bool wait_for_compile, AggAccumulator* accs,
+    JitChunkStats* stats = nullptr, QueryContext* ctx = nullptr,
     AtomicCompressedStats* compressed_stats = nullptr);
 
 }  // namespace fts

@@ -346,10 +346,6 @@ const EngineMetrics& Metrics() {
     m->jit_compiles_killed_total = reg.GetCounter(
         "fts_jit_compiles_killed_total",
         "In-flight compiler processes killed by cancellation or deadline");
-    m->jit_compiles_skipped_budget_total = reg.GetCounter(
-        "fts_jit_compiles_skipped_budget_total",
-        "JIT compiles skipped because the remaining deadline budget was "
-        "below the compile floor (ladder demoted)");
     m->jit_compile_micros = reg.GetHistogram(
         "fts_jit_compile_micros", "JIT compile latency in microseconds");
     m->query_micros = reg.GetHistogram(

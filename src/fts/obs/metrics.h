@@ -161,7 +161,6 @@ struct EngineMetrics {
   Counter* admission_rejected_total;
   Counter* morsels_aborted_total;
   Counter* jit_compiles_killed_total;
-  Counter* jit_compiles_skipped_budget_total;
   Histogram* jit_compile_micros;
   Histogram* query_micros;
   Histogram* admission_queue_wait_micros;

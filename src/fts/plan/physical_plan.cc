@@ -722,27 +722,9 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
       // First (full-chunk) step: morsel/worker attribution and JIT status.
       if (report.morsel_count > 0) {
         out += indent;
-        out += StrFormat("  parallel: workers=%d morsels=%zu engines={",
-                         report.worker_count, report.morsel_count);
-        // Engine mix over morsels, in first-seen order.
-        std::vector<std::pair<std::string, size_t>> mix;
-        for (const EngineChoice& choice : report.morsel_choices) {
-          const std::string name = choice.ToString();
-          bool found = false;
-          for (auto& [mix_name, mix_count] : mix) {
-            if (mix_name == name) {
-              ++mix_count;
-              found = true;
-            }
-          }
-          if (!found) mix.emplace_back(name, 1);
-        }
-        std::vector<std::string> parts;
-        parts.reserve(mix.size());
-        for (const auto& [name, count] : mix) {
-          parts.push_back(StrFormat("%s x%zu", name.c_str(), count));
-        }
-        out += Join(parts, ", ") + "}\n";
+        out += StrFormat("  parallel: workers=%d morsels=%zu engines={%s}\n",
+                         report.worker_count, report.morsel_count,
+                         report.EngineMix().c_str());
       }
       // Calibrated cost model (DESIGN.md §14). Rendered unconditionally —
       // harnesses grep for the `CostModel:` marker.
@@ -777,10 +759,13 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
       }
       if (report.jit_cache_hits + report.jit_cache_misses > 0) {
         out += indent;
-        out += StrFormat("  jit: cache %llu hit / %llu miss",
+        // Morsels that ran tier 0 while a compile was pending show in the
+        // engine mix above; a strict query's compile wait shows here.
+        out += StrFormat("  jit: cache %llu hit, %llu compile%s queued",
                          static_cast<unsigned long long>(report.jit_cache_hits),
                          static_cast<unsigned long long>(
-                             report.jit_cache_misses));
+                             report.jit_cache_misses),
+                         report.jit_cache_misses == 1 ? "" : "s");
         if (report.jit_compile_millis > 0.0) {
           out += StrFormat(", compile=%.3f ms", report.jit_compile_millis);
         }

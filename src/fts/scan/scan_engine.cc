@@ -1,5 +1,7 @@
 #include "fts/scan/scan_engine.h"
 
+#include <utility>
+
 #include "fts/common/cpu_info.h"
 #include "fts/common/string_util.h"
 #include "fts/obs/metrics.h"
@@ -173,18 +175,35 @@ std::string EngineChoice::ToString() const {
   return ScanEngineToString(engine);
 }
 
+std::string ExecutionReport::EngineMix() const {
+  std::vector<std::pair<std::string, size_t>> mix;
+  for (const EngineChoice& choice : morsel_choices) {
+    const std::string name = choice.ToString();
+    bool found = false;
+    for (auto& [mix_name, mix_count] : mix) {
+      if (mix_name == name) {
+        ++mix_count;
+        found = true;
+      }
+    }
+    if (!found) mix.emplace_back(name, 1);
+  }
+  std::vector<std::string> parts;
+  parts.reserve(mix.size());
+  for (const auto& [name, count] : mix) {
+    parts.push_back(StrFormat("%s x%zu", name.c_str(), count));
+  }
+  return Join(parts, ", ");
+}
+
 std::string ExecutionReport::ToString() const {
   if (attempts.empty()) return "no scan engine executed";
   std::string out = StrFormat(
       "requested=%s executed=%s%s", requested.ToString().c_str(),
       executed.ToString().c_str(), degraded ? " [degraded]" : "");
   if (morsel_count > 0) {
-    out += StrFormat(" workers=%d morsels=%zu", worker_count, morsel_count);
-    size_t demoted = 0;
-    for (const EngineChoice& choice : morsel_choices) {
-      if (!(choice == requested)) ++demoted;
-    }
-    if (demoted > 0) out += StrFormat(" (%zu demoted)", demoted);
+    out += StrFormat(" workers=%d morsels=%zu engines={%s}", worker_count,
+                     morsel_count, EngineMix().c_str());
   }
   if (chunks_pruned > 0 || stages_dropped > 0) {
     out += StrFormat(" pruned=%zu/%zu chunks", chunks_pruned, chunks_total);
@@ -200,10 +219,9 @@ std::string ExecutionReport::ToString() const {
                      static_cast<unsigned long long>(rows_matched));
   }
   if (jit_cache_hits + jit_cache_misses > 0) {
-    out += StrFormat(" jit_cache=%llu/%llu hit",
+    out += StrFormat(" jit_cache=%llu hit/%llu queued",
                      static_cast<unsigned long long>(jit_cache_hits),
-                     static_cast<unsigned long long>(
-                         jit_cache_hits + jit_cache_misses));
+                     static_cast<unsigned long long>(jit_cache_misses));
     if (jit_compile_millis > 0.0) {
       out += StrFormat(" compile=%.2fms", jit_compile_millis);
     }

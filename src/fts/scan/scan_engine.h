@@ -234,9 +234,10 @@ struct ExecutionReport {
   uint64_t agg_kernel_chunks = 0;
   uint64_t agg_positions_chunks = 0;
   uint64_t agg_delta_blocks = 0;
-  // JIT attribution: wall time spent compiling inside this query (0 when
-  // every kernel came from the cache) and cache hit/miss counts across the
-  // query's chunk executions.
+  // JIT attribution across the query's chunk executions: lookups served
+  // by a compiled kernel, compiles the query queued (`jit_cache_misses`),
+  // and the compile time it waited for (0 unless kStrict waited; tiered
+  // morsels run a static engine meanwhile, visible in morsel_choices).
   double jit_compile_millis = 0.0;
   uint64_t jit_cache_hits = 0;
   uint64_t jit_cache_misses = 0;
@@ -291,6 +292,11 @@ struct ExecutionReport {
     executed = choice;
     degraded = !(choice == requested);
   }
+
+  // The morsels' engine mix in first-seen order, e.g.
+  // "JIT Fused (512-bit) x12, AVX-512 Fused (512) x19". It names tier-0,
+  // cost-model and demoted morsels alike; `degraded` tells a demotion.
+  std::string EngineMix() const;
 
   // Multi-line human-readable rendering (one line per attempt).
   std::string ToString() const;

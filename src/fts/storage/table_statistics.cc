@@ -1,9 +1,11 @@
 #include "fts/storage/table_statistics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "fts/common/macros.h"
@@ -15,12 +17,75 @@
 namespace fts {
 namespace {
 
+// Sampled values are kept as monotone unsigned keys: unsigned key order is
+// the values' numeric order, and two keys are equal exactly when the values
+// widened to double compare equal (-0.0 maps to +0.0; NaN gets no key).
+// Types a 32-bit key represents exactly (integers up to 32 bits, float)
+// keep 32-bit keys, so the sample costs no more memory than the doubles
+// it replaces; 64-bit types take the double's 64-bit key, so int64 values
+// above 2^53 collide as their widened doubles do.
+uint64_t OrderedKey(double v) {
+  if (v == 0.0) v = 0.0;
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+uint32_t OrderedKey(float v) {
+  if (v == 0.0f) v = 0.0f;
+  const uint32_t bits = std::bit_cast<uint32_t>(v);
+  constexpr uint32_t kSign = uint32_t{1} << 31;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+// LSD radix sort of `keys` over 8-bit digits, using `scratch` (same size)
+// as the ping-pong buffer. A pass whose digit is the same for every key
+// moves nothing and is skipped — sampled values often share their high
+// bytes.
+template <typename Key>
+void RadixSort(std::vector<Key>* keys, std::vector<Key>* scratch) {
+  constexpr int kDigits = sizeof(Key);
+  size_t counts[kDigits][256] = {};
+  for (const Key key : *keys) {
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+  }
+  const size_t n = keys->size();
+  for (int d = 0; d < kDigits; ++d) {
+    size_t* count = counts[d];
+    if (count[((*keys)[0] >> (8 * d)) & 0xFF] == n) continue;
+    size_t offset = 0;
+    for (int b = 0; b < 256; ++b) {
+      const size_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (const Key key : *keys) {
+      (*scratch)[count[(key >> (8 * d)) & 0xFF]++] = key;
+    }
+    keys->swap(*scratch);
+  }
+}
+
+// Distinct keys in `keys` (sorted here).
+template <typename Key>
+size_t CountDistinctKeys(std::vector<Key>* keys) {
+  if (keys->empty()) return 0;
+  std::vector<Key> scratch(keys->size());
+  RadixSort(keys, &scratch);
+  return static_cast<size_t>(std::unique(keys->begin(), keys->end()) -
+                             keys->begin());
+}
+
 // Accumulates stats for one column across chunks.
 struct Accumulator {
   bool any = false;
   double min = 0.0;
   double max = 0.0;
-  std::vector<double> sampled;  // Strided plain-chunk samples, all chunks.
+  // Strided plain-chunk samples, all chunks: the OrderedKey of each
+  // non-NaN value (one of the two vectors, by the column's type width),
+  // and how many sampled values were NaN.
+  std::vector<uint32_t> keys32;
+  std::vector<uint64_t> keys64;
+  size_t sampled_nans = 0;
   uint64_t exact_distinct_hint = 0;  // From dictionaries; max over chunks.
   bool all_dictionary = true;
 
@@ -33,6 +98,38 @@ struct Accumulator {
       min = std::min(min, v);
       max = std::max(max, v);
     }
+  }
+
+  template <typename T>
+  void AddSample(T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(v)) {
+        ++sampled_nans;
+        return;
+      }
+    }
+    if constexpr (std::is_same_v<T, float>) {
+      keys32.push_back(OrderedKey(v));
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) <= 4) {
+      // Exact in double; flipping the sign bit orders signed values.
+      keys32.push_back(std::is_signed_v<T>
+                           ? static_cast<uint32_t>(static_cast<int32_t>(v)) ^
+                                 (uint32_t{1} << 31)
+                           : static_cast<uint32_t>(v));
+    } else {
+      keys64.push_back(OrderedKey(static_cast<double>(v)));
+    }
+  }
+
+  size_t sampled() const {
+    return keys32.size() + keys64.size() + sampled_nans;
+  }
+
+  // Distinct sampled values under ==, as a hash set of doubles counts
+  // them: 0.0 and -0.0 are one value, and every NaN is a value of its own.
+  size_t CountDistinct() {
+    return CountDistinctKeys(&keys32) + CountDistinctKeys(&keys64) +
+           sampled_nans;
   }
 };
 
@@ -55,22 +152,8 @@ void ScanPlainColumn(const ValueColumn<T>& column, const ZoneMap* zone,
   // Evenly-strided sample for the distinct estimate.
   const size_t n = values.size();
   const size_t stride = std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
-  for (size_t i = 0; i < n; i += stride) {
-    acc->sampled.push_back(static_cast<double>(values[i]));
-  }
+  for (size_t i = 0; i < n; i += stride) acc->AddSample(values[i]);
   acc->all_dictionary = false;
-}
-
-// Distinct values in `sample` under ==, as a hash set of doubles counts
-// them: 0.0 and -0.0 are one value, and every NaN is a value of its own.
-size_t CountDistinct(std::vector<double>* sample) {
-  const auto nans = std::partition(sample->begin(), sample->end(),
-                                   [](double v) { return !std::isnan(v); });
-  const size_t nan_count = static_cast<size_t>(sample->end() - nans);
-  std::sort(sample->begin(), nans);
-  return static_cast<size_t>(std::unique(sample->begin(), nans) -
-                             sample->begin()) +
-         nan_count;
 }
 
 // Dictionary-backed encodings (kDictionary, kBitPacked) expose min/max and
@@ -137,14 +220,14 @@ TableStatistics TableStatistics::Compute(const Table& table,
     }
     if (acc.all_dictionary) {
       out.distinct_count = static_cast<double>(acc.exact_distinct_hint);
-    } else if (!acc.sampled.empty()) {
+    } else if (acc.sampled() > 0) {
       // Scale the sampled distinct count linearly, capped by the row count.
       // A deliberate simple estimator; good enough for ordering predicates.
       const double scale = static_cast<double>(table.row_count()) /
-                           static_cast<double>(acc.sampled.size());
+                           static_cast<double>(acc.sampled());
       out.distinct_count =
           std::min(static_cast<double>(table.row_count()),
-                   static_cast<double>(CountDistinct(&acc.sampled)) *
+                   static_cast<double>(acc.CountDistinct()) *
                        std::sqrt(scale));
     }
     out.distinct_count = std::max(out.distinct_count, 1.0);

@@ -348,9 +348,11 @@ TEST(AggPushdownEdgeTest, DictionaryAndBitPackedTerms) {
   // The JIT engine ladder-demotes every morsel (generated aggregate loops
   // only handle plain terms) but must still return the same result.
   if (GetCpuFeatures().HasFusedScanAvx512()) {
+    ParallelScanOptions options = testing::JitOptions(512);
+    options.fallback = FallbackPolicy::kLadder;
     ExecutionReport report;
-    const auto result = ExecuteParallelScanAggregate(
-        *scanner, testing::JitOptions(512), &report);
+    const auto result =
+        ExecuteParallelScanAggregate(*scanner, options, &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectAggEqual(reference, *result, "jit512(dict/packed)");
     EXPECT_TRUE(report.degraded) << report.ToString();
@@ -593,17 +595,24 @@ TEST_P(JitAggDifferentialTest, JitMatchesMaterializeReference) {
   const TableScanner::AggResult reference = FoldReference(*scanner, fuzz.spec);
   for (const int threads : {1, 2, 4}) {
     ParallelScanOptions options = testing::JitOptions(512);
+    options.fallback = FallbackPolicy::kLadder;
     options.threads = threads;
-    const auto parallel = ExecuteParallelScanAggregate(*scanner, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString() << "\n"
-                               << testing::ReplayCommand(kBinary, seed);
-    ExpectAggEqual(reference, *parallel,
-                   StrFormat("parallel(jit512, threads=%d) seed=%llu "
-                             "spec=%s\n%s",
-                             threads,
-                             static_cast<unsigned long long>(seed),
-                             fuzz.spec.ToString().c_str(),
-                             testing::ReplayCommand(kBinary, seed).c_str()));
+    testing::CheckColdAndWarmJit(
+        options,
+        [&] { return ExecuteParallelScanAggregate(*scanner, options); },
+        [&](const StatusOr<TableScanner::AggResult>& parallel,
+            const char* tier) {
+          ASSERT_TRUE(parallel.ok())
+              << parallel.status().ToString() << "\n"
+              << testing::ReplayCommand(kBinary, seed);
+          ExpectAggEqual(
+              reference, *parallel,
+              StrFormat("parallel(jit512, threads=%d, %s) seed=%llu "
+                        "spec=%s\n%s",
+                        threads, tier, static_cast<unsigned long long>(seed),
+                        fuzz.spec.ToString().c_str(),
+                        testing::ReplayCommand(kBinary, seed).c_str()));
+        });
   }
 }
 
@@ -1067,6 +1076,14 @@ TEST(AggPushdownDatabaseTest, JitCountStarOverRleChainRunsCompiled) {
   }
   const std::string sql =
       "SELECT COUNT(*) FROM t WHERE e_rle < 20 AND e_rle <> 7";
+  // A cold query runs tier 0 while it queues the compile; wait for it so
+  // every morsel below runs the compiled operator.
+  {
+    Database::QueryOptions options;
+    options.engine = ScanEngine::kJit;
+    ASSERT_TRUE(db.Query(sql, options).ok());
+    GlobalJitCache().WaitForPendingCompiles();
+  }
   for (const int threads : {1, 4}) {
     Database::QueryOptions options;
     options.engine = ScanEngine::kJit;

@@ -43,6 +43,19 @@ class DegradationTest : public ::testing::TestWithParam<const char*> {
 
   void TearDown() override { GlobalJitCache().Clear(); }
 
+  // A cold JIT query runs tier 0 while its compile is queued, so it shows
+  // neither the compiled operator nor a compile failure. Runs `sql` once
+  // per compile attempt the cache allows, waiting for each compile, so the
+  // signature ends compiled or poisoned before a test asserts.
+  void SettleJit(const std::string& sql,
+                 const Database::QueryOptions& options) const {
+    for (int i = 0; i < GlobalJitCache().options().max_compile_attempts;
+         ++i) {
+      ASSERT_TRUE(db_.Query(sql, options).ok()) << sql;
+      GlobalJitCache().WaitForPendingCompiles();
+    }
+  }
+
   StatusOr<QueryResult> SisdReference(const std::string& sql) const {
     Database::QueryOptions options;
     options.engine = ScanEngine::kSisdNoVec;
@@ -64,6 +77,8 @@ TEST_P(DegradationTest, QuerySurvivesFaultWithIdenticalResults) {
   Database::QueryOptions options;
   options.engine = ScanEngine::kJit;
   options.fallback = FallbackPolicy::kLadder;
+  SettleJit(kCountSql, options);
+  SettleJit(kProjectSql, options);
 
   const auto count_result = db_.Query(kCountSql, options);
   ASSERT_TRUE(count_result.ok())
@@ -135,6 +150,7 @@ TEST_P(NoFaultTest, JitRunsUndegradedWithoutFaults) {
   Database::QueryOptions options;
   options.engine = ScanEngine::kJit;
   options.fallback = FallbackPolicy::kLadder;
+  SettleJit(kCountSql, options);
   const auto result = db_.Query(kCountSql, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto reference = SisdReference(kCountSql);

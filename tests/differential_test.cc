@@ -532,20 +532,39 @@ TEST_P(JitDifferentialTest, JitEnginesMatchSisdReference) {
   // where concurrent compiles of the same signature must single-flight.
   for (const int threads : {1, 2, 4}) {
     ParallelScanOptions options = testing::JitOptions(512);
+    options.fallback = FallbackPolicy::kLadder;
     options.threads = threads;
     ExecutionReport report;
-    const auto parallel = ExecuteParallelScan(*prepared, options, &report);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString() << "\n"
-                               << testing::ReplayCommand(kBinary, seed);
-    ExpectSameMatches(*reference, *parallel,
-                      StrFormat("parallel(jit512, threads=%d)", threads),
-                      seed, fuzz.spec);
-    // Degradation happens exactly when some runnable chunk is outside the
-    // JIT's coverage (mixed compressed/kernel, or delta-domain stages) —
-    // never for a chunk it claims to compile.
-    EXPECT_EQ(report.degraded, !JitCompilesEveryRunnableChunk(*prepared))
-        << report.ToString() << "\n"
-        << testing::ReplayCommand(kBinary, seed);
+    testing::CheckColdAndWarmJit(
+        options,
+        [&] {
+          report = ExecutionReport();
+          return ExecuteParallelScan(*prepared, options, &report);
+        },
+        [&](const StatusOr<TableMatches>& parallel, const char* tier) {
+          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString() << "\n"
+                                     << testing::ReplayCommand(kBinary, seed);
+          ExpectSameMatches(*reference, *parallel,
+                            StrFormat("parallel(jit512, threads=%d, %s)",
+                                      threads, tier),
+                            seed, fuzz.spec);
+          // Degradation happens exactly when some runnable chunk is
+          // outside the JIT's coverage (mixed compressed/kernel, or
+          // delta-domain stages) — never for a chunk it claims to
+          // compile. Tier 0 is no degradation.
+          EXPECT_EQ(report.degraded, !JitCompilesEveryRunnableChunk(*prepared))
+              << tier << ": " << report.ToString() << "\n"
+              << testing::ReplayCommand(kBinary, seed);
+          // Warm, an undegraded scan ran the compiled operator on every
+          // morsel.
+          if (std::string(tier) == "warm" && !report.degraded) {
+            for (const EngineChoice& choice : report.morsel_choices) {
+              EXPECT_EQ(choice.engine, ScanEngine::kJit)
+                  << report.ToString() << "\n"
+                  << testing::ReplayCommand(kBinary, seed);
+            }
+          }
+        });
   }
 }
 

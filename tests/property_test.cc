@@ -195,12 +195,18 @@ TEST_P(JitPropertyTest, JitMatchesOracle) {
       TableScanner::Prepare(test_case.table, test_case.spec);
   if (!prepared.ok()) return;
 
-  const auto matches =
-      ExecuteParallelScan(*prepared, testing::JitOptions(512));
-  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
-  EXPECT_EQ(Flatten(*matches, *test_case.table), test_case.oracle_rows)
-      << " seed=" << GetParam() << " spec=" << test_case.spec.ToString()
-      << "\n" << testing::ReplayCommand("property_test", GetParam());
+  // Ladder: the JIT does not cover every encoding the case may draw.
+  ParallelScanOptions jit = testing::JitOptions(512);
+  jit.fallback = FallbackPolicy::kLadder;
+  testing::CheckColdAndWarmJit(
+      jit, [&] { return ExecuteParallelScan(*prepared, jit); },
+      [&](const StatusOr<TableMatches>& matches, const char* tier) {
+        ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+        EXPECT_EQ(Flatten(*matches, *test_case.table), test_case.oracle_rows)
+            << tier << " seed=" << GetParam()
+            << " spec=" << test_case.spec.ToString() << "\n"
+            << testing::ReplayCommand("property_test", GetParam());
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JitPropertyTest,

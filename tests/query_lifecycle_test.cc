@@ -1,6 +1,7 @@
 // Query lifecycle hardening tests: QueryContext deadline/cancel/budget
 // semantics, the admission controller's bounded run queue, the compiler
-// driver's kill-and-reap path for in-flight compiles, and end-to-end
+// driver's kill-and-reap path for in-flight compiles (also when the JIT
+// cache clears or the process exits with a compile running), and end-to-end
 // deadline / cancellation / memory-budget behavior through Database::Query.
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "fts/db/database.h"
 #include "fts/exec/admission.h"
 #include "fts/jit/compiler_driver.h"
+#include "fts/jit/jit_cache.h"
 #include "fts/storage/data_generator.h"
 
 namespace fts {
@@ -247,6 +249,19 @@ class CompileKillTest : public ::testing::Test {
     return dirs;
   }
 
+  // A fake compiler `name` that records its pid in `pid_file`, then hangs.
+  std::string PidRecordingScript(const std::string& name,
+                                 const std::string& pid_file) const {
+    const std::string script = work_dir_ + "/" + name + ".sh";
+    std::remove(pid_file.c_str());
+    {
+      std::ofstream out(script);
+      out << "#!/bin/sh\necho $$ > " << pid_file << "\nsleep 600\n";
+    }
+    ::chmod(script.c_str(), 0755);
+    return script;
+  }
+
   JitCompilerOptions Options() const {
     JitCompilerOptions options;
     options.compiler = script_;
@@ -301,6 +316,99 @@ TEST_F(CompileKillTest, PreCancelledContextNeverSpawns) {
   const auto result = compiler.Compile("int x;", "unused_symbol", &ctx);
   EXPECT_EQ(result.status().code(), StatusCode::kQueryCanceled);
   EXPECT_EQ(compiler.last_child().pid, -1);  // No process was spawned.
+  EXPECT_TRUE(ScratchDirs().empty());
+}
+
+// --- No orphans from the JIT cache's compile worker ------------------------
+
+JitScanSignature SleepySignature() {
+  JitScanSignature signature;
+  signature.stages.push_back({ScanElementType::kI32, CompareOp::kEq, 0});
+  signature.register_bits = 512;
+  return signature;
+}
+
+// Polls for up to 10 s; true once `path` exists.
+bool AwaitFile(const std::string& path) {
+  for (int i = 0; i < 10000; ++i) {
+    if (::access(path.c_str(), F_OK) == 0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST_F(CompileKillTest, ClearKillsTheRunningCompile) {
+  if (::getenv("FTS_JIT_CXX") != nullptr) {
+    GTEST_SKIP() << "FTS_JIT_CXX overrides the compiler under test";
+  }
+  if (FaultInjection::Instance().AnyArmed()) {
+    GTEST_SKIP() << "fault injection armed via FTS_FAULT";
+  }
+  const std::string pid_file = work_dir_ + "/clear_cxx.pid";
+  JitCacheOptions options;
+  options.compiler = Options();
+  options.compiler.compiler = PidRecordingScript("clear_cxx", pid_file);
+  JitCache cache(options);
+  const auto entry = cache.Lookup(SleepySignature());
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_EQ(entry->fn, nullptr);
+  EXPECT_TRUE(entry->queued);
+
+  // The worker's compiler is running once it has recorded its pid.
+  ASSERT_TRUE(AwaitFile(pid_file));
+  ASSERT_EQ(ScratchDirs().size(), 1u);
+
+  cache.Clear();
+  const JitCompiler::ChildStats child = cache.compiler().last_child();
+  ASSERT_GT(child.pid, 0);
+  EXPECT_TRUE(child.killed);
+  EXPECT_TRUE(child.reaped);
+  errno = 0;
+  EXPECT_EQ(::kill(child.pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH) << "compiler process " << child.pid
+                          << " outlived Clear()";
+  EXPECT_TRUE(ScratchDirs().empty());
+
+  // A compile killed by Clear() poisons nothing: the signature queues
+  // again (and the cache's destructor kills that compile too).
+  const auto again = cache.Lookup(SleepySignature());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->queued);
+}
+
+TEST_F(CompileKillTest, ProcessExitKillsTheRunningCompile) {
+  if (::getenv("FTS_JIT_CXX") != nullptr) {
+    GTEST_SKIP() << "FTS_JIT_CXX overrides the compiler under test";
+  }
+  if (FaultInjection::Instance().AnyArmed()) {
+    GTEST_SKIP() << "fault injection armed via FTS_FAULT";
+  }
+  const std::string pid_file = work_dir_ + "/exit_cxx.pid";
+  const std::string script = PidRecordingScript("exit_cxx", pid_file);
+
+  // The child process queues a compile on the process-wide cache (which
+  // is never destroyed) and exits while the compiler runs. Threadsafe
+  // style re-executes the test binary, so the child's global cache is
+  // created fresh, with the hanging compiler.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("FTS_JIT_CXX", script.c_str(), 1);
+        ::setenv("TMPDIR", work_dir_.c_str(), 1);
+        if (!GlobalJitCache().Lookup(SleepySignature()).ok()) std::_Exit(2);
+        if (!AwaitFile(pid_file)) std::_Exit(3);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::ifstream in(pid_file);
+  pid_t pid = -1;
+  in >> pid;
+  ASSERT_GT(pid, 0);
+  errno = 0;
+  EXPECT_EQ(::kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH) << "compiler process " << pid
+                          << " outlived its process";
   EXPECT_TRUE(ScratchDirs().empty());
 }
 

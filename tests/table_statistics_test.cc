@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -204,6 +205,118 @@ TEST(TableStatisticsReferenceTest, ChunksWithoutZoneMapsUseTheRowLoop) {
   const Table table({{"a", DataType::kInt32}}, std::move(chunks));
   ASSERT_EQ(table.chunk(0).zone_map(0), nullptr);
   ExpectMatchesReference(table, 700);
+}
+
+// The sort + unique count of distinct doubles under ==: one value for both
+// zeros, one per NaN.
+double SortUniqueDistinct(std::vector<double> values) {
+  const auto nans = std::partition(values.begin(), values.end(),
+                                   [](double v) { return !std::isnan(v); });
+  const size_t nan_count = static_cast<size_t>(values.end() - nans);
+  std::sort(values.begin(), nans);
+  return static_cast<double>(std::unique(values.begin(), nans) -
+                             values.begin() + nan_count);
+}
+
+// With every row sampled, the distinct count is exactly the sampled count:
+// the radix-sorted count must equal sort + unique over random bit patterns
+// (subnormals, infinities, NaN payloads), both zeros, repeats, and int64
+// values above 2^53 that collide once widened to double — for the 64-bit
+// keys of double/int64 columns and the 32-bit keys of float/int32 ones.
+TEST(TableStatisticsReferenceTest, DistinctCountMatchesSortUnique) {
+  constexpr int64_t kBase = int64_t{1} << 53;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    const size_t rows = 1 + static_cast<size_t>(rng.NextBounded(3000));
+    std::vector<double> drawn;
+    const auto doubles = ChunkValues<double>(2, rows, [&](size_t, size_t) {
+      double v = 0.0;
+      switch (rng.NextBounded(6)) {
+        case 0:
+          v = std::bit_cast<double>(rng.Next());
+          break;
+        case 1:
+          v = std::numeric_limits<double>::quiet_NaN();
+          break;
+        case 2:
+          v = rng.NextBounded(2) == 0 ? 0.0 : -0.0;
+          break;
+        case 3:
+          v = static_cast<double>(rng.NextInRange(-50, 50));
+          break;
+        case 4:
+          v = drawn.empty() ? 1.5 : drawn[rng.NextBounded(drawn.size())];
+          break;
+        default:
+          v = (rng.NextDouble() - 0.5) * 1e6;
+          break;
+      }
+      drawn.push_back(v);
+      return v;
+    });
+    std::vector<double> widened;
+    const auto longs = ChunkValues<int64_t>(2, rows, [&](size_t, size_t) {
+      const int64_t magnitude =
+          rng.NextBounded(2) == 0
+              ? kBase + static_cast<int64_t>(rng.NextBounded(64))
+              : (int64_t{1} << 62) + static_cast<int64_t>(rng.Next() >> 3);
+      const int64_t v = rng.NextBounded(2) == 0 ? magnitude : -magnitude;
+      widened.push_back(static_cast<double>(v));
+      return v;
+    });
+    // 32-bit keys: floats (bit patterns, NaN, both zeros) and int32 over
+    // its whole range.
+    std::vector<double> floats_widened;
+    const auto floats = ChunkValues<float>(2, rows, [&](size_t, size_t) {
+      float v = 0.0f;
+      switch (rng.NextBounded(4)) {
+        case 0:
+          v = std::bit_cast<float>(static_cast<uint32_t>(rng.Next()));
+          break;
+        case 1:
+          v = std::numeric_limits<float>::quiet_NaN();
+          break;
+        case 2:
+          v = rng.NextBounded(2) == 0 ? 0.0f : -0.0f;
+          break;
+        default:
+          v = static_cast<float>(rng.NextInRange(-20, 20)) / 4.0f;
+          break;
+      }
+      floats_widened.push_back(static_cast<double>(v));
+      return v;
+    });
+    std::vector<double> ints_widened;
+    const auto ints = ChunkValues<int32_t>(2, rows, [&](size_t, size_t) {
+      const int32_t v =
+          rng.NextBounded(2) == 0
+              ? static_cast<int32_t>(static_cast<uint32_t>(rng.Next()))
+              : static_cast<int32_t>(rng.NextInRange(-40, 40));
+      ints_widened.push_back(static_cast<double>(v));
+      return v;
+    });
+    std::vector<std::vector<ColumnPtr>> chunks;
+    for (size_t k = 0; k < 2; ++k) {
+      chunks.push_back({std::make_shared<ValueColumn<double>>(doubles[k]),
+                        std::make_shared<ValueColumn<int64_t>>(longs[k]),
+                        std::make_shared<ValueColumn<float>>(floats[k]),
+                        std::make_shared<ValueColumn<int32_t>>(ints[k])});
+    }
+    const TablePtr table = BuildFromChunks({{"d", DataType::kFloat64},
+                                            {"i", DataType::kInt64},
+                                            {"f", DataType::kFloat32},
+                                            {"n", DataType::kInt32}},
+                                           chunks);
+    const TableStatistics stats = TableStatistics::Compute(*table, rows);
+    EXPECT_EQ(stats.column(0).distinct_count, SortUniqueDistinct(drawn));
+    EXPECT_EQ(stats.column(1).distinct_count, SortUniqueDistinct(widened));
+    EXPECT_EQ(stats.column(2).distinct_count,
+              SortUniqueDistinct(floats_widened));
+    EXPECT_EQ(stats.column(3).distinct_count,
+              SortUniqueDistinct(ints_widened));
+    ExpectMatchesReference(*table, rows);
+  }
 }
 
 }  // namespace

@@ -109,13 +109,28 @@ inline ParallelScanOptions StrictOptions(EngineChoice engine,
 }
 
 // Morsel-executor options for the JIT engine at `width` on 1 thread under
-// the default ladder; a null `cache` selects the process-wide cache.
+// kStrict: every morsel waits for its signature's compile and runs the
+// compiled operator, or the scan fails. A null `cache` selects the
+// process-wide cache.
 inline ParallelScanOptions JitOptions(int width, JitCache* cache = nullptr) {
-  ParallelScanOptions options;
-  options.requested = {ScanEngine::kJit, width};
-  options.threads = 1;
+  ParallelScanOptions options = StrictOptions({ScanEngine::kJit, width});
   options.cache = cache;
   return options;
+}
+
+// For ladder JIT scans (tables whose chunks the JIT may not cover): hands
+// `check` the result of `execute()` — an execution under `options` — on a
+// cold run ("cold") and again once the compiles that run queued on
+// `options`' cache have landed ("warm"). Cold morsels run tier 0, the
+// static fused engine, while their compiles are pending; warm morsels run
+// the compiled operators. Both must match the reference.
+template <typename Execute, typename Check>
+void CheckColdAndWarmJit(const ParallelScanOptions& options,
+                         Execute&& execute, Check&& check) {
+  check(execute(), "cold");
+  (options.cache != nullptr ? *options.cache : GlobalJitCache())
+      .WaitForPendingCompiles();
+  check(execute(), "warm");
 }
 
 // Prepare + ExecuteParallelScan under `options`.
