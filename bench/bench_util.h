@@ -64,17 +64,19 @@ inline double MedianMillis(int reps, const std::function<void()>& fn) {
 // `execute` is ExecuteParallelScanCount or ExecuteParallelScan. Counting
 // is materialize-and-size for every engine: the SISD engines collect
 // their positions too. fig1 and micro_kernels call the storeless
-// SisdScan*Count loops directly, and fig6 replays their branches.
+// SisdScan*Count loops directly, and fig6 replays their branches. The
+// run's ExecutionReport goes to `report` when non-null.
 template <typename T>
 StatusOr<T> RunSerial(StatusOr<T> (*execute)(const TableScanner&,
                                              const ParallelScanOptions&,
                                              ExecutionReport*),
-                      const TableScanner& scanner, EngineChoice engine) {
+                      const TableScanner& scanner, EngineChoice engine,
+                      ExecutionReport* report = nullptr) {
   ParallelScanOptions options;
   options.requested = engine;
   options.fallback = FallbackPolicy::kStrict;
   options.threads = 1;
-  return execute(scanner, options, nullptr);
+  return execute(scanner, options, report);
 }
 
 // One machine-readable result line:

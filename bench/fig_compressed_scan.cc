@@ -230,12 +230,14 @@ int main() {
       FTS_CHECK(expected.ok());
 
       // Self-verification: compressed-domain and decode-then-scan counts
-      // must match the SISD reference exactly.
+      // must match the SISD reference exactly. The compressed run's report
+      // carries the run/block counters.
       const auto compressed_scanner =
           fts::TableScanner::Prepare(encoded, spec);
       FTS_CHECK(compressed_scanner.ok());
+      fts::ExecutionReport compressed_report;
       FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *compressed_scanner,
-                           {engine, 0}) == *expected);
+                           {engine, 0}, &compressed_report) == *expected);
       AlignedVector<int64_t> scratch(kChunkSize);
       FTS_CHECK(DecodeThenScan(encoded, *plain_scanner, engine, scratch) ==
                 *expected);
@@ -271,7 +273,6 @@ int main() {
       const double speedup =
           compressed_ms > 0.0 ? decode_ms / compressed_ms : 0.0;
 
-      const auto& stats = *compressed_scanner->compressed_stats();
       std::printf("%-11s%-10s%13.2f%11.3f%15.3f%17.3f%9.2fx\n", shape.name,
                   fts::ColumnEncodingName(shape.encoding), selectivity,
                   plain_ms, compressed_ms, decode_ms, speedup);
@@ -285,13 +286,12 @@ int main() {
           .Field("decode_scan_ms", decode_ms)
           .Field("speedup_vs_decode", speedup)
           .Field("rle_runs_classified",
-                 stats.rle_runs_classified.load(std::memory_order_relaxed))
-          .Field("rle_runs_skipped",
-                 stats.rle_runs_skipped.load(std::memory_order_relaxed))
+                 compressed_report.rle_runs_classified)
+          .Field("rle_runs_skipped", compressed_report.rle_runs_skipped)
           .Field("delta_blocks_pruned",
-                 stats.delta_blocks_pruned.load(std::memory_order_relaxed))
+                 compressed_report.delta_blocks_pruned)
           .Field("delta_blocks_decoded",
-                 stats.delta_blocks_decoded.load(std::memory_order_relaxed))
+                 compressed_report.delta_blocks_decoded)
           .Emit();
     }
   }

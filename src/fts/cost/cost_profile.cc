@@ -431,7 +431,6 @@ std::string CostProfile::Serialize() const {
   out << "delta_row_ns " << delta_row_ns << "\n";
   out << "compressed_emit_ns " << compressed_emit_ns << "\n";
   out << "jit_speed_factor " << jit_speed_factor << "\n";
-  out << "jit_compile_millis " << jit_compile_millis << "\n";
   return out.str();
 }
 
@@ -459,7 +458,6 @@ StatusOr<CostProfile> CostProfile::Parse(const std::string& text) {
       {"delta_row_ns", &profile.delta_row_ns},
       {"compressed_emit_ns", &profile.compressed_emit_ns},
       {"jit_speed_factor", &profile.jit_speed_factor},
-      {"jit_compile_millis", &profile.jit_compile_millis},
   };
   uint32_t scalars_seen = 0;
   std::string line;

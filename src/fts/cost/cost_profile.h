@@ -59,7 +59,7 @@ inline constexpr size_t kNumEngines = 9;  // ScanEngine enumerator count.
 // key-value text file keyed by the calibrating CPU's feature string, so a
 // stale or foreign profile is detected and re-measured.
 struct CostProfile {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   int version = kVersion;
   std::string cpu;        // GetCpuFeatures().ToString() at calibration.
@@ -78,11 +78,10 @@ struct CostProfile {
   double delta_row_ns = 3.0;    // Prefix-reconstruct + compare one row.
   double compressed_emit_ns = 0.5;  // Append one position from a range.
 
-  // JIT model: generated code runs at (best fused cost) * factor, and a
-  // cold chain signature pays one external-compiler invocation that the
-  // per-chunk decision amortizes over the chunks sharing the signature.
+  // JIT model: generated code runs at (best fused cost) * factor. No
+  // query waits for a compile (tiered JIT, DESIGN.md §7), so none is
+  // priced.
   double jit_speed_factor = 0.85;
-  double jit_compile_millis = 150.0;
 
   const EngineCostConstants& For(ScanEngine engine) const {
     return engines[static_cast<size_t>(engine)];

@@ -289,8 +289,6 @@ StatusOr<QueryResult> Database::Query(const std::string& sql,
 
   ExecutionReport& report = result.execution_report;
   report.deadline_millis = ctx->deadline_millis();
-  report.deadline_hit = false;
-  report.cancelled = false;
   report.queue_wait_millis =
       static_cast<double>(ctx->queue_wait_micros()) / 1000.0;
   if (report.degraded) {

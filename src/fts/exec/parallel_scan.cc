@@ -1,5 +1,6 @@
 #include "fts/exec/parallel_scan.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "fts/cost/cost_profile.h"
@@ -27,17 +28,22 @@ struct MorselOutcome {
   // of a chunk no JIT operator covers, or tier 0 of a JIT rung whose
   // compile has not landed. A choice is not a degradation.
   bool adapted = false;
+  // The cost model picked an engine other than the requested rung, and the
+  // pick ran (one of the `adapted` cases).
+  bool model_switched = false;
   std::vector<EngineAttempt> attempts;
   PosList positions;  // Materialize mode.
   uint64_t count = 0;  // Aggregate mode: the match count.
   std::vector<AggAccumulator> aggs;  // Aggregate mode: per-term partials.
-  // JIT cache/compile attribution for this morsel's ladder walk.
-  JitChunkStats jit;
+  // What this morsel's ladder walk did: compressed-domain counters, the
+  // fold taken, JIT cache/compile attribution.
+  ChunkStats stats;
 };
 
-// Copies the scanner's PruningSummary into the report's zone-map fields
-// and counts the scan in the metrics registry. Called once per scan.
-void FillPruningReport(const TableScanner& scanner, ExecutionReport* report) {
+// Copies what Prepare fixed into the report — pruning, the per-stage
+// encoding mix and the cost-model state — and counts the scan in the
+// metrics registry. Called once per scan.
+void FillPreparedReport(const TableScanner& scanner, ExecutionReport* report) {
   const TableScanner::PruningSummary& pruning = scanner.pruning();
   report->chunks_total = pruning.chunks_total;
   report->chunks_pruned = pruning.chunks_pruned;
@@ -48,6 +54,12 @@ void FillPruningReport(const TableScanner& scanner, ExecutionReport* report) {
     if (!plan.impossible) rows_scanned += plan.row_count;
   }
   report->rows_scanned = rows_scanned;
+  const std::array<uint64_t, 6>& mix = scanner.stage_encodings();
+  std::copy(mix.begin(), mix.end(), report->stage_encodings);
+  report->model_active = scanner.model_active();
+  report->adaptive_engines = scanner.adaptive();
+  report->chunks_reordered = scanner.chunks_reordered();
+  report->est_rows = scanner.est_rows();
   // RunMorsels fills this exactly once per scan, so this is also where
   // pruning lands in the process-lifetime registry.
   const obs::EngineMetrics& metrics = obs::Metrics();
@@ -60,51 +72,21 @@ void FillPruningReport(const TableScanner& scanner, ExecutionReport* report) {
   }
 }
 
-// Copies the scanner's per-stage encoding mix and the compressed-domain
-// run/block counters its chunk executions accumulated.
-void FillCompressedReport(const TableScanner& scanner,
-                          ExecutionReport* report) {
-  const std::array<uint64_t, 6>& mix = scanner.stage_encodings();
-  for (size_t e = 0; e < mix.size(); ++e) {
-    report->stage_encodings[e] = mix[e];
-  }
-  const AtomicCompressedStats& stats = *scanner.compressed_stats();
-  report->rle_runs_classified =
-      stats.rle_runs_classified.load(std::memory_order_relaxed);
-  report->rle_runs_skipped =
-      stats.rle_runs_skipped.load(std::memory_order_relaxed);
-  report->delta_blocks_pruned =
-      stats.delta_blocks_pruned.load(std::memory_order_relaxed);
-  report->delta_blocks_decoded =
-      stats.delta_blocks_decoded.load(std::memory_order_relaxed);
-}
-
-// Copies which fold the scanner's aggregate chunks took.
-void FillAggFoldReport(const TableScanner& scanner, ExecutionReport* report) {
-  const TableScanner::AggFoldStats& stats = *scanner.agg_fold_stats();
-  report->agg_kernel_chunks =
-      stats.kernel_chunks.load(std::memory_order_relaxed);
-  report->agg_positions_chunks =
-      stats.positions_chunks.load(std::memory_order_relaxed);
-  report->agg_delta_blocks =
-      stats.delta_blocks_decoded.load(std::memory_order_relaxed);
-}
-
-// Copies the scanner's cost-model state (model on/off, chunks re-ranked,
-// estimated rows, per-chunk engine mix, switch count).
-void FillAdaptiveReport(const TableScanner& scanner,
-                        ExecutionReport* report) {
-  report->model_active = scanner.model_active();
-  report->adaptive_engines = scanner.adaptive();
-  report->chunks_reordered = scanner.chunks_reordered();
-  report->est_rows = scanner.est_rows();
-  const TableScanner::AdaptiveStats& stats = *scanner.adaptive_stats();
-  report->adaptive_engine_switches =
-      stats.engine_switches.load(std::memory_order_relaxed);
-  for (size_t e = 0; e < cost::kNumEngines; ++e) {
-    report->adaptive_chunk_engines[e] =
-        stats.chunk_engines[e].load(std::memory_order_relaxed);
-  }
+// The report's one write site for the morsels' counters: adds one
+// morsel's ChunkStats and cost-model switch.
+void MergeOutcome(const MorselOutcome& outcome, ExecutionReport* report) {
+  const ChunkStats& stats = outcome.stats;
+  report->rle_runs_classified += stats.compressed.rle_runs_classified;
+  report->rle_runs_skipped += stats.compressed.rle_runs_skipped;
+  report->delta_blocks_pruned += stats.compressed.delta_blocks_pruned;
+  report->delta_blocks_decoded += stats.compressed.delta_blocks_decoded;
+  report->agg_kernel_chunks += stats.agg_kernel_chunks;
+  report->agg_positions_chunks += stats.agg_positions_chunks;
+  report->agg_delta_blocks += stats.agg_delta_blocks;
+  report->jit_cache_hits += stats.jit_cache_hits;
+  report->jit_cache_misses += stats.jit_compiles_queued;
+  report->jit_compile_millis += stats.jit_compile_millis;
+  if (outcome.model_switched) ++report->adaptive_engine_switches;
 }
 
 std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
@@ -200,20 +182,18 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
             const std::optional<size_t> count,
             fold ? JitExecuteChunkAggregate(
                        cache, plan, choice.jit_register_bits,
-                       wait_for_compile, aggs.data(), &out->jit, ctx,
-                       scanner.compressed_stats().get())
+                       wait_for_compile, aggs.data(), &out->stats, ctx)
                  : JitExecuteChunk(cache, plan, choice.jit_register_bits,
                                    wait_for_compile, buffer.data(),
-                                   &out->jit, ctx,
-                                   scanner.compressed_stats().get()));
+                                   &out->stats, ctx));
         if (count.has_value()) return *count;
         tier0 = true;
         choice = {cost::BestFusedEngine(), 0};
       }
       return fold ? scanner.ExecuteChunkAggregate(choice.engine, chunk_id,
-                                                  aggs.data())
+                                                  aggs.data(), &out->stats)
                   : scanner.ExecuteChunk(choice.engine, chunk_id,
-                                         buffer.data());
+                                         buffer.data(), &out->stats);
     }();
 
     if (result.ok()) {
@@ -231,12 +211,9 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
       out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
       // Tier 0 of the requested rung is a choice; tier 0 of a lower JIT
       // width ran because the requested rung failed.
-      out->adapted = (adapted_first && r == 0) || sink_choice ||
+      out->model_switched = adapted_first && r == 0;
+      out->adapted = out->model_switched || sink_choice ||
                      (tier0 && out->rung_index == 0);
-      if (fold && choice.engine == ScanEngine::kJit) {
-        scanner.agg_fold_stats()->kernel_chunks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
       if (span.active()) {
         span.AddArg("engine", choice.ToString());
         span.AddArg("matches", uint64_t{*result});
@@ -300,21 +277,15 @@ Status ScheduleMorsels(const TableScanner& scanner,
   report->worker_count = loop.worker_count;
   report->morsel_count = runnable.size();
   obs::Metrics().morsels_total->Add(runnable.size());
+  // Before any early return, so a failed or canceled scan reports the work
+  // its morsels did.
   for (const ChunkId chunk_id : runnable) {
-    const MorselOutcome& outcome = (*outcomes)[chunk_id];
-    report->jit_compile_millis += outcome.jit.compile_millis;
-    report->jit_cache_hits += outcome.jit.cache_hits;
-    report->jit_cache_misses += outcome.jit.cache_misses;
+    MergeOutcome((*outcomes)[chunk_id], report);
   }
   report->morsels_completed = loop.completed;
   report->morsels_aborted = loop.aborted;
   if (loop.aborted > 0) obs::Metrics().morsels_aborted_total->Add(loop.aborted);
-  if (loop.cancelled) {
-    report->cancelled = true;
-    report->deadline_hit =
-        loop.status.code() == StatusCode::kDeadlineExceeded;
-    return loop.status;
-  }
+  if (loop.cancelled) return loop.status;
   if (!loop.status.ok()) {
     // The first failed morsel in chunk order decides the status and the
     // ladder trail.
@@ -354,9 +325,8 @@ Status ScheduleMorsels(const TableScanner& scanner,
   return Status::Ok();
 }
 
-// Fills the report's scan fields, runs the morsels, then refreshes the
-// counters the finished morsels accumulated (on every return path, so a
-// failed or canceled scan reports the work it did).
+// Fills the report's Prepare-time fields, then runs the morsels, whose
+// outcomes ScheduleMorsels merges into it.
 Status RunMorsels(const TableScanner& scanner,
                   const ParallelScanOptions& options, MorselMode mode,
                   std::vector<MorselOutcome>* outcomes,
@@ -364,13 +334,8 @@ Status RunMorsels(const TableScanner& scanner,
   ExecutionReport local;
   if (report == nullptr) report = &local;
   report->requested = options.requested;
-  FillPruningReport(scanner, report);
-  const Status status =
-      ScheduleMorsels(scanner, options, mode, outcomes, report);
-  FillCompressedReport(scanner, report);
-  FillAggFoldReport(scanner, report);
-  FillAdaptiveReport(scanner, report);
-  return status;
+  FillPreparedReport(scanner, report);
+  return ScheduleMorsels(scanner, options, mode, outcomes, report);
 }
 
 }  // namespace

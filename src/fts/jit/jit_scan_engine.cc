@@ -44,35 +44,30 @@ void MarshalRleStages(const TableScanner::ChunkPlan& plan,
 // credit every stage's runs as classified so the compressed-domain
 // counters stay meaningful when JIT serves the chunk.
 void CreditRleRuns(const TableScanner::ChunkPlan& plan,
-                   AtomicCompressedStats* compressed_stats) {
-  if (compressed_stats == nullptr) return;
-  CompressedScanStats credit;
+                   CompressedScanStats* stats) {
   for (const CompressedScanStage& stage : plan.compressed) {
     DispatchDataType(stage.column->data_type(), [&](auto tag) {
       using T = decltype(tag);
-      credit.rle_runs_classified +=
+      stats->rle_runs_classified +=
           static_cast<const RleColumn<T>&>(*stage.column).run_count();
     });
   }
-  compressed_stats->Add(credit);
 }
 
 using MorselCount = std::optional<size_t>;
 
 // Looks up the operator for `signature` — tiered, or waiting for the
-// compile when `wait` — and credits the lookup to `stats` (nullable). The
-// entry's fn is null while the compile is pending.
+// compile when `wait` — and credits the lookup to `stats`. The entry's fn
+// is null while the compile is pending.
 StatusOr<JitCache::Entry> Kernel(JitCache& cache,
                                  const JitScanSignature& signature, bool wait,
-                                 JitChunkStats* stats, QueryContext* ctx) {
+                                 ChunkStats* stats, QueryContext* ctx) {
   FTS_ASSIGN_OR_RETURN(JitCache::Entry entry,
                        wait ? cache.GetOrCompile(signature, ctx)
                             : cache.Lookup(signature));
-  if (stats != nullptr) {
-    stats->compile_millis += entry.compile_millis;
-    if (entry.cache_hit) ++stats->cache_hits;
-    if (entry.queued) ++stats->cache_misses;
-  }
+  stats->jit_compile_millis += entry.compile_millis;
+  if (entry.cache_hit) ++stats->jit_cache_hits;
+  if (entry.queued) ++stats->jit_compiles_queued;
   return entry;
 }
 
@@ -85,8 +80,7 @@ JitMorselResult RunRleChain(JitCache& cache,
                             const TableScanner::ChunkPlan& plan,
                             int register_bits, bool wait,
                             std::vector<JitAggSignature> aggs, uint32_t* out,
-                            JitChunkStats* stats, QueryContext* ctx,
-                            AtomicCompressedStats* compressed_stats) {
+                            ChunkStats* stats, QueryContext* ctx) {
   if (!plan.stages.empty()) {
     return Status::InvalidArgument(
         "JIT compiles all-RLE chains only; mixed compressed/kernel "
@@ -104,7 +98,7 @@ JitMorselResult RunRleChain(JitCache& cache,
   MarshalRleStages(plan, signature, views, columns, values);
   obs::TraceSpan span("scan_chunk", "scan");
   const size_t count = entry.fn(columns, values, plan.row_count, out);
-  CreditRleRuns(plan, compressed_stats);
+  CreditRleRuns(plan, &stats->compressed);
   {
     const obs::EngineMetrics& metrics = obs::Metrics();
     metrics.rows_scanned_total->Add(plan.row_count);
@@ -125,17 +119,18 @@ JitMorselResult RunRleChain(JitCache& cache,
 JitMorselResult JitExecuteChunk(JitCache& cache,
                                 const TableScanner::ChunkPlan& plan,
                                 int register_bits, bool wait_for_compile,
-                                ChunkOffset* out, JitChunkStats* stats,
-                                QueryContext* ctx,
-                                AtomicCompressedStats* compressed_stats) {
+                                ChunkOffset* out, ChunkStats* stats,
+                                QueryContext* ctx) {
   if (!GetCpuFeatures().HasFusedScanAvx512()) {
     return Status::Unavailable(
         "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
   }
   if (plan.impossible || plan.row_count == 0) return MorselCount(0);
+  ChunkStats unused;
+  if (stats == nullptr) stats = &unused;
   if (!plan.compressed.empty()) {
     return RunRleChain(cache, plan, register_bits, wait_for_compile, {}, out,
-                       stats, ctx, compressed_stats);
+                       stats, ctx);
   }
   if (plan.stages.empty()) {
     std::iota(out, out + plan.row_count, ChunkOffset{0});
@@ -179,8 +174,8 @@ JitMorselResult JitExecuteChunk(JitCache& cache,
 
 JitMorselResult JitExecuteChunkAggregate(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
-    bool wait_for_compile, AggAccumulator* accs, JitChunkStats* stats,
-    QueryContext* ctx, AtomicCompressedStats* compressed_stats) {
+    bool wait_for_compile, AggAccumulator* accs, ChunkStats* stats,
+    QueryContext* ctx) {
   if (!GetCpuFeatures().HasFusedScanAvx512()) {
     return Status::Unavailable(
         "JIT scan generates AVX-512 code; CPU lacks F/BW/DQ/VL");
@@ -191,9 +186,12 @@ JitMorselResult JitExecuteChunkAggregate(
   }
   for (size_t i = 0; i < num_terms; ++i) accs[i] = AggAccumulator{};
   if (plan.impossible || plan.row_count == 0) return MorselCount(0);
+  ChunkStats unused;
+  if (stats == nullptr) stats = &unused;
   if (plan.agg_zone_shortcut) {
     std::copy(plan.agg_zone_partials.begin(), plan.agg_zone_partials.end(),
               accs);
+    ++stats->agg_kernel_chunks;
     return MorselCount(plan.row_count);
   }
   std::vector<JitAggSignature> aggs;
@@ -215,8 +213,12 @@ JitMorselResult JitExecuteChunkAggregate(
   }
   if (!plan.compressed.empty()) {
     // COUNT terms ride the all-RLE run-coiteration operator.
-    return RunRleChain(cache, plan, register_bits, wait_for_compile,
-                       std::move(aggs), out, stats, ctx, compressed_stats);
+    FTS_ASSIGN_OR_RETURN(
+        const MorselCount count,
+        RunRleChain(cache, plan, register_bits, wait_for_compile,
+                    std::move(aggs), out, stats, ctx));
+    if (count.has_value()) ++stats->agg_kernel_chunks;
+    return count;
   }
   for (const AggTerm& term : plan.agg_terms) {
     if (term.dict != nullptr || term.packed_bits != 0) {
@@ -229,6 +231,7 @@ JitMorselResult JitExecuteChunkAggregate(
   if (plan.stages.empty()) {
     // Every row matches and there is no chain to specialize; the scalar
     // reference fold is already a tight typed loop.
+    ++stats->agg_kernel_chunks;
     return MorselCount(FusedAggScanScalar(nullptr, 0, plan.row_count,
                                           plan.agg_terms.data(), num_terms,
                                           accs));
@@ -257,6 +260,7 @@ JitMorselResult JitExecuteChunkAggregate(
   }
   obs::TraceSpan span("scan_chunk_agg", "scan");
   const size_t count = entry.fn(columns, values, plan.row_count, out);
+  ++stats->agg_kernel_chunks;
   {
     const obs::EngineMetrics& metrics = obs::Metrics();
     metrics.rows_scanned_total->Add(plan.row_count);

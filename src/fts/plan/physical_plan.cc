@@ -669,18 +669,12 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
   // Query lifecycle actuals. The `Deadline:` and `QueueWait:` markers are
   // rendered unconditionally — harnesses grep for them.
   if (report.deadline_millis > 0) {
-    out += StrFormat("  Deadline: %lld ms%s\n",
-                     static_cast<long long>(report.deadline_millis),
-                     report.deadline_hit ? " [exceeded]" : "");
+    out += StrFormat("  Deadline: %lld ms\n",
+                     static_cast<long long>(report.deadline_millis));
   } else {
     out += "  Deadline: none\n";
   }
   out += StrFormat("  QueueWait: %.3f ms\n", report.queue_wait_millis);
-  if (report.cancelled || report.morsels_aborted > 0) {
-    out += StrFormat(
-        "  Cancelled: yes (morsels completed=%zu, aborted=%zu)\n",
-        report.morsels_completed, report.morsels_aborted);
-  }
 
   int depth = 1;
   if (plan.empty_result) {
@@ -737,23 +731,11 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
                          report.chunks_reordered);
         out += StrFormat(", est rows=%.0f actual=%llu", report.est_rows,
                          static_cast<unsigned long long>(report.rows_matched));
-        if (report.adaptive_engines) {
-          uint64_t adapted_chunks = 0;
-          std::vector<std::string> parts;
-          for (size_t e = 0; e < 9; ++e) {
-            if (report.adaptive_chunk_engines[e] == 0) continue;
-            adapted_chunks += report.adaptive_chunk_engines[e];
-            parts.push_back(StrFormat(
-                "%s x%llu", ScanEngineToString(static_cast<ScanEngine>(e)),
-                static_cast<unsigned long long>(
-                    report.adaptive_chunk_engines[e])));
-          }
-          if (adapted_chunks > 0) {
-            out += StrFormat(", switches=%llu, engines={%s}",
-                             static_cast<unsigned long long>(
-                                 report.adaptive_engine_switches),
-                             Join(parts, ", ").c_str());
-          }
+        // The engine mix is on the `parallel:` line above.
+        if (report.adaptive_engines && report.morsel_count > 0) {
+          out += StrFormat(", switches=%llu",
+                           static_cast<unsigned long long>(
+                               report.adaptive_engine_switches));
         }
         out += "\n";
       }

@@ -1,7 +1,6 @@
 #ifndef FTS_SCAN_COMPRESSED_SCAN_H_
 #define FTS_SCAN_COMPRESSED_SCAN_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -41,33 +40,13 @@ struct CompressedScanStage {
 // Half-open row range [first, second).
 using RowRange = std::pair<uint32_t, uint32_t>;
 
-// Work counters for one chunk execution (plain fields — accumulate into
-// AtomicCompressedStats for cross-thread totals).
+// Work counters for one chunk execution (a field of ChunkStats,
+// fts/scan/table_scan.h).
 struct CompressedScanStats {
   uint64_t rle_runs_classified = 0;
   uint64_t rle_runs_skipped = 0;  // Runs whose whole range was disproved.
   uint64_t delta_blocks_pruned = 0;   // Blocks answered from min/max.
   uint64_t delta_blocks_decoded = 0;  // Blocks prefix-reconstructed.
-};
-
-// Shared accumulator owned by a prepared TableScanner: chunk executions
-// run concurrently on the morsel path, so totals are atomic.
-struct AtomicCompressedStats {
-  std::atomic<uint64_t> rle_runs_classified{0};
-  std::atomic<uint64_t> rle_runs_skipped{0};
-  std::atomic<uint64_t> delta_blocks_pruned{0};
-  std::atomic<uint64_t> delta_blocks_decoded{0};
-
-  void Add(const CompressedScanStats& stats) {
-    rle_runs_classified.fetch_add(stats.rle_runs_classified,
-                                  std::memory_order_relaxed);
-    rle_runs_skipped.fetch_add(stats.rle_runs_skipped,
-                               std::memory_order_relaxed);
-    delta_blocks_pruned.fetch_add(stats.delta_blocks_pruned,
-                                  std::memory_order_relaxed);
-    delta_blocks_decoded.fetch_add(stats.delta_blocks_decoded,
-                                   std::memory_order_relaxed);
-  }
 };
 
 // Exact qualifying ranges for one compressed stage, ascending and

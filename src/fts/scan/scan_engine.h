@@ -242,14 +242,14 @@ struct ExecutionReport {
   uint64_t jit_cache_hits = 0;
   uint64_t jit_cache_misses = 0;
   // Query lifecycle (fts/common/query_context.h). `deadline_millis` is the
-  // budget the query was armed with (0 = none); `deadline_hit` / `cancelled`
-  // report how it ended. Morsel accounting shows the deterministic partial
-  // abort: completed morsels ran to their boundary, aborted morsels were
-  // discarded without running. `queue_wait_millis` is the time spent in the
-  // admission controller's run queue before execution began.
+  // budget the query was armed with (0 = none); a query that missed it or
+  // was canceled returns its status instead of a report. Morsel accounting
+  // shows the deterministic partial abort in the report a failed scan
+  // leaves behind: completed morsels ran to their boundary, aborted
+  // morsels were discarded without running. `queue_wait_millis` is the
+  // time spent in the admission controller's run queue before execution
+  // began.
   int64_t deadline_millis = 0;
-  bool deadline_hit = false;
-  bool cancelled = false;
   size_t morsels_completed = 0;
   size_t morsels_aborted = 0;
   double queue_wait_millis = 0.0;
@@ -258,16 +258,14 @@ struct ExecutionReport {
   // eligible); `adaptive_engines` additionally means the model was free
   // to pick the engine per chunk. `chunks_reordered` counts chunks whose
   // fused chain ran in a different order than the spec's predicate
-  // order; `adaptive_engine_switches` counts chunks executed on a
+  // order; `adaptive_engine_switches` counts morsels executed on a
   // different engine than requested by the model's choice (not by
-  // degradation); `adaptive_chunk_engines[e]` is the per-engine chunk mix
-  // while adaptation was active. `est_rows` is the model's predicted
-  // match count for the scan.
+  // degradation; `morsel_choices` holds the engine mix). `est_rows` is the
+  // model's predicted match count for the scan.
   bool model_active = false;
   bool adaptive_engines = false;
   size_t chunks_reordered = 0;
   uint64_t adaptive_engine_switches = 0;
-  uint64_t adaptive_chunk_engines[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
   double est_rows = 0.0;
   // Wall time of the scan stages alone (excludes parse/plan/aggregate).
   double scan_millis = 0.0;

@@ -599,7 +599,6 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   // best reflect how the fused chains actually behave.
   const ScanEngine ranking_engine = cost::BestFusedEngine();
   size_t chunks_reordered = 0;
-  size_t runnable_chunks = 0;
   double est_rows = 0.0;
 
   std::vector<ChunkPlan> plans;
@@ -720,7 +719,6 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
         for (double s : plan.compressed_sel) sel *= s;
         plan.est_matches = static_cast<double>(plan.row_count) * sel;
         est_rows += plan.est_matches;
-        runnable_chunks++;
       }
     }
     if (!spec.aggregates.empty() && !plan.impossible) {
@@ -746,7 +744,6 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   scanner.model_active_ = model_active;
   scanner.adaptive_engine_ = adaptive_engine;
   scanner.chunks_reordered_ = chunks_reordered;
-  scanner.runnable_chunks_ = runnable_chunks;
   scanner.est_rows_ = est_rows;
   if (needs_sink) {
     FTS_ASSIGN_OR_RETURN(PositionsFoldSink sink,
@@ -766,16 +763,14 @@ static uint64_t PosListBytes(size_t row_count) {
 }
 
 size_t TableScanner::CollectChunk(ScanEngine engine, const ChunkPlan& plan,
-                                  ChunkOffset* out) const {
+                                  ChunkOffset* out,
+                                  CompressedScanStats* stats) const {
   if (!plan.compressed.empty()) {
     // Compressed-domain chunk: every engine runs the same run/block range
     // path (byte-identical across engines and thread counts); the chosen
     // engine only matters for the chunks the kernels scan directly.
-    CompressedScanStats stats;
-    const size_t count = ExecuteCompressedChunk(
-        plan.compressed, plan.stages, plan.row_count, out, &stats);
-    compressed_stats_->Add(stats);
-    return count;
+    return ExecuteCompressedChunk(plan.compressed, plan.stages,
+                                  plan.row_count, out, stats);
   }
   if (plan.stages.empty()) {
     std::iota(out, out + plan.row_count, ChunkOffset{0});
@@ -798,7 +793,8 @@ size_t TableScanner::CollectChunk(ScanEngine engine, const ChunkPlan& plan,
 
 StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
                                             ChunkId chunk_id,
-                                            ChunkOffset* out) const {
+                                            ChunkOffset* out,
+                                            ChunkStats* stats) const {
   FTS_RETURN_IF_ERROR(ValidateEngine(engine));
   if (chunk_id >= chunk_plans_.size()) {
     return Status::InvalidArgument(
@@ -808,7 +804,9 @@ StatusOr<size_t> TableScanner::ExecuteChunk(ScanEngine engine,
   const ChunkPlan& plan = chunk_plans_[chunk_id];
   if (plan.impossible || plan.row_count == 0) return size_t{0};
   obs::TraceSpan span("scan_chunk", "scan");
-  const size_t count = CollectChunk(engine, plan, out);
+  ChunkStats unused;
+  if (stats == nullptr) stats = &unused;
+  const size_t count = CollectChunk(engine, plan, out, &stats->compressed);
   RecordChunkExecution(engine, plan.row_count, count);
   if (span.active()) {
     span.AddArg("chunk", static_cast<uint64_t>(chunk_id));
@@ -842,7 +840,8 @@ size_t TableScanner::RefineChunk(ChunkId chunk_id, const ChunkOffset* in,
 }
 
 StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
-    ScanEngine engine, ChunkId chunk_id, AggAccumulator* accs) const {
+    ScanEngine engine, ChunkId chunk_id, AggAccumulator* accs,
+    ChunkStats* stats) const {
   FTS_RETURN_IF_ERROR(ValidateEngine(engine));
   if (num_agg_terms_ == 0) {
     return Status::InvalidArgument(
@@ -856,12 +855,14 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
   const ChunkPlan& plan = chunk_plans_[chunk_id];
   for (size_t i = 0; i < num_agg_terms_; ++i) accs[i] = AggAccumulator{};
   if (plan.impossible || plan.row_count == 0) return size_t{0};
+  ChunkStats unused;
+  if (stats == nullptr) stats = &unused;
   if (plan.agg_zone_shortcut) {
     // Answered from zone metadata: no column bytes touched.
     std::copy(plan.agg_zone_partials.begin(), plan.agg_zone_partials.end(),
               accs);
     RecordChunkExecution(engine, 0, plan.row_count);
-    agg_fold_stats_->kernel_chunks.fetch_add(1, std::memory_order_relaxed);
+    ++stats->agg_kernel_chunks;
     return plan.row_count;
   }
   obs::TraceSpan span("scan_chunk_agg", "scan");
@@ -873,19 +874,17 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
     FTS_RETURN_IF_ERROR(
         reservation.Reserve(context_, PosListBytes(plan.row_count)));
     PosList positions(plan.row_count + kScanOutputSlack);
-    count = CollectChunk(engine, plan, positions.data());
-    GatherStats stats;
+    count = CollectChunk(engine, plan, positions.data(), &stats->compressed);
+    GatherStats gather;
     agg_sink_->Fold(*GetGatherKernel(GatherKernelFor(engine)), chunk_id,
-                    positions.data(), count, accs, &stats);
-    agg_fold_stats_->positions_chunks.fetch_add(1,
-                                                std::memory_order_relaxed);
-    agg_fold_stats_->delta_blocks_decoded.fetch_add(
-        stats.delta_blocks_decoded, std::memory_order_relaxed);
+                    positions.data(), count, accs, &gather);
+    ++stats->agg_positions_chunks;
+    stats->agg_delta_blocks += gather.delta_blocks_decoded;
   } else {
     count = AggFnForEngine(engine)(
         plan.stages.data(), plan.stages.size(), plan.row_count,
         plan.agg_terms.data(), plan.agg_terms.size(), accs);
-    agg_fold_stats_->kernel_chunks.fetch_add(1, std::memory_order_relaxed);
+    ++stats->agg_kernel_chunks;
   }
   RecordChunkExecution(engine, plan.row_count, count);
   if (span.active()) {
@@ -904,27 +903,14 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
     return requested;
   }
   const ChunkPlan& plan = chunk_plans_[chunk_id];
-  if (plan.impossible || plan.row_count == 0) return requested;
-  AdaptiveStats& stats = *adaptive_stats_;
-  if (!plan.compressed.empty() || plan.stages.empty() ||
-      !profile_->For(requested.engine).available) {
+  if (plan.impossible || plan.row_count == 0 || !plan.compressed.empty() ||
+      plan.stages.empty() || !profile_->For(requested.engine).available) {
     // Compressed chunks run the engine-independent range path; stage-free
     // chunks are a pure emit; an engine outside the calibrated adaptation
-    // set has no constants to price it against the candidates. Nothing to
-    // pick, but the chunk still counts toward the engine mix.
-    stats.chunk_engines[static_cast<size_t>(requested.engine)].fetch_add(
-        1, std::memory_order_relaxed);
+    // set has no constants to price it against the candidates.
     return requested;
   }
-  double requested_ns = EstimateChunkNanos(requested.engine, chunk_id);
-  if (requested.engine == ScanEngine::kJit) {
-    // A JIT pick pays its share of one compile spread over the scan's
-    // runnable chunks (each chunk decides independently, so the per-chunk
-    // share is the fair accounting).
-    requested_ns +=
-        profile_->jit_compile_millis * 1e6 /
-        static_cast<double>(std::max<size_t>(size_t{1}, runnable_chunks_));
-  }
+  const double requested_ns = EstimateChunkNanos(requested.engine, chunk_id);
   // Candidates never upgrade the ISA: the SISD engines always qualify, and
   // a kJit request may fall back to the best static fused kernel (the JIT
   // targets the same instruction set the fused kernels use).
@@ -949,13 +935,8 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
   // predicted at least 1.25x faster — estimates carry error, and the
   // requested engine is usually the globally sensible one.
   if (!(best == requested) && requested_ns < best_ns * 1.25) {
-    best = requested;
+    return requested;
   }
-  if (!(best == requested)) {
-    stats.engine_switches.fetch_add(1, std::memory_order_relaxed);
-  }
-  stats.chunk_engines[static_cast<size_t>(best.engine)].fetch_add(
-      1, std::memory_order_relaxed);
   return best;
 }
 

@@ -2,7 +2,6 @@
 #define FTS_SCAN_TABLE_SCAN_H_
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,26 @@
 #include "fts/storage/table.h"
 
 namespace fts {
+
+// What one chunk execution did. The chunk primitives (TableScanner's
+// ExecuteChunk*, fts/jit's JitExecuteChunk*) add to the caller's
+// ChunkStats; the scan executor keeps one per morsel and merges them into
+// the ExecutionReport in chunk order, so every count describes one run.
+struct ChunkStats {
+  CompressedScanStats compressed;
+  // Which fold an aggregate chunk took: inside a fused or JIT kernel loop
+  // or from zone maps (kernel), or through the PositionsFoldSink
+  // (positions), whose delta decoder prefix-reconstructed
+  // `agg_delta_blocks` blocks.
+  uint64_t agg_kernel_chunks = 0;
+  uint64_t agg_positions_chunks = 0;
+  uint64_t agg_delta_blocks = 0;
+  // JIT cache attribution: lookups served by a compiled operator, lookups
+  // that queued a compile, and the compile time waited for.
+  uint64_t jit_cache_hits = 0;
+  uint64_t jit_compiles_queued = 0;
+  double jit_compile_millis = 0.0;
+};
 
 // Executable form of a conjunctive scan over one table. Prepare() resolves
 // column names, casts search values to column types, and rewrites
@@ -133,9 +152,11 @@ class TableScanner {
   // row_count + kScanOutputSlack positions; returns the match count.
   // Impossible chunks return 0; predicate-free chunks emit every row.
   // Fails when `engine` is not available on this CPU or is kJit (the JIT
-  // chunk primitives live in fts/jit).
+  // chunk primitives live in fts/jit). A compressed-domain chunk adds its
+  // run/block counters to `stats` (nullable).
   StatusOr<size_t> ExecuteChunk(ScanEngine engine, ChunkId chunk_id,
-                                ChunkOffset* out) const;
+                                ChunkOffset* out,
+                                ChunkStats* stats = nullptr) const;
 
   // Refine morsel primitive (a later step of a non-fused plan): keeps the
   // `n` ascending offsets at `in` that satisfy this chunk's conjunction,
@@ -154,24 +175,11 @@ class TableScanner {
   // survivors with `engine` into a worker-local list and fold them through
   // the PositionsFoldSink; every other chunk folds inside the fused
   // aggregate kernel loop (SISD/Blockwise engines run the scalar
-  // reference fold). Requires Prepare() to have seen a spec with
-  // aggregates.
+  // reference fold). The fold taken and its counters go to `stats`
+  // (nullable). Requires Prepare() to have seen a spec with aggregates.
   StatusOr<size_t> ExecuteChunkAggregate(ScanEngine engine, ChunkId chunk_id,
-                                         AggAccumulator* accs) const;
-
-  // Which fold the aggregate chunks took, shared across the concurrent
-  // morsel executions of one scan (same ownership story as
-  // AtomicCompressedStats). Kernel chunks folded inside a fused or JIT
-  // kernel loop or from zone maps; positions chunks folded through the
-  // PositionsFoldSink, which decoded `delta_blocks_decoded` delta blocks.
-  struct AggFoldStats {
-    std::atomic<uint64_t> kernel_chunks{0};
-    std::atomic<uint64_t> positions_chunks{0};
-    std::atomic<uint64_t> delta_blocks_decoded{0};
-  };
-  const std::shared_ptr<AggFoldStats>& agg_fold_stats() const {
-    return agg_fold_stats_;
-  }
+                                         AggAccumulator* accs,
+                                         ChunkStats* stats = nullptr) const;
 
   // Number of aggregate terms the prepared spec carries (0 = the spec had
   // no aggregates and the aggregate entry points will fail).
@@ -189,12 +197,6 @@ class TableScanner {
   }
   // True when any chunk plan carries compressed-domain stages.
   bool has_compressed_stages() const { return has_compressed_stages_; }
-  // Run/block counters accumulated across this scanner's chunk executions
-  // (shared_ptr: chunk executions run concurrently on the morsel path and
-  // the scanner itself is moved around by value via StatusOr).
-  const std::shared_ptr<AtomicCompressedStats>& compressed_stats() const {
-    return compressed_stats_;
-  }
 
   // The query lifecycle context captured from the spec at Prepare() (null
   // when the spec carried none). Chunk primitives account scratch buffers
@@ -203,16 +205,6 @@ class TableScanner {
   QueryContext* context() const { return context_; }
 
   // ---- Calibrated cost model (fts/cost, DESIGN.md §14) ----
-
-  // Execution-time adaptive accounting, shared across the concurrent
-  // morsel executions of one scan (same ownership story as
-  // AtomicCompressedStats).
-  struct AdaptiveStats {
-    std::atomic<uint64_t> engine_switches{0};
-    // Chunks executed per engine while engine adaptation was active,
-    // indexed by static_cast<size_t>(ScanEngine).
-    std::array<std::atomic<uint64_t>, cost::kNumEngines> chunk_engines{};
-  };
 
   // True when FTS_ADAPTIVE left the model on at Prepare (chains were
   // re-rank-eligible and estimates were computed).
@@ -223,24 +215,19 @@ class TableScanner {
   size_t chunks_reordered() const { return chunks_reordered_; }
   // Model-estimated total matches across non-pruned chunks.
   double est_rows() const { return est_rows_; }
-  const std::shared_ptr<AdaptiveStats>& adaptive_stats() const {
-    return adaptive_stats_;
-  }
 
   // Picks the engine for one chunk: the cheapest candidate at or below
   // `requested` (never an ISA upgrade), keeping `requested` unless a
   // candidate is predicted at least 1.25x faster. Returns `requested`
   // unchanged when adaptation is off, the chunk runs in the compressed
-  // domain (engine-independent there), or the chunk has no stages. A kJit
-  // request is charged its share of one compile amortized over the
-  // runnable chunks. Records the decision in adaptive_stats().
+  // domain (engine-independent there), or the chunk has no stages.
   EngineChoice AdaptEngine(const EngineChoice& requested,
                            ChunkId chunk_id) const;
 
   // Predicted execution cost of one chunk / the whole scan on `engine`,
   // from the calibrated constants and the per-chunk estimates. Compressed
-  // chunks price the run/block range path; kJit adds nothing for compile
-  // (callers amortize it themselves if relevant).
+  // chunks price the run/block range path; kJit prices the generated
+  // code alone (no query waits for a compile).
   double EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id) const;
   double EstimateScanNanos(ScanEngine engine) const;
 
@@ -262,9 +249,10 @@ class TableScanner {
 
   // Runs one runnable chunk's conjunction with a static `engine`, writing
   // the ascending matching offsets to `out` (row_count + kScanOutputSlack
-  // capacity); returns the match count.
+  // capacity); returns the match count. A compressed-domain chunk adds its
+  // run/block counters to `stats`.
   size_t CollectChunk(ScanEngine engine, const ChunkPlan& plan,
-                      ChunkOffset* out) const;
+                      ChunkOffset* out, CompressedScanStats* stats) const;
 
   TablePtr table_;
   std::vector<ChunkPlan> chunk_plans_;
@@ -273,12 +261,8 @@ class TableScanner {
   QueryContext* context_ = nullptr;
   std::array<uint64_t, 6> stage_encodings_{};
   bool has_compressed_stages_ = false;
-  std::shared_ptr<AtomicCompressedStats> compressed_stats_ =
-      std::make_shared<AtomicCompressedStats>();
   // Folds the agg_positions chunks; null when no chunk needs it.
   std::shared_ptr<const PositionsFoldSink> agg_sink_;
-  std::shared_ptr<AggFoldStats> agg_fold_stats_ =
-      std::make_shared<AggFoldStats>();
   // Cost model state (set by Prepare). `profile_` points at one of the
   // process-lifetime profiles in fts/cost — the calibrated one when
   // engine adaptation is on, the static default table otherwise.
@@ -286,10 +270,7 @@ class TableScanner {
   bool model_active_ = false;
   bool adaptive_engine_ = false;
   size_t chunks_reordered_ = 0;
-  size_t runnable_chunks_ = 0;
   double est_rows_ = 0.0;
-  std::shared_ptr<AdaptiveStats> adaptive_stats_ =
-      std::make_shared<AdaptiveStats>();
 };
 
 }  // namespace fts

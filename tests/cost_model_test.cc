@@ -8,6 +8,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fts/common/cpu_info.h"
 #include "fts/cost/cost_model.h"
@@ -49,7 +53,6 @@ TEST(CostProfileTest, SerializeParseRoundTrip) {
   profile.delta_block_ns = 19.5;
   profile.delta_row_ns = 2.125;
   profile.jit_speed_factor = 0.75;
-  profile.jit_compile_millis = 42.5;
 
   const auto parsed = CostProfile::Parse(profile.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -60,7 +63,6 @@ TEST(CostProfileTest, SerializeParseRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->delta_block_ns, profile.delta_block_ns);
   EXPECT_DOUBLE_EQ(parsed->delta_row_ns, profile.delta_row_ns);
   EXPECT_DOUBLE_EQ(parsed->jit_speed_factor, profile.jit_speed_factor);
-  EXPECT_DOUBLE_EQ(parsed->jit_compile_millis, profile.jit_compile_millis);
   for (size_t i = 0; i < cost::kNumEngines; ++i) {
     SCOPED_TRACE(i);
     ASSERT_EQ(parsed->engines[i].available, profile.engines[i].available);
@@ -77,9 +79,9 @@ TEST(CostProfileTest, SerializeParseRoundTrip) {
 
 TEST(CostProfileTest, ParseRejectsVersionMismatch) {
   std::string text = CostProfile::Defaults().Serialize();
-  const std::string header = "fts-cost-profile v1";
+  const std::string header = "fts-cost-profile v2";
   ASSERT_EQ(text.compare(0, header.size(), header), 0);
-  text.replace(0, header.size(), "fts-cost-profile v2");
+  text.replace(0, header.size(), "fts-cost-profile v1");
   EXPECT_FALSE(CostProfile::Parse(text).ok());
 }
 
@@ -87,12 +89,16 @@ TEST(CostProfileTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(CostProfile::Parse("").ok());
   EXPECT_FALSE(CostProfile::Parse("not a profile\n").ok());
   EXPECT_FALSE(
-      CostProfile::Parse("fts-cost-profile v1\nbogus_key 3\n").ok());
+      CostProfile::Parse("fts-cost-profile v2\nbogus_key 3\n").ok());
+  // Version 1's compile constant is gone with the compile share it priced.
   EXPECT_FALSE(
-      CostProfile::Parse("fts-cost-profile v1\nengine warp-drive first\n")
+      CostProfile::Parse("fts-cost-profile v2\njit_compile_millis 150\n")
+          .ok());
+  EXPECT_FALSE(
+      CostProfile::Parse("fts-cost-profile v2\nengine warp-drive first\n")
           .ok());
   EXPECT_FALSE(CostProfile::Parse(
-                   "fts-cost-profile v1\nengine scalar-fused first 1 2\n")
+                   "fts-cost-profile v2\nengine scalar-fused first 1 2\n")
                    .ok());
 }
 
@@ -428,16 +434,11 @@ TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
     EXPECT_TRUE(ScanEngineAvailable(picked)) << ScanEngineToString(picked);
   }
 
-  // Every AdaptEngine call (including the probes above) records its
-  // decision; measure the execution's own contribution as a delta.
-  uint64_t before = 0;
-  for (const auto& counter : adaptive_scan->adaptive_stats()->chunk_engines) {
-    before += counter.load();
-  }
-
   const ParallelScanOptions options = testing::StrictOptions({requested, 0});
+  ExecutionReport report;
   const auto pinned_matches = ExecuteParallelScan(*pinned_scan, options);
-  const auto adaptive_matches = ExecuteParallelScan(*adaptive_scan, options);
+  const auto adaptive_matches =
+      ExecuteParallelScan(*adaptive_scan, options, &report);
   ASSERT_TRUE(pinned_matches.ok());
   ASSERT_TRUE(adaptive_matches.ok());
   ASSERT_EQ(pinned_matches->chunks.size(), adaptive_matches->chunks.size());
@@ -446,19 +447,22 @@ TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
               adaptive_matches->chunks[i].positions)
         << "chunk " << i;
   }
-  // The decisions were recorded: every runnable chunk shows up in the
-  // engine mix exactly once per execution.
-  uint64_t after = 0;
-  for (const auto& counter : adaptive_scan->adaptive_stats()->chunk_engines) {
-    after += counter.load();
+  // One decision per runnable chunk, whatever the probes above asked. A
+  // strict static request leaves its engine only by the model's pick.
+  EXPECT_TRUE(report.adaptive_engines);
+  EXPECT_EQ(report.morsel_count, table->chunk_count());
+  ASSERT_EQ(report.morsel_choices.size(), table->chunk_count());
+  uint64_t switched = 0;
+  for (const EngineChoice& choice : report.morsel_choices) {
+    if (choice.engine != requested) ++switched;
   }
-  EXPECT_EQ(after - before, table->chunk_count());
+  EXPECT_EQ(report.adaptive_engine_switches, switched);
 }
 
 TEST_F(AdversarialSkewTest, UncalibratedRequestStaysUnchanged) {
   // A fused engine outside the calibrated adaptation set has no constants
   // to price: AdaptEngine keeps the request instead of comparing the
-  // candidates against a 0 ns estimate, and still counts the chunk.
+  // candidates against a 0 ns estimate, so the scan switches nothing.
   ScanEngine uncalibrated = ScanEngine::kBlockwise;
   for (const ScanEngine engine :
        {ScanEngine::kScalarFused, ScanEngine::kAvx2Fused128,
@@ -480,15 +484,20 @@ TEST_F(AdversarialSkewTest, UncalibratedRequestStaysUnchanged) {
   ASSERT_TRUE(prepared->adaptive());
   ASSERT_FALSE(cost::CalibratedProfile().For(uncalibrated).available);
 
-  const TableScanner::AdaptiveStats& stats = *prepared->adaptive_stats();
-  const size_t index = static_cast<size_t>(uncalibrated);
   for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
-    const uint64_t counted = stats.chunk_engines[index].load();
     EXPECT_EQ(prepared->AdaptEngine({uncalibrated, 0}, chunk).engine,
               uncalibrated);
-    EXPECT_EQ(stats.chunk_engines[index].load(), counted + 1);
   }
-  EXPECT_EQ(stats.engine_switches.load(), 0u);
+  ExecutionReport report;
+  ASSERT_TRUE(ExecuteParallelScan(
+                  *prepared, testing::StrictOptions({uncalibrated, 0}),
+                  &report)
+                  .ok());
+  EXPECT_EQ(report.morsel_choices.size(), table->chunk_count());
+  for (const EngineChoice& choice : report.morsel_choices) {
+    EXPECT_EQ(choice.engine, uncalibrated);
+  }
+  EXPECT_EQ(report.adaptive_engine_switches, 0u);
 }
 
 TEST_F(AdversarialSkewTest, KillSwitchDisablesModelEntirely) {
@@ -508,6 +517,106 @@ TEST_F(AdversarialSkewTest, KillSwitchDisablesModelEntirely) {
   // With the model off AdaptEngine is the identity even for spec.adaptive.
   EXPECT_EQ(prepared->AdaptEngine({ScanEngine::kScalarFused, 0}, 0).engine,
             ScanEngine::kScalarFused);
+}
+
+// The counters of a scan describe that run alone: a prepared scanner
+// holds no execution state, so rerunning it, at any thread count, and
+// asking AdaptEngine in between change no count in its report.
+TEST(ScanCountersTest, ReusedScannerReportsEachRunAlone) {
+  // Four chunks: RLE `r` with delta `d`, RLE `r` alone, delta `d` alone,
+  // and a plain chunk the kernels scan and fold. `d` climbs by one per row
+  // within a chunk, so `d < 2600` answers blocks 0, 1 and 3 of each delta
+  // chunk from min/max and decodes block 2.
+  constexpr size_t kChunkRows = 4096;
+  constexpr ColumnEncoding kR[] = {ColumnEncoding::kRle, ColumnEncoding::kRle,
+                                   ColumnEncoding::kPlain,
+                                   ColumnEncoding::kPlain};
+  constexpr ColumnEncoding kD[] = {ColumnEncoding::kDelta,
+                                   ColumnEncoding::kPlain,
+                                   ColumnEncoding::kDelta,
+                                   ColumnEncoding::kPlain};
+  TableBuilder builder({{"r", DataType::kInt32}, {"d", DataType::kInt32}},
+                       kChunkRows);
+  for (size_t chunk = 0; chunk < std::size(kR); ++chunk) {
+    builder.SetEncoding(0, kR[chunk]);
+    builder.SetEncoding(1, kD[chunk]);
+    for (size_t row = 0; row < kChunkRows; ++row) {
+      FTS_CHECK(builder
+                    .AppendRow({Value(static_cast<int32_t>(row / 16 % 10)),
+                                Value(static_cast<int32_t>(row))})
+                    .ok());
+    }
+  }
+  const TablePtr table = builder.Build();
+  ScanSpec spec;
+  spec.predicates = {{"r", CompareOp::kLt, Value(int32_t{5})},
+                     {"d", CompareOp::kLt, Value(int32_t{2600})}};
+  spec.aggregates = {{AggOp::kSum, "d"}, {AggOp::kCount, ""}};
+  spec.adaptive = true;
+  ScopedAdaptive adaptive(true);
+  const auto scanner = TableScanner::Prepare(table, spec);
+  ASSERT_TRUE(scanner.ok()) << scanner.status().ToString();
+  ASSERT_TRUE(scanner->adaptive());
+  ASSERT_EQ(scanner->chunk_plans().size(), 4u);
+
+  // Every count a morsel contributes, by name.
+  const auto counters = [](const ExecutionReport& report) {
+    return std::vector<std::pair<std::string, uint64_t>>{
+        {"morsel_count", report.morsel_count},
+        {"rle_runs_classified", report.rle_runs_classified},
+        {"rle_runs_skipped", report.rle_runs_skipped},
+        {"delta_blocks_pruned", report.delta_blocks_pruned},
+        {"delta_blocks_decoded", report.delta_blocks_decoded},
+        {"agg_kernel_chunks", report.agg_kernel_chunks},
+        {"agg_positions_chunks", report.agg_positions_chunks},
+        {"agg_delta_blocks", report.agg_delta_blocks},
+        {"adaptive_engine_switches", report.adaptive_engine_switches},
+        {"jit_cache_hits", report.jit_cache_hits},
+        {"jit_cache_misses", report.jit_cache_misses}};
+  };
+  const auto probe_model = [&] {
+    for (ChunkId chunk = 0; chunk < 4; ++chunk) {
+      scanner->AdaptEngine({cost::BestFusedEngine(), 0}, chunk);
+    }
+  };
+
+  std::vector<std::pair<std::string, uint64_t>> first_scan, first_fold;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ParallelScanOptions options;
+    options.requested = {cost::BestFusedEngine(), 0};
+    options.threads = threads;
+    for (int run = 0; run < 2; ++run) {
+      SCOPED_TRACE(run);
+      probe_model();
+      ExecutionReport scan;
+      ASSERT_TRUE(ExecuteParallelScan(*scanner, options, &scan).ok());
+      probe_model();
+      ExecutionReport fold;
+      ASSERT_TRUE(
+          ExecuteParallelScanAggregate(*scanner, options, &fold).ok());
+      if (first_scan.empty()) {
+        first_scan = counters(scan);
+        first_fold = counters(fold);
+        // Three chunks run a compressed-domain stage and fold through
+        // positions (the delta ones decode blocks 0-2 for SUM(d)); the
+        // plain chunk folds in the kernel loop.
+        EXPECT_EQ(scan.morsel_count, 4u);
+        EXPECT_GT(scan.rle_runs_classified, 0u);
+        EXPECT_GT(scan.rle_runs_skipped, 0u);
+        EXPECT_EQ(scan.delta_blocks_pruned, 6u);
+        EXPECT_EQ(scan.delta_blocks_decoded, 2u);
+        EXPECT_EQ(fold.delta_blocks_pruned, 6u);
+        EXPECT_EQ(fold.agg_positions_chunks, 3u);
+        EXPECT_EQ(fold.agg_kernel_chunks, 1u);
+        EXPECT_EQ(fold.agg_delta_blocks, 6u);
+        EXPECT_EQ(scan.agg_positions_chunks + scan.agg_kernel_chunks, 0u);
+        continue;
+      }
+      EXPECT_EQ(counters(scan), first_scan);
+      EXPECT_EQ(counters(fold), first_fold);
+    }
+  }
 }
 
 }  // namespace
