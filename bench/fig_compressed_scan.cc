@@ -6,26 +6,34 @@
 //
 //   uniform    random values              -- RLE-hostile (runs of 1); FoR
 //                                            packs the narrow domain
-//   clustered  runs of ~512 equal values  -- RLE classifies each run once
-//              cycling the whole domain      and emits position ranges;
-//              per chunk                     zone maps cannot prune
+//   clustered  runs of 512 equal values   -- RLE classifies each run once
+//              cycling a 1024-value domain   and emits position ranges;
+//              (128 values per chunk)        zone maps decide the rest
 //   timestamp  monotone increments        -- delta blocks answer from
 //                                            block min/max; zone maps and
 //                                            block pruning compound
 //
-// Per configuration, three medians over the identical logical data:
+// Per configuration and thread count (1 and 4 workers), medians over the
+// identical logical data:
 //   plain_ms        fused scan over the pre-decoded plain table
-//   compressed_ms   Prepare + count over the encoded table (the
-//                   compressed-domain path under test)
-//   decode_scan_ms  decode every chunk to a plain buffer, then the same
-//                   fused scan -- what "decompress first" actually costs
+//   compressed_ms   Prepare + materialize-and-size over the encoded table
+//                   (the compressed-domain path under test)
+//   decode_scan_ms  decode every chunk to a plain buffer (serially), then
+//                   the same fused scan -- what "decompress first" costs
+//   count_ms        Prepare + pushed-down COUNT(*) over the encoded table
+//                   on the same engine: compressed-domain chunks count
+//                   their ranges without materializing a row
+//   jit_count_ms,   on AVX-512 hosts, the COUNT(*) and the
+//   jit_ms          materialize-and-size arms pinned to JIT (512-bit,
+//                   ladder policy, operators compiled before timing)
 //
 // Counts are self-verified against a SISD scan of the plain table.
 //
-// Emits one machine-readable line per configuration:
+// Emits one machine-readable line per configuration and thread count:
 //   BENCH {"figure":"fig_compressed_scan","shape":"...","encoding":"...",
-//          "selectivity":...,"plain_ms":...,"compressed_ms":...,
-//          "decode_scan_ms":...,"speedup_vs_decode":...,...}
+//          "selectivity":...,"threads":...,"plain_ms":...,
+//          "compressed_ms":...,"decode_scan_ms":...,"count_ms":...,
+//          "speedup_vs_decode":...,...}
 //
 // Scaling knobs: FTS_BENCH_MAX_ROWS / FTS_BENCH_REPS / FTS_BENCH_FULL
 // (see bench_util.h).
@@ -39,6 +47,8 @@
 #include "bench/bench_util.h"
 #include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
+#include "fts/exec/task_pool.h"
+#include "fts/jit/jit_cache.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/delta_column.h"
 #include "fts/storage/for_column.h"
@@ -134,15 +144,35 @@ void DecodeColumn(const fts::BaseColumn& column, int64_t* out) {
 // without letting the compiler elide the decode.
 uint64_t DecodeThenScan(const fts::TablePtr& encoded,
                         const fts::TableScanner& plain_scanner,
-                        ScanEngine engine, AlignedVector<int64_t>& scratch) {
+                        const fts::ParallelScanOptions& options,
+                        AlignedVector<int64_t>& scratch) {
   for (fts::ChunkId chunk = 0; chunk < encoded->chunk_count(); ++chunk) {
     DecodeColumn(encoded->chunk(chunk).column(0), scratch.data());
     fts::DoNotOptimizeAway(scratch[scratch.size() / 2]);
   }
-  const auto count =
-      RunSerial(fts::ExecuteParallelScanCount, plain_scanner, {engine, 0});
+  const auto count = fts::ExecuteParallelScanCount(plain_scanner, options);
   FTS_CHECK(count.ok());
   return *count;
+}
+
+// Prepares `spec` over `table` and counts its matches under `options`:
+// materialize-and-size without aggregates, the pushed-down fold of the
+// spec's COUNT(*) term with them. The scan's report goes to `report`.
+uint64_t PrepareAndCount(const fts::TablePtr& table, const fts::ScanSpec& spec,
+                         const fts::ParallelScanOptions& options,
+                         fts::ExecutionReport* report = nullptr) {
+  const auto scanner = fts::TableScanner::Prepare(table, spec);
+  FTS_CHECK(scanner.ok());
+  if (spec.aggregates.empty()) {
+    const auto count =
+        fts::ExecuteParallelScanCount(*scanner, options, report);
+    FTS_CHECK(count.ok());
+    return *count;
+  }
+  const auto folded =
+      fts::ExecuteParallelScanAggregate(*scanner, options, report);
+  FTS_CHECK(folded.ok());
+  return folded->matched;
 }
 
 struct Shape {
@@ -175,9 +205,10 @@ int main() {
   for (auto& v : uniform.values) {
     v = static_cast<int64_t>(rng.NextBounded(1u << 20));
   }
-  // clustered: runs of ~512 equal values cycling a 1024-value domain, so
-  // every chunk spans the domain and zone maps never prune -- the RLE run
-  // classifier does all the work.
+  // clustered: runs of 512 equal values cycling a 1024-value domain. A
+  // 64K-row chunk holds 128 runs, a 128-value window of the domain, so
+  // zone maps decide every chunk wholly on one side of the threshold and
+  // the RLE run classifier does the boundary chunks.
   Shape clustered{"clustered", ColumnEncoding::kRle, {}};
   clustered.values.resize(rows);
   for (size_t i = 0; i < rows; ++i) {
@@ -192,13 +223,14 @@ int main() {
     v = now;
   }
 
-  std::printf("rows = %zu, chunks = %zu, reps = %d, engine = %s\n\n", rows,
+  const bool jit = fts::GetCpuFeatures().HasFusedScanAvx512();
+  std::printf("rows = %zu, chunks = %zu, reps = %d, engine = %s%s\n\n", rows,
               (rows + kChunkSize - 1) / kChunkSize, reps,
-              fts::ScanEngineToString(engine));
-  std::printf("%-11s%-10s%13s%11s%15s%17s%10s\n", "shape", "encoding",
-              "selectivity", "plain_ms", "compressed_ms", "decode_scan_ms",
-              "speedup");
-  PrintRule('-', 87);
+              fts::ScanEngineToString(engine), jit ? ", JIT (512)" : "");
+  std::printf("%-11s%-10s%6s%8s%10s%15s%13s%10s%14s%9s%10s\n", "shape",
+              "encoding", "sel", "threads", "plain_ms", "compressed_ms",
+              "decode_ms", "count_ms", "jit_count_ms", "jit_ms", "speedup");
+  PrintRule('-', 116);
 
   for (Shape* shape_ptr : {&uniform, &clustered, &timestamp}) {
     Shape& shape = *shape_ptr;
@@ -221,6 +253,8 @@ int main() {
                                      selectivity)];
       fts::ScanSpec spec;
       spec.predicates = {{"c0", fts::CompareOp::kLt, fts::Value(threshold)}};
+      fts::ScanSpec count_spec = spec;
+      count_spec.aggregates = {fts::AggregateSpec()};  // COUNT(*)
 
       const auto plain_scanner = fts::TableScanner::Prepare(plain, spec);
       FTS_CHECK(plain_scanner.ok());
@@ -229,70 +263,103 @@ int main() {
                                       {ScanEngine::kSisdNoVec, 0});
       FTS_CHECK(expected.ok());
 
-      // Self-verification: compressed-domain and decode-then-scan counts
-      // must match the SISD reference exactly. The compressed run's report
-      // carries the run/block counters.
-      const auto compressed_scanner =
-          fts::TableScanner::Prepare(encoded, spec);
-      FTS_CHECK(compressed_scanner.ok());
-      fts::ExecutionReport compressed_report;
-      FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *compressed_scanner,
-                           {engine, 0}, &compressed_report) == *expected);
-      AlignedVector<int64_t> scratch(kChunkSize);
-      FTS_CHECK(DecodeThenScan(encoded, *plain_scanner, engine, scratch) ==
-                *expected);
+      for (const int threads : {1, 4}) {
+        fts::TaskPool pool(threads);
+        fts::ParallelScanOptions options;
+        options.requested = {engine, 0};
+        options.fallback = fts::FallbackPolicy::kStrict;
+        options.threads = threads;
+        options.pool = &pool;
+        // JIT arms run the ladder, as a JIT query does; the warm-up below
+        // lands every compile before the timed reps.
+        fts::ParallelScanOptions jit_options = options;
+        jit_options.requested = {ScanEngine::kJit, 512};
+        jit_options.fallback = fts::FallbackPolicy::kLadder;
 
-      // Interleaved sampling (see fig9): per-rep Prepare so the timed
-      // region is the full per-query cost including zone-map consults.
-      std::vector<double> plain_samples, compressed_samples, decode_samples;
-      for (int rep = 0; rep < reps; ++rep) {
-        {
-          fts::Stopwatch stopwatch;
-          const auto scanner = fts::TableScanner::Prepare(plain, spec);
-          FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
-                               {engine, 0}) == *expected);
-          plain_samples.push_back(stopwatch.ElapsedMillis());
+        // Self-verification: every arm's count must match the SISD
+        // reference exactly. The compressed run's report carries the
+        // run/block counters.
+        fts::ExecutionReport compressed_report;
+        FTS_CHECK(PrepareAndCount(encoded, spec, options,
+                                  &compressed_report) == *expected);
+        FTS_CHECK(PrepareAndCount(encoded, count_spec, options) ==
+                  *expected);
+        if (jit) {
+          FTS_CHECK(PrepareAndCount(encoded, spec, jit_options) == *expected);
+          FTS_CHECK(PrepareAndCount(encoded, count_spec, jit_options) ==
+                    *expected);
+          fts::GlobalJitCache().WaitForPendingCompiles();
         }
-        {
+        AlignedVector<int64_t> scratch(kChunkSize);
+        FTS_CHECK(DecodeThenScan(encoded, *plain_scanner, options, scratch) ==
+                  *expected);
+
+        // Interleaved sampling (see fig9): per-rep Prepare so the timed
+        // region is the full per-query cost including zone-map consults.
+        // The decode arm runs first: it streams the whole plain table and
+        // evicts the caches, then the plain arm rereads that table and the
+        // encoded arms follow each other over the encoded one.
+        std::vector<double> plain_samples, compressed_samples,
+            decode_samples, count_samples, jit_count_samples, jit_samples;
+        const auto time = [&](std::vector<double>* samples, auto&& run) {
           fts::Stopwatch stopwatch;
-          const auto scanner = fts::TableScanner::Prepare(encoded, spec);
-          FTS_CHECK(*RunSerial(fts::ExecuteParallelScanCount, *scanner,
-                               {engine, 0}) == *expected);
-          compressed_samples.push_back(stopwatch.ElapsedMillis());
+          FTS_CHECK(run() == *expected);
+          samples->push_back(stopwatch.ElapsedMillis());
+        };
+        for (int rep = 0; rep < reps; ++rep) {
+          time(&decode_samples, [&] {
+            return DecodeThenScan(encoded, *plain_scanner, options, scratch);
+          });
+          time(&plain_samples,
+               [&] { return PrepareAndCount(plain, spec, options); });
+          time(&compressed_samples,
+               [&] { return PrepareAndCount(encoded, spec, options); });
+          time(&count_samples,
+               [&] { return PrepareAndCount(encoded, count_spec, options); });
+          if (!jit) continue;
+          time(&jit_count_samples, [&] {
+            return PrepareAndCount(encoded, count_spec, jit_options);
+          });
+          time(&jit_samples,
+               [&] { return PrepareAndCount(encoded, spec, jit_options); });
         }
-        {
-          fts::Stopwatch stopwatch;
-          FTS_CHECK(DecodeThenScan(encoded, *plain_scanner, engine,
-                                   scratch) == *expected);
-          decode_samples.push_back(stopwatch.ElapsedMillis());
+        const double plain_ms = fts::Median(plain_samples);
+        const double compressed_ms = fts::Median(compressed_samples);
+        const double decode_ms = fts::Median(decode_samples);
+        const double count_ms = fts::Median(count_samples);
+        const double jit_count_ms = jit ? fts::Median(jit_count_samples) : 0.0;
+        const double jit_ms = jit ? fts::Median(jit_samples) : 0.0;
+        const double speedup =
+            compressed_ms > 0.0 ? decode_ms / compressed_ms : 0.0;
+
+        std::printf(
+            "%-11s%-10s%6.2f%8d%10.3f%15.3f%13.3f%10.3f%14.3f%9.3f%9.2fx\n",
+            shape.name, fts::ColumnEncodingName(shape.encoding), selectivity,
+            threads, plain_ms, compressed_ms, decode_ms, count_ms,
+            jit_count_ms, jit_ms, speedup);
+        BenchLine line("fig_compressed_scan");
+        line.Field("shape", shape.name)
+            .Field("encoding", fts::ColumnEncodingName(shape.encoding))
+            .Field("selectivity", selectivity)
+            .Field("rows", static_cast<uint64_t>(rows))
+            .Field("threads", threads)
+            .Field("plain_ms", plain_ms)
+            .Field("compressed_ms", compressed_ms)
+            .Field("decode_scan_ms", decode_ms)
+            .Field("count_ms", count_ms);
+        if (jit) {
+          line.Field("jit_count_ms", jit_count_ms).Field("jit_ms", jit_ms);
         }
+        line.Field("speedup_vs_decode", speedup)
+            .Field("rle_runs_classified",
+                   compressed_report.rle_runs_classified)
+            .Field("rle_runs_skipped", compressed_report.rle_runs_skipped)
+            .Field("delta_blocks_pruned",
+                   compressed_report.delta_blocks_pruned)
+            .Field("delta_blocks_decoded",
+                   compressed_report.delta_blocks_decoded)
+            .Emit();
       }
-      const double plain_ms = fts::Median(plain_samples);
-      const double compressed_ms = fts::Median(compressed_samples);
-      const double decode_ms = fts::Median(decode_samples);
-      const double speedup =
-          compressed_ms > 0.0 ? decode_ms / compressed_ms : 0.0;
-
-      std::printf("%-11s%-10s%13.2f%11.3f%15.3f%17.3f%9.2fx\n", shape.name,
-                  fts::ColumnEncodingName(shape.encoding), selectivity,
-                  plain_ms, compressed_ms, decode_ms, speedup);
-      BenchLine("fig_compressed_scan")
-          .Field("shape", shape.name)
-          .Field("encoding", fts::ColumnEncodingName(shape.encoding))
-          .Field("selectivity", selectivity)
-          .Field("rows", static_cast<uint64_t>(rows))
-          .Field("plain_ms", plain_ms)
-          .Field("compressed_ms", compressed_ms)
-          .Field("decode_scan_ms", decode_ms)
-          .Field("speedup_vs_decode", speedup)
-          .Field("rle_runs_classified",
-                 compressed_report.rle_runs_classified)
-          .Field("rle_runs_skipped", compressed_report.rle_runs_skipped)
-          .Field("delta_blocks_pruned",
-                 compressed_report.delta_blocks_pruned)
-          .Field("delta_blocks_decoded",
-                 compressed_report.delta_blocks_decoded)
-          .Emit();
     }
   }
 

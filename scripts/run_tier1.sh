@@ -27,7 +27,8 @@ SKIP_TSAN=0
 
 echo "==> plain config: ${PLAIN_DIR}"
 cmake -S . -B "${PLAIN_DIR}" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "${PLAIN_DIR}" -j "${JOBS}"
+# The build's output is kept in build.log for CI's warning gate.
+cmake --build "${PLAIN_DIR}" -j "${JOBS}" 2>&1 | tee "${PLAIN_DIR}/build.log"
 ctest --test-dir "${PLAIN_DIR}" -L tier1 -j "${JOBS}" --output-on-failure
 
 if [[ "${SKIP_TSAN}" == "1" ]]; then

@@ -24,9 +24,10 @@ struct MorselOutcome {
   EngineChoice executed;  // Rung that ran when the morsel completed.
   size_t rung_index = 0;  // Ladder depth of `executed` (0 = requested).
   // `executed` is a per-chunk choice, not a ladder rung: the cost model's
-  // pick (DESIGN.md §14), the static engine that runs the positions fold
-  // of a chunk no JIT operator covers, or tier 0 of a JIT rung whose
-  // compile has not landed. A choice is not a degradation.
+  // pick (DESIGN.md §14), the static engine that runs a chunk no JIT
+  // operator covers (compressed-domain stages or the positions fold), or
+  // tier 0 of a JIT rung whose compile has not landed. A choice is not a
+  // degradation.
   bool adapted = false;
   // The cost model picked an engine other than the requested rung, and the
   // pick ran (one of the `adapted` cases).
@@ -159,11 +160,14 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
   bool jit_unavailable = false;
   for (size_t r = 0; r < walk_rungs->size(); ++r) {
     EngineChoice choice = (*walk_rungs)[r];
-    // A chunk whose value terms fold through the positions sink has no
-    // generated operator: a JIT rung runs it on the best static engine.
-    const bool sink_choice = fold && choice.engine == ScanEngine::kJit &&
-                             plan.agg_needs_sink;
-    if (sink_choice) choice = {cost::BestFusedEngine(), 0};
+    // No generated operator covers a compressed-domain chunk (its range
+    // path works per run or block, so there is no per-row decision to
+    // compile) or a chunk whose terms fold through the positions sink: a
+    // JIT rung runs it on the best static engine, without a JIT attempt.
+    const bool static_choice =
+        choice.engine == ScanEngine::kJit &&
+        (!plan.compressed.empty() || (fold && plan.agg_positions));
+    if (static_choice) choice = {cost::BestFusedEngine(), 0};
     // Rung boundary = cancellation point: a deadline firing mid-ladder
     // aborts the walk instead of demoting — lower rungs of a dead query
     // cannot help. Checked via cancelled() rather than a rung's status
@@ -212,7 +216,7 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
       // Tier 0 of the requested rung is a choice; tier 0 of a lower JIT
       // width ran because the requested rung failed.
       out->model_switched = adapted_first && r == 0;
-      out->adapted = out->model_switched || sink_choice ||
+      out->adapted = out->model_switched || static_choice ||
                      (tier0 && out->rung_index == 0);
       if (span.active()) {
         span.AddArg("engine", choice.ToString());

@@ -222,24 +222,6 @@ const char* FloatImmFor(CompareOp op) {
   return "?";
 }
 
-const char* CppOpFor(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return "==";
-    case CompareOp::kNe:
-      return "!=";
-    case CompareOp::kLt:
-      return "<";
-    case CompareOp::kLe:
-      return "<=";
-    case CompareOp::kGt:
-      return ">";
-    case CompareOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
 // True when any aggregate term reads column values (COUNT-only terms fold
 // nothing per row; the match count is added to every term at return).
 bool AnyAggValueTerm(const JitScanSignature& sig) {
@@ -615,116 +597,6 @@ constexpr const char* kAccMirrorSource =
     "                \"mirror of fts::AggAccumulator\");\n"
     "  Acc* const accs = reinterpret_cast<Acc*>(out);\n";
 
-bool AnyRleStage(const JitScanSignature& sig) {
-  for (const JitStageSignature& s : sig.stages) {
-    if (s.encoding == static_cast<uint8_t>(ColumnEncoding::kRle)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// All-RLE compressed-domain operator: co-iterates the stages' run streams
-// over row segments. Each segment is the span up to the nearest run
-// boundary of any stage, so every compare touches run values — O(total
-// runs) work regardless of row_count — and qualifying segments are
-// emitted as whole position spans, or only counted when every aggregate
-// term is COUNT (`out` is then the AggAccumulator array).
-StatusOr<std::string> GenerateRleScanSource(
-    const JitScanSignature& signature) {
-  for (const JitStageSignature& stage : signature.stages) {
-    if (stage.encoding != static_cast<uint8_t>(ColumnEncoding::kRle) ||
-        stage.packed_bits != 0) {
-      return Status::InvalidArgument(
-          "RLE operators fuse all-RLE chains only");
-    }
-  }
-  if (AnyAggValueTerm(signature)) {
-    return Status::InvalidArgument(
-        "RLE operators fold COUNT aggregate terms only");
-  }
-  const bool fold_count = !signature.aggs.empty();
-  const size_t n = signature.stages.size();
-  std::string src;
-  src += StrFormat(
-      "// Generated by fts::GenerateFusedScanSource (RLE run\n"
-      "// co-iteration).\n"
-      "// Signature: %s\n"
-      "#include <cstddef>\n"
-      "#include <cstdint>\n\n"
-      "extern \"C\" size_t %s(const void* const* columns,\n"
-      "                       const void* values, size_t row_count,\n"
-      "                       uint32_t* out) {\n"
-      "  if (row_count == 0) return 0;\n"
-      "  // Structural mirror of fts::JitRleView (layout is ABI).\n"
-      "  struct RleView {\n"
-      "    const void* run_values;\n"
-      "    const uint32_t* run_ends;\n"
-      "    uint64_t run_count;\n"
-      "  };\n"
-      "  const char* const values_bytes =\n"
-      "      static_cast<const char*>(values);\n",
-      signature.CacheKey().c_str(), kJitScanSymbol);
-  for (size_t s = 0; s < n; ++s) {
-    const char* type = CppTypeFor(signature.stages[s].type);
-    src += StrFormat(
-        "  const RleView& view%zu =\n"
-        "      *static_cast<const RleView*>(columns[%zu]);\n"
-        "  const %s* const runs%zu =\n"
-        "      static_cast<const %s*>(view%zu.run_values);\n"
-        "  const %s v%zu = *reinterpret_cast<const %s*>(values_bytes + "
-        "%zu);\n"
-        "  uint64_t r%zu = 0;\n",
-        s, s, type, s, type, s, type, s, type, s * kJitValueSlotBytes, s);
-  }
-  src +=
-      "  size_t out_count = 0;\n"
-      "  uint32_t pos = 0;\n"
-      "  const uint32_t rows = (uint32_t)row_count;\n"
-      "  while (pos < rows) {\n";
-  for (size_t s = 0; s < n; ++s) {
-    src += StrFormat("    while (view%zu.run_ends[r%zu] <= pos) ++r%zu;\n",
-                     s, s, s);
-  }
-  src += "    uint32_t seg_end = view0.run_ends[r0];\n";
-  for (size_t s = 1; s < n; ++s) {
-    src += StrFormat(
-        "    if (view%zu.run_ends[r%zu] < seg_end) {\n"
-        "      seg_end = view%zu.run_ends[r%zu];\n"
-        "    }\n",
-        s, s, s, s);
-  }
-  src += "    if (seg_end > rows) seg_end = rows;\n";
-  std::string match;
-  for (size_t s = 0; s < n; ++s) {
-    if (s > 0) match += " &&\n        ";
-    match += StrFormat("runs%zu[r%zu] %s v%zu", s, s,
-                       CppOpFor(signature.stages[s].op), s);
-  }
-  src += StrFormat("    if (%s) {\n", match.c_str());
-  if (fold_count) {
-    src += "      out_count += seg_end - pos;\n";
-  } else {
-    src +=
-        "      for (uint32_t p = pos; p < seg_end; ++p) {\n"
-        "        out[out_count++] = p;\n"
-        "      }\n";
-  }
-  src +=
-      "    }\n"
-      "    pos = seg_end;\n"
-      "  }\n";
-  if (fold_count) {
-    src += kAccMirrorSource;
-    for (size_t t = 0; t < signature.aggs.size(); ++t) {
-      src += StrFormat(
-          "  accs[%zu].count += (unsigned long long)out_count;\n", t);
-    }
-  }
-  src += "  return out_count;\n}\n";
-  return src;
-}
-
 }  // namespace
 
 StatusOr<std::string> GenerateFusedScanSource(
@@ -746,9 +618,6 @@ StatusOr<std::string> GenerateFusedScanSource(
         StrFormat("signature has %zu aggregate terms; kernels support up "
                   "to %zu",
                   signature.aggs.size(), kMaxAggTerms));
-  }
-  if (AnyRleStage(signature)) {
-    return GenerateRleScanSource(signature);
   }
   bool any_packed = false;
   for (const JitStageSignature& stage : signature.stages) {
@@ -856,85 +725,6 @@ StatusOr<std::string> GenerateFusedScanSource(
         "  accs[%zu].count += (unsigned long long)out_count;\n", t);
   }
   src += "  return out_count;\n}\n";
-  return src;
-}
-
-StatusOr<std::string> GenerateSisdScanSource(
-    const JitScanSignature& signature) {
-  if (signature.stages.empty() ||
-      signature.stages.size() > kMaxScanStages) {
-    return Status::InvalidArgument(
-        StrFormat("signature has %zu stages; supported range is 1..%zu",
-                  signature.stages.size(), kMaxScanStages));
-  }
-  if (AnyRleStage(signature)) {
-    return Status::InvalidArgument(
-        "the SISD generator emits per-row loops; RLE chains have no "
-        "row-indexed operand stream");
-  }
-  const size_t n = signature.stages.size();
-
-  std::string src;
-  src += StrFormat(
-      "// Generated by fts::GenerateSisdScanSource.\n"
-      "// Signature: %s (data-centric tuple-at-a-time)\n"
-      "#include <cstddef>\n"
-      "#include <cstdint>\n\n"
-      "extern \"C\" size_t %s(const void* const* columns,\n"
-      "                       const void* values, size_t row_count,\n"
-      "                       uint32_t* out) {\n"
-      "  const char* const values_bytes =\n"
-      "      static_cast<const char*>(values);\n",
-      signature.CacheKey().c_str(), kJitScanSymbol);
-
-  std::string condition;
-  for (size_t s = 0; s < n; ++s) {
-    if (s > 0) condition += " &&\n        ";
-    if (signature.stages[s].packed_bits != 0) {
-      // Scalar unpack of the b-bit code from its 8-byte window.
-      const int bits = signature.stages[s].packed_bits;
-      src += StrFormat(
-          "  const uint8_t* const col%zu = static_cast<const uint8_t*>("
-          "static_cast<const void*>(columns[%zu]));\n",
-          s, s);
-      src += StrFormat(
-          "  const uint32_t v%zu = *reinterpret_cast<const uint32_t*>("
-          "values_bytes + %zu);\n",
-          s, s * kJitValueSlotBytes);
-      src += StrFormat(
-          "  const auto code%zu = [col%zu](size_t i) {\n"
-          "    const size_t bit = i * %d;\n"
-          "    unsigned long long window;\n"
-          "    __builtin_memcpy(&window, col%zu + (bit >> 3), 8);\n"
-          "    return (uint32_t)((window >> (bit & 7)) & %lluULL);\n"
-          "  };\n",
-          s, s, bits, s,
-          static_cast<unsigned long long>((1ull << bits) - 1));
-      condition += StrFormat("code%zu(i) %s v%zu", s,
-                             CppOpFor(signature.stages[s].op), s);
-      continue;
-    }
-    const char* type = CppTypeFor(signature.stages[s].type);
-    src += StrFormat(
-        "  const %s* const col%zu = static_cast<const %s*>("
-        "static_cast<const void*>(columns[%zu]));\n",
-        type, s, type, s);
-    src += StrFormat(
-        "  const %s v%zu = *reinterpret_cast<const %s*>(values_bytes + "
-        "%zu);\n",
-        type, s, type, s * kJitValueSlotBytes);
-    condition += StrFormat("col%zu[i] %s v%zu", s,
-                           CppOpFor(signature.stages[s].op), s);
-  }
-  src += StrFormat(
-      "  size_t out_count = 0;\n"
-      "  for (size_t i = 0; i < row_count; ++i) {\n"
-      "    if (%s) {\n"
-      "      out[out_count++] = (uint32_t)i;\n"
-      "    }\n"
-      "  }\n"
-      "  return out_count;\n}\n",
-      condition.c_str());
   return src;
 }
 

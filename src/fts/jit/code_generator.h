@@ -22,16 +22,6 @@ using JitScanFn = size_t (*)(const void* const* columns, const void* values,
 
 inline constexpr size_t kJitValueSlotBytes = 8;
 
-// Operand of one RLE stage in a generated all-RLE compressed-domain
-// operator: the engine passes `&view` in the stage's `columns` slot
-// instead of a row-indexed data pointer. The generated translation unit
-// declares a structurally identical mirror, so the layout is ABI.
-struct JitRleView {
-  const void* run_values = nullptr;   // run_count typed run values.
-  const uint32_t* run_ends = nullptr; // Cumulative ends; back() == rows.
-  uint64_t run_count = 0;
-};
-
 // Emits a standalone C++ translation unit implementing the fused scan for
 // `signature` (Section V: the operator "follows a very static pattern and
 // can easily be expressed as a code template", so the paper — and this
@@ -40,22 +30,11 @@ struct JitRleView {
 // column pointers and search values remain runtime parameters.
 //
 // Fails for empty signatures, chains beyond kMaxScanStages, or an invalid
-// register width.
-//
-// Signatures whose stages are all RLE-encoded (SignatureForRleChain)
-// instead generate the compressed-domain run-coiteration operator: each
-// `columns` slot is a JitRleView, every run value is classified once, and
-// qualifying row segments are emitted without per-row compares — or, when
-// every aggregate term is COUNT, only counted into the terms. Mixed
-// RLE/kernel chains and RLE operators with value-reading aggregate terms
-// are rejected — the ladder demotes those to the interpreted path.
+// register width. Compressed-domain (RLE/delta) chains have no generated
+// operator: their work is per run or block, not per row, so there is no
+// per-row decision to burn in, and every engine runs them on the
+// interpreted range path (fts/scan/compressed_scan.h).
 StatusOr<std::string> GenerateFusedScanSource(
-    const JitScanSignature& signature);
-
-// Emits the equivalent *data-centric SISD* operator (tight tuple-at-a-time
-// loop with short-circuit &&) for the same signature. Used by tests and
-// the JIT ablation bench to compare generated-SIMD vs generated-scalar.
-StatusOr<std::string> GenerateSisdScanSource(
     const JitScanSignature& signature);
 
 }  // namespace fts

@@ -26,16 +26,13 @@ using JitMorselResult = StatusOr<std::optional<size_t>>;
 // the call blocks on the compile worker (cancellable through `ctx`).
 // `out` must have capacity for row_count + kScanOutputSlack positions.
 // When `stats` is non-null, the call adds its cache/compile attribution
-// (and, for an RLE chain, its run counters) to it. Thread-safe: the cache
-// queues each signature once.
+// to it. Thread-safe: the cache queues each signature once.
 // The generated kernel itself is uninterruptible once running.
 //
-// Chunks whose plan carries compressed-domain stages compile the all-RLE
-// run-coiteration operator when every predicate is an RLE stage and the
-// chain has no kernel stages; anything else (delta stages, mixed chains)
-// returns InvalidArgument so the ladder demotes the morsel to the
-// interpreted range path the static engines share. Such chunks credit
-// every run of their stages as classified in `stats`.
+// No generated operator covers a chunk whose plan carries
+// compressed-domain (RLE/delta) stages: the morsel executor runs such
+// chunks on a static engine's range path, and a compressed plan that
+// reaches this call returns InvalidArgument.
 JitMorselResult JitExecuteChunk(JitCache& cache,
                                 const TableScanner::ChunkPlan& plan,
                                 int register_bits, bool wait_for_compile,
@@ -46,16 +43,13 @@ JitMorselResult JitExecuteChunk(JitCache& cache,
 // a specialized operator that folds the chunk's aggregate terms at every
 // emission site and writes the partials into `accs` (one slot per term,
 // reset here). Zone-shortcut chunks are answered without compiling
-// anything. Only plain aggregate columns are JIT-eligible; dictionary /
-// bit-packed terms return InvalidArgument so the per-morsel ladder demotes
-// to the static kernels, and chunks whose value terms fold through the
-// positions sink (ChunkPlan::agg_needs_sink) return InvalidArgument too —
-// the morsel executor never sends them here. When every term is COUNT
-// (SELECT COUNT(*)), the generated loop only popcounts, and an all-RLE
-// compressed chain compiles the counting run-coiteration operator
-// (crediting its runs like JitExecuteChunk); other compressed chains
-// return InvalidArgument. A chunk it folds counts as a kernel fold in
-// `stats`.
+// anything. When every term is COUNT (SELECT COUNT(*)), the generated
+// loop only popcounts. Only plain aggregate columns are JIT-eligible;
+// dictionary / bit-packed terms return InvalidArgument so the per-morsel
+// ladder demotes to the static kernels. Chunks the morsel executor never
+// sends here — positions-fold chunks (ChunkPlan::agg_positions) and
+// compressed-domain chunks — return InvalidArgument too. A chunk it folds
+// counts as a kernel fold in `stats`.
 JitMorselResult JitExecuteChunkAggregate(
     JitCache& cache, const TableScanner::ChunkPlan& plan, int register_bits,
     bool wait_for_compile, AggAccumulator* accs, ChunkStats* stats = nullptr,

@@ -13,10 +13,6 @@ std::string JitScanSignature::CacheKey() const {
     if (stages[i].packed_bits != 0) {
       key += StrFormat("@%d", stages[i].packed_bits);
     }
-    if (stages[i].encoding ==
-        static_cast<uint8_t>(ColumnEncoding::kRle)) {
-      key += "~rle";
-    }
   }
   if (!aggs.empty()) {
     key += "#agg:";
@@ -47,28 +43,6 @@ JitScanSignature SignatureForStages(const std::vector<ScanStage>& stages,
   signature.stages.reserve(stages.size());
   for (const ScanStage& stage : stages) {
     signature.stages.push_back({stage.type, stage.op, stage.packed_bits});
-  }
-  return signature;
-}
-
-StatusOr<JitScanSignature> SignatureForRleChain(
-    const std::vector<CompressedScanStage>& compressed, int register_bits) {
-  JitScanSignature signature;
-  signature.register_bits = register_bits;
-  signature.stages.reserve(compressed.size());
-  for (const CompressedScanStage& stage : compressed) {
-    if (stage.column->encoding() != ColumnEncoding::kRle) {
-      return Status::InvalidArgument(
-          "JIT compressed chains cover RLE stages only");
-    }
-    FTS_ASSIGN_OR_RETURN(
-        ScanElementType type,
-        ScanElementTypeFromDataType(stage.column->data_type()));
-    JitStageSignature stage_signature;
-    stage_signature.type = type;
-    stage_signature.op = stage.op;
-    stage_signature.encoding = static_cast<uint8_t>(ColumnEncoding::kRle);
-    signature.stages.push_back(stage_signature);
   }
   return signature;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fts/common/status.h"
-#include "fts/scan/compressed_scan.h"
 #include "fts/simd/agg_spec.h"
 #include "fts/simd/scan_stage.h"
 
@@ -23,14 +22,11 @@ struct JitStageSignature {
   CompareOp op = CompareOp::kEq;
   // Bit-packed code stream width; 0 = plain fixed-size elements. Part of
   // the signature because the generated unpack sequence depends on it.
+  // Nothing else about the column's encoding is: plain, dictionary,
+  // bit-packed and frame-of-reference stages compile to the same per-row
+  // chain and share cache entries, and compressed-domain (RLE/delta)
+  // stages never reach the JIT (every engine runs them on the range path).
   uint8_t packed_bits = 0;
-  // ColumnEncoding of the stage's operand stream as the generated code
-  // sees it. Only two values ever appear: 0 (kernel-scannable — plain,
-  // dictionary, bit-packed and frame-of-reference stages all compile to
-  // the same per-row chain, so they share cache entries) and
-  // ColumnEncoding::kRle (the stage operand is a JitRleView and the
-  // generated operator co-iterates runs instead of rows).
-  uint8_t encoding = 0;
 
   friend bool operator==(const JitStageSignature& a,
                          const JitStageSignature& b) = default;
@@ -72,13 +68,6 @@ struct JitScanSignature {
 // Builds the signature of a prepared per-chunk stage array.
 JitScanSignature SignatureForStages(const std::vector<ScanStage>& stages,
                                     int register_bits);
-
-// Builds the signature of an all-RLE compressed-domain chain
-// (fts/scan/compressed_scan.h). Fails with InvalidArgument when any stage
-// column is not RLE-encoded or its data type has no kernel element type —
-// the ladder then demotes the morsel to the interpreted range path.
-StatusOr<JitScanSignature> SignatureForRleChain(
-    const std::vector<CompressedScanStage>& compressed, int register_bits);
 
 }  // namespace fts
 

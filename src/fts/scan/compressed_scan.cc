@@ -1,6 +1,7 @@
 #include "fts/scan/compressed_scan.h"
 
 #include <algorithm>
+#include <numeric>
 #include <type_traits>
 
 #include "fts/common/macros.h"
@@ -154,10 +155,9 @@ std::vector<RowRange> IntersectRanges(const std::vector<RowRange>& a,
 
 size_t ExecuteCompressedChunk(
     const std::vector<CompressedScanStage>& compressed,
-    const std::vector<ScanStage>& kernel_stages, size_t row_count,
-    uint32_t* out, CompressedScanStats* stats) {
+    const std::vector<ScanStage>& kernel_stages, uint32_t* out,
+    CompressedScanStats* stats) {
   FTS_DCHECK(!compressed.empty());
-  (void)row_count;
   std::vector<RowRange> candidates =
       BuildCompressedStageRanges(compressed[0], stats);
   for (size_t s = 1; s < compressed.size() && !candidates.empty(); ++s) {
@@ -165,28 +165,28 @@ size_t ExecuteCompressedChunk(
         candidates, BuildCompressedStageRanges(compressed[s], stats));
   }
   size_t count = 0;
-  if (kernel_stages.empty()) {
-    for (const RowRange& range : candidates) {
-      for (uint32_t row = range.first; row < range.second; ++row) {
-        out[count++] = row;
-      }
-    }
-    return count;
-  }
-  // Refine the sparse candidates through the chunk's kernel stages with
-  // the scalar ground-truth evaluator — identical semantics to every
-  // SIMD kernel, so the result matches a decode-then-scan run bit for
-  // bit.
   for (const RowRange& range : candidates) {
+    if (kernel_stages.empty()) {
+      // Every candidate matches: emit the range's rows, or only count them.
+      const uint32_t length = range.second - range.first;
+      if (out != nullptr) {
+        std::iota(out + count, out + count + length, range.first);
+      }
+      count += length;
+      continue;
+    }
+    // Refine the sparse candidates through the chunk's kernel stages with
+    // the scalar ground-truth evaluator — identical semantics to every
+    // SIMD kernel, so the result matches a decode-then-scan run bit for
+    // bit.
     for (uint32_t row = range.first; row < range.second; ++row) {
       bool match = true;
-      for (const ScanStage& stage : kernel_stages) {
-        if (!EvaluateStageAtRow(stage, row)) {
-          match = false;
-          break;
-        }
+      for (size_t s = 0; match && s < kernel_stages.size(); ++s) {
+        match = EvaluateStageAtRow(kernel_stages[s], row);
       }
-      if (match) out[count++] = row;
+      if (!match) continue;
+      if (out != nullptr) out[count] = row;
+      ++count;
     }
   }
   return count;

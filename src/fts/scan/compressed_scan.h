@@ -27,10 +27,11 @@ namespace fts {
 //
 // Stage range lists are intersected, then any remaining kernel stages of
 // the same chunk refine the candidates row-wise via EvaluateStageAtRow.
-// Every engine routes through this same code for such chunks, so results
-// are byte-identical across SISD/AVX2/AVX-512/threads by construction
-// (the JIT additionally compiles all-RLE chains, emitting the same
-// run-classification logic — fts/jit/code_generator.cc).
+// Every engine routes through this same code for such chunks, the JIT
+// rungs included (the work is per run or block, so generated code would
+// have no per-row decision to specialize), and results are byte-identical
+// across SISD/AVX2/AVX-512/JIT/threads by construction. A COUNT-only
+// aggregate counts the ranges instead of materializing their rows.
 struct CompressedScanStage {
   const BaseColumn* column = nullptr;
   CompareOp op = CompareOp::kEq;
@@ -68,13 +69,15 @@ std::vector<RowRange> IntersectRanges(const std::vector<RowRange>& a,
 // Full compressed-domain chunk execution: intersects the compressed
 // stages' ranges, refines surviving candidates through the chunk's kernel
 // stages (scalar, one row at a time — candidates are already sparse), and
-// writes matching positions ascending into `out` (capacity row_count +
-// kScanOutputSlack). Returns the match count. `compressed` must be
+// returns the match count. With `out` non-null it also writes the matching
+// positions ascending into `out` (capacity row_count + kScanOutputSlack);
+// with `out` null it only counts, and a chunk without kernel stages counts
+// each range by its length without visiting a row. `compressed` must be
 // non-empty.
 size_t ExecuteCompressedChunk(
     const std::vector<CompressedScanStage>& compressed,
-    const std::vector<ScanStage>& kernel_stages, size_t row_count,
-    uint32_t* out, CompressedScanStats* stats);
+    const std::vector<ScanStage>& kernel_stages, uint32_t* out,
+    CompressedScanStats* stats);
 
 }  // namespace fts
 

@@ -223,8 +223,9 @@ struct ExecutionReport {
   // pushed-down COUNT(*) is a one-term fold, so it sets this too);
   // `rows_folded` counts the matched rows folded into accumulators
   // (zone-shortcut chunks contribute without being scanned). Per chunk,
-  // the fold ran in a kernel loop (`agg_kernel_chunks`: fused or JIT
-  // kernel, or zone maps) or through the positions sink
+  // the fold ran without materializing positions (`agg_kernel_chunks`:
+  // fused or JIT kernel, zone maps, or the compressed range path's COUNT)
+  // or through the positions sink
   // (`agg_positions_chunks`, fts/scan/positions_fold.h), whose delta
   // decoder prefix-reconstructed `agg_delta_blocks` blocks. Plans that
   // do not push down fold their refined position lists through the same

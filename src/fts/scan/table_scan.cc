@@ -322,16 +322,19 @@ AggDomain AggDomainForType(DataType type) {
 // widened to 8 bytes per entry (owned by plan->agg_dicts) so the kernels
 // fold decoded values without per-row type dispatch. Columns the kernels
 // cannot read (RLE, FoR, delta, 8/16-bit plain) get an op/domain-only
-// term and send the chunk through the positions fold.
+// term and send the chunk through the positions fold, as does any value
+// term of a chunk with compressed-domain stages (`plan->compressed` is
+// already built). COUNT terms read no column and never need the sink.
 void BuildAggTerm(const Chunk& chunk,
                   const std::optional<size_t>& column_index, AggOp op,
                   TableScanner::ChunkPlan* plan) {
   AggTerm term;
   term.op = op;
-  if (!column_index.has_value()) {  // COUNT(*): no column read.
+  if (op == AggOp::kCount || !column_index.has_value()) {
     plan->agg_terms.push_back(term);
     return;
   }
+  if (!plan->compressed.empty()) plan->agg_positions = true;
   const BaseColumn& column = chunk.column(*column_index);
   term.domain = AggDomainForType(column.data_type());
   const StatusOr<ScanElementType> element =
@@ -725,11 +728,6 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
       for (size_t a = 0; a < spec.aggregates.size(); ++a) {
         BuildAggTerm(chunk, agg_columns[a], spec.aggregates[a].op, &plan);
       }
-      plan.agg_positions = plan.agg_positions || !plan.compressed.empty();
-      for (const AggTerm& term : plan.agg_terms) {
-        plan.agg_needs_sink = plan.agg_needs_sink ||
-                              (plan.agg_positions && term.op != AggOp::kCount);
-      }
       if (options.use_zone_maps) {
         TryAggZoneShortcut(chunk, agg_columns, &plan);
       }
@@ -769,8 +767,7 @@ size_t TableScanner::CollectChunk(ScanEngine engine, const ChunkPlan& plan,
     // Compressed-domain chunk: every engine runs the same run/block range
     // path (byte-identical across engines and thread counts); the chosen
     // engine only matters for the chunks the kernels scan directly.
-    return ExecuteCompressedChunk(plan.compressed, plan.stages,
-                                  plan.row_count, out, stats);
+    return ExecuteCompressedChunk(plan.compressed, plan.stages, out, stats);
   }
   if (plan.stages.empty()) {
     std::iota(out, out + plan.row_count, ChunkOffset{0});
@@ -880,6 +877,13 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
                     positions.data(), count, accs, &gather);
     ++stats->agg_positions_chunks;
     stats->agg_delta_blocks += gather.delta_blocks_decoded;
+  } else if (!plan.compressed.empty()) {
+    // Every term is COUNT: the range path counts the survivors without
+    // materializing them.
+    count = ExecuteCompressedChunk(plan.compressed, plan.stages, nullptr,
+                                   &stats->compressed);
+    for (size_t i = 0; i < num_agg_terms_; ++i) accs[i].count = count;
+    ++stats->agg_kernel_chunks;
   } else {
     count = AggFnForEngine(engine)(
         plan.stages.data(), plan.stages.size(), plan.row_count,

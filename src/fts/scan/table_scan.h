@@ -25,10 +25,10 @@ namespace fts {
 // the ExecutionReport in chunk order, so every count describes one run.
 struct ChunkStats {
   CompressedScanStats compressed;
-  // Which fold an aggregate chunk took: inside a fused or JIT kernel loop
-  // or from zone maps (kernel), or through the PositionsFoldSink
-  // (positions), whose delta decoder prefix-reconstructed
-  // `agg_delta_blocks` blocks.
+  // Which fold an aggregate chunk took: without materializing positions —
+  // inside a fused or JIT kernel loop, from zone maps, or as the range
+  // path's COUNT (kernel) — or through the PositionsFoldSink (positions),
+  // whose delta decoder prefix-reconstructed `agg_delta_blocks` blocks.
   uint64_t agg_kernel_chunks = 0;
   uint64_t agg_positions_chunks = 0;
   uint64_t agg_delta_blocks = 0;
@@ -84,9 +84,10 @@ class TableScanner {
     // the spec's predicate order.
     bool reordered = false;
     // Predicates over RLE/delta columns, evaluated in the compressed
-    // domain (fts/scan/compressed_scan.h). When non-empty, every engine
-    // routes the chunk through ExecuteCompressedChunk: the compressed
-    // stages produce candidate ranges and `stages` refines them row-wise.
+    // domain (fts/scan/compressed_scan.h). When non-empty, every engine —
+    // a JIT rung included — routes the chunk through
+    // ExecuteCompressedChunk: the compressed stages produce candidate
+    // ranges and `stages` refines them row-wise.
     std::vector<CompressedScanStage> compressed;
     // Some predicate can never match in this chunk.
     bool impossible = false;
@@ -102,13 +103,12 @@ class TableScanner {
     std::vector<std::shared_ptr<const void>> agg_dicts;
     // The chunk folds through positions: its survivors are collected into
     // a worker-local list and folded by the scanner's PositionsFoldSink,
-    // because the chunk has compressed-domain stages or a term the fold
-    // kernels cannot read. Otherwise the fused aggregate kernels fold it.
+    // because some value (non-COUNT) term reads a column the fold kernels
+    // cannot, or the chunk has compressed-domain stages. No generated JIT
+    // operator covers such a chunk. Otherwise the fused aggregate kernels
+    // fold it, or — every term COUNT over compressed-domain stages — the
+    // range path counts it.
     bool agg_positions = false;
-    // Some value (non-COUNT) term folds through positions: no generated
-    // JIT operator covers the chunk, so a JIT rung runs it on the static
-    // path instead.
-    bool agg_needs_sink = false;
     // Every conjunct proved tautological and every term answerable from
     // the zone maps alone: ExecuteChunkAggregate copies
     // `agg_zone_partials` without touching the chunk's data. SUM terms
@@ -173,10 +173,12 @@ class TableScanner {
   // ChunkPlan) are answered without touching column data; impossible
   // chunks contribute nothing. `agg_positions` chunks collect their
   // survivors with `engine` into a worker-local list and fold them through
-  // the PositionsFoldSink; every other chunk folds inside the fused
-  // aggregate kernel loop (SISD/Blockwise engines run the scalar
-  // reference fold). The fold taken and its counters go to `stats`
-  // (nullable). Requires Prepare() to have seen a spec with aggregates.
+  // the PositionsFoldSink; a COUNT-only chunk with compressed-domain stages
+  // counts its survivors on the range path without materializing them;
+  // every other chunk folds inside the fused aggregate kernel loop
+  // (SISD/Blockwise engines run the scalar reference fold). The fold taken
+  // and its counters go to `stats` (nullable). Requires Prepare() to have
+  // seen a spec with aggregates.
   StatusOr<size_t> ExecuteChunkAggregate(ScanEngine engine, ChunkId chunk_id,
                                          AggAccumulator* accs,
                                          ChunkStats* stats = nullptr) const;

@@ -1,6 +1,7 @@
 #include "fts/storage/table_statistics.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -11,7 +12,10 @@
 #include "fts/common/macros.h"
 #include "fts/obs/trace.h"
 #include "fts/storage/bitpacked_column.h"
+#include "fts/storage/delta_column.h"
 #include "fts/storage/dictionary_column.h"
+#include "fts/storage/for_column.h"
+#include "fts/storage/rle_column.h"
 #include "fts/storage/value_column.h"
 
 namespace fts {
@@ -65,10 +69,28 @@ void RadixSort(std::vector<Key>* keys, std::vector<Key>* scratch) {
   }
 }
 
-// Distinct keys in `keys` (sorted here).
+// Distinct keys in `keys` (possibly sorted here). Keys whose range is
+// under 32 times their number (ids, narrow frames, timestamps) are counted
+// in a bitmap over that range, no larger than the sort's scratch buffer;
+// sparser keys are radix-sorted.
 template <typename Key>
 size_t CountDistinctKeys(std::vector<Key>* keys) {
   if (keys->empty()) return 0;
+  const auto [lo, hi] = std::minmax_element(keys->begin(), keys->end());
+  const uint64_t base = *lo;
+  const uint64_t range = static_cast<uint64_t>(*hi) - base;
+  if (range / 32 < keys->size()) {
+    std::vector<uint64_t> seen(range / 64 + 1);
+    size_t distinct = 0;
+    for (const Key key : *keys) {
+      const uint64_t offset = key - base;
+      uint64_t& word = seen[offset / 64];
+      const uint64_t bit = uint64_t{1} << (offset % 64);
+      distinct += (word & bit) == 0;
+      word |= bit;
+    }
+    return distinct;
+  }
   std::vector<Key> scratch(keys->size());
   RadixSort(keys, &scratch);
   return static_cast<size_t>(std::unique(keys->begin(), keys->end()) -
@@ -80,9 +102,9 @@ struct Accumulator {
   bool any = false;
   double min = 0.0;
   double max = 0.0;
-  // Strided plain-chunk samples, all chunks: the OrderedKey of each
-  // non-NaN value (one of the two vectors, by the column's type width),
-  // and how many sampled values were NaN.
+  // Strided samples of every chunk without a dictionary: the OrderedKey
+  // of each non-NaN value (one of the two vectors, by the column's type
+  // width), and how many sampled values were NaN.
   std::vector<uint32_t> keys32;
   std::vector<uint64_t> keys64;
   size_t sampled_nans = 0;
@@ -133,26 +155,33 @@ struct Accumulator {
   }
 };
 
-// Plain chunks take min/max from the zone map ingest built with the SIMD
-// reduction kernels; widening to double is monotone, so its exact bounds
-// give the min/max the row loop would (equal as doubles: a float extreme
-// of zero may carry the other zero's sign). Only a chunk without a valid
-// zone map (hand-built, or a float chunk holding NaN) pays the row loop,
-// whose NaN handling the statistics keep.
-template <typename T>
-void ScanPlainColumn(const ValueColumn<T>& column, const ZoneMap* zone,
-                     size_t sample_limit, Accumulator* acc) {
-  const auto& values = column.values();
+// Chunks without a dictionary (plain, RLE, FoR, delta) take min/max from
+// the zone map ingest built with the SIMD reduction kernels; widening to
+// double is monotone, so its exact bounds give the min/max the row loop
+// would (equal as doubles: a float extreme of zero may carry the other
+// zero's sign). Only a chunk without a valid zone map (hand-built, or a
+// float chunk holding NaN) pays the row loop, whose NaN handling the
+// statistics keep. The evenly strided sample for the distinct estimate
+// takes the rows a plain twin would, so every encoding describes the same
+// column identically. `value_at(i)` reads row i as T and is called once
+// per visited row, in ascending row order (the encoded readers keep a
+// cursor).
+template <typename T, typename ValueAt>
+void ScanValueChunk(size_t n, ValueAt value_at, const ZoneMap* zone,
+                    size_t sample_limit, Accumulator* acc) {
+  const size_t stride =
+      std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
   if (zone != nullptr) {
     acc->AddValue(ValueAs<double>(zone->min));
     acc->AddValue(ValueAs<double>(zone->max));
+    for (size_t i = 0; i < n; i += stride) acc->AddSample<T>(value_at(i));
   } else {
-    for (const T& v : values) acc->AddValue(static_cast<double>(v));
+    for (size_t i = 0; i < n; ++i) {
+      const T v = value_at(i);
+      acc->AddValue(static_cast<double>(v));
+      if (i % stride == 0) acc->AddSample<T>(v);
+    }
   }
-  // Evenly-strided sample for the distinct estimate.
-  const size_t n = values.size();
-  const size_t stride = std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
-  for (size_t i = 0; i < n; i += stride) acc->AddSample(values[i]);
   acc->all_dictionary = false;
 }
 
@@ -180,6 +209,7 @@ TableStatistics TableStatistics::Compute(const Table& table,
     Accumulator acc;
     for (ChunkId chunk_id = 0; chunk_id < table.chunk_count(); ++chunk_id) {
       const BaseColumn& column = table.chunk(chunk_id).column(c);
+      const ZoneMap* zone = table.chunk(chunk_id).zone_map(c);
       DispatchDataType(column.data_type(), [&](auto tag) {
         using T = decltype(tag);
         switch (column.encoding()) {
@@ -194,10 +224,53 @@ TableStatistics TableStatistics::Compute(const Table& table,
                 static_cast<const BitPackedColumn<T>&>(column).dictionary(),
                 &acc);
             break;
-          case ColumnEncoding::kPlain:
-            ScanPlainColumn(static_cast<const ValueColumn<T>&>(column),
-                            table.chunk(chunk_id).zone_map(c), sample_limit,
-                            &acc);
+          case ColumnEncoding::kPlain: {
+            const AlignedVector<T>& values =
+                static_cast<const ValueColumn<T>&>(column).values();
+            ScanValueChunk<T>(
+                values.size(), [&](size_t i) { return values[i]; }, zone,
+                sample_limit, &acc);
+            break;
+          }
+          case ColumnEncoding::kRle: {
+            // Rows are read in ascending order: a run cursor, no search.
+            const auto& rle = static_cast<const RleColumn<T>&>(column);
+            ScanValueChunk<T>(
+                rle.size(),
+                [&rle, run = size_t{0}](size_t row) mutable {
+                  while (rle.run_ends()[run] <= row) ++run;
+                  return rle.run_values()[run];
+                },
+                zone, sample_limit, &acc);
+            break;
+          }
+          case ColumnEncoding::kFor:
+            // FoR and delta encode integer columns only.
+            if constexpr (std::is_integral_v<T>) {
+              const auto& fr = static_cast<const ForColumn<T>&>(column);
+              ScanValueChunk<T>(
+                  fr.size(), [&fr](size_t row) { return fr.ValueAt(row); },
+                  zone, sample_limit, &acc);
+            }
+            break;
+          case ColumnEncoding::kDelta:
+            if constexpr (std::is_integral_v<T>) {
+              // Ascending rows: decode each block once (ValueAt would
+              // reconstruct the block prefix on every call).
+              const auto& delta = static_cast<const DeltaColumn<T>&>(column);
+              ScanValueChunk<T>(
+                  delta.size(),
+                  [&delta, block = SIZE_MAX,
+                   values = std::array<T, kDeltaBlockRows>()](
+                      size_t row) mutable {
+                    if (row / kDeltaBlockRows != block) {
+                      block = row / kDeltaBlockRows;
+                      delta.DecodeBlock(block, values.data());
+                    }
+                    return values[row % kDeltaBlockRows];
+                  },
+                  zone, sample_limit, &acc);
+            }
             break;
         }
       });

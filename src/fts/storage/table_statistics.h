@@ -25,7 +25,7 @@ struct ColumnStatistics {
   double min = 0.0;
   double max = 0.0;
   // Estimated number of distinct values. Exact for dictionary columns
-  // (dictionary size); sample-based estimate for plain columns.
+  // (dictionary size); sample-based estimate for the other encodings.
   double distinct_count = 0.0;
   uint64_t row_count = 0;
   // Per-chunk zone-map bounds, in chunk order — populated only when every
@@ -40,11 +40,12 @@ struct ColumnStatistics {
 // Statistics for every column of a table.
 class TableStatistics {
  public:
-  // Computes statistics for `table`. Min/max are exact: plain chunks read
-  // them from their zone maps (the row loop runs only where a chunk has no
-  // valid zone map), dictionary-backed chunks from their dictionaries. The
-  // distinct-count estimate of a plain column pools an evenly strided
-  // sample of every plain chunk; `sample_limit` budgets each chunk, not
+  // Computes statistics for `table`. Min/max are exact: plain, RLE, FoR
+  // and delta chunks read them from their zone maps (the row loop runs
+  // only where a chunk has no valid zone map), dictionary-backed chunks
+  // from their dictionaries. The distinct-count estimate of a column pools
+  // an evenly strided sample of every chunk without a dictionary, the
+  // same rows whatever the encoding; `sample_limit` budgets each chunk, not
   // the column (a chunk contributes under 2 * sample_limit rows). The
   // per-chunk budget is kept on purpose: a per-column budget would move
   // the estimates, and with them the plans.

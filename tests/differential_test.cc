@@ -128,23 +128,6 @@ size_t RunnableChunks(const TableScanner& scanner) {
   return runnable;
 }
 
-// Whether the JIT rung compiles every runnable chunk: pure kernel-stage
-// chunks and all-RLE compressed chains do; a chunk mixing compressed and
-// kernel stages, or carrying a delta-domain stage, demotes its morsel to
-// the interpreted range path by design — the ladder records that as a
-// (correct) degradation.
-bool JitCompilesEveryRunnableChunk(const TableScanner& scanner) {
-  for (const TableScanner::ChunkPlan& plan : scanner.chunk_plans()) {
-    if (plan.impossible || plan.row_count == 0) continue;
-    if (plan.compressed.empty()) continue;
-    if (!plan.stages.empty()) return false;
-    for (const CompressedScanStage& stage : plan.compressed) {
-      if (stage.column->encoding() != ColumnEncoding::kRle) return false;
-    }
-  }
-  return true;
-}
-
 FuzzCase MakeCase(uint64_t seed) {
   Xoshiro256 rng(seed);
   FuzzCase result;
@@ -548,21 +531,26 @@ TEST_P(JitDifferentialTest, JitEnginesMatchSisdReference) {
                             StrFormat("parallel(jit512, threads=%d, %s)",
                                       threads, tier),
                             seed, fuzz.spec);
-          // Degradation happens exactly when some runnable chunk is
-          // outside the JIT's coverage (mixed compressed/kernel, or
-          // delta-domain stages) — never for a chunk it claims to
-          // compile. Tier 0 is no degradation.
-          EXPECT_EQ(report.degraded, !JitCompilesEveryRunnableChunk(*prepared))
+          // Compressed-domain chunks run the range path on a static
+          // engine and a cold operator runs tier 0 — choices, not
+          // degradations — so with no fault armed nothing degrades.
+          if (FaultInjection::Instance().AnyArmed()) return;
+          EXPECT_FALSE(report.degraded)
               << tier << ": " << report.ToString() << "\n"
               << testing::ReplayCommand(kBinary, seed);
-          // Warm, an undegraded scan ran the compiled operator on every
-          // morsel.
-          if (std::string(tier) == "warm" && !report.degraded) {
-            for (const EngineChoice& choice : report.morsel_choices) {
-              EXPECT_EQ(choice.engine, ScanEngine::kJit)
-                  << report.ToString() << "\n"
-                  << testing::ReplayCommand(kBinary, seed);
-            }
+          // Warm, a morsel runs the compiled operator exactly when its
+          // chunk has no compressed-domain stage (morsel_choices lists the
+          // runnable chunks in chunk order).
+          if (std::string(tier) != "warm") return;
+          size_t morsel = 0;
+          for (const TableScanner::ChunkPlan& plan : prepared->chunk_plans()) {
+            if (plan.impossible || plan.row_count == 0) continue;
+            ASSERT_LT(morsel, report.morsel_choices.size());
+            const EngineChoice& choice = report.morsel_choices[morsel++];
+            EXPECT_EQ(choice.engine == ScanEngine::kJit,
+                      plan.compressed.empty())
+                << "morsel " << morsel - 1 << ": " << report.ToString()
+                << "\n" << testing::ReplayCommand(kBinary, seed);
           }
         });
   }

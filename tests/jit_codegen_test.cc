@@ -166,35 +166,6 @@ TEST(CodegenTest, CountOnlySkipsCompressStore) {
   EXPECT_NE(single_source->find("__builtin_popcount"), std::string::npos);
 }
 
-// An all-RLE chain with COUNT terms compiles the run-coiteration operator
-// in counting form: qualifying segments add their length, no position is
-// written, and every term receives the match count. A value term has no
-// RLE fold and is rejected.
-TEST(CodegenTest, RleCountTermsCountSegments) {
-  auto signature =
-      MakeSignature({{ScanElementType::kI32, CompareOp::kLt},
-                     {ScanElementType::kI32, CompareOp::kEq}});
-  for (JitStageSignature& stage : signature.stages) {
-    stage.encoding = static_cast<uint8_t>(ColumnEncoding::kRle);
-  }
-  const auto positions = GenerateFusedScanSource(signature);
-  ASSERT_TRUE(positions.ok()) << positions.status().ToString();
-  EXPECT_NE(positions->find("out[out_count++] = p"), std::string::npos);
-
-  signature.aggs = {{AggOp::kCount}, {AggOp::kCount}};
-  EXPECT_EQ(signature.CacheKey(),
-            "512:i32<~rle;i32=~rle#agg:COUNTi32s,COUNTi32s");
-  const auto counting = GenerateFusedScanSource(signature);
-  ASSERT_TRUE(counting.ok()) << counting.status().ToString();
-  EXPECT_NE(counting->find("out_count += seg_end - pos"), std::string::npos);
-  EXPECT_EQ(counting->find("out[out_count++]"), std::string::npos);
-  EXPECT_NE(counting->find("accs[0].count += "), std::string::npos);
-  EXPECT_NE(counting->find("accs[1].count += "), std::string::npos);
-
-  signature.aggs = {{AggOp::kCount}, {AggOp::kSum}};
-  EXPECT_FALSE(GenerateFusedScanSource(signature).ok());
-}
-
 TEST(CodegenTest, PackedValidation) {
   auto bad_type = MakeSignature({{ScanElementType::kI64, CompareOp::kEq}});
   bad_type.stages[0].packed_bits = 7;
@@ -202,26 +173,6 @@ TEST(CodegenTest, PackedValidation) {
   auto bad_width = MakeSignature({{ScanElementType::kU32, CompareOp::kEq}});
   bad_width.stages[0].packed_bits = 27;
   EXPECT_FALSE(GenerateFusedScanSource(bad_width).ok());
-}
-
-TEST(SisdCodegenTest, PackedStageEmitsScalarUnpack) {
-  auto signature = MakeSignature({{ScanElementType::kU32, CompareOp::kEq}});
-  signature.stages[0].packed_bits = 5;
-  const auto source = GenerateSisdScanSource(signature);
-  ASSERT_TRUE(source.ok());
-  EXPECT_NE(source->find("code0(i) == v0"), std::string::npos);
-  EXPECT_NE(source->find("31ULL"), std::string::npos);  // (1<<5)-1.
-}
-
-TEST(SisdCodegenTest, EmitsShortCircuitChain) {
-  const auto source = GenerateSisdScanSource(
-      MakeSignature({{ScanElementType::kI32, CompareOp::kEq},
-                     {ScanElementType::kF64, CompareOp::kLt}}));
-  ASSERT_TRUE(source.ok());
-  EXPECT_NE(source->find("col0[i] == v0"), std::string::npos);
-  EXPECT_NE(source->find("col1[i] < v1"), std::string::npos);
-  EXPECT_NE(source->find("&&"), std::string::npos);
-  EXPECT_EQ(source->find("immintrin"), std::string::npos);
 }
 
 }  // namespace

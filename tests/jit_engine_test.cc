@@ -3,7 +3,6 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/fault_injection.h"
 #include "fts/exec/parallel_scan.h"
-#include "fts/jit/code_generator.h"
 #include "fts/jit/compiler_driver.h"
 #include "fts/jit/jit_cache.h"
 #include "fts/scan/table_scan.h"
@@ -212,33 +211,6 @@ TEST_F(JitEngineTest, BitPackedTableEndToEnd) {
   ASSERT_EQ(jit->chunks.size(), reference->chunks.size());
   EXPECT_EQ(jit->chunks[0].positions, reference->chunks[0].positions);
   EXPECT_GT(jit->TotalMatches(), 0u);
-}
-
-TEST_F(JitEngineTest, GeneratedSisdOperatorAlsoRuns) {
-  FTS_SKIP_IF_FAULTS_ARMED();
-  // The generated data-centric SISD operator (Section V discusses the JIT
-  // emitting either form) must produce the same matches.
-  JitScanSignature signature;
-  signature.stages = {{ScanElementType::kI32, CompareOp::kEq},
-                      {ScanElementType::kI32, CompareOp::kEq}};
-  const auto source = GenerateSisdScanSource(signature);
-  ASSERT_TRUE(source.ok());
-  JitCompiler compiler;
-  const auto module = compiler.Compile(*source, kJitScanSymbol);
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
-  const auto fn =
-      reinterpret_cast<JitScanFn>((*module)->symbol_address());
-
-  AlignedVector<int32_t> a = {5, 1, 5, 5}, b = {2, 2, 3, 2};
-  const void* columns[2] = {a.data(), b.data()};
-  alignas(8) unsigned char values[16] = {};
-  const int32_t v0 = 5, v1 = 2;
-  __builtin_memcpy(values, &v0, 4);
-  __builtin_memcpy(values + 8, &v1, 4);
-  uint32_t out[20];
-  ASSERT_EQ(fn(columns, values, 4, out), 2u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 3u);
 }
 
 }  // namespace

@@ -16,7 +16,10 @@
 
 #include "fts/common/random.h"
 #include "fts/storage/bitpacked_column.h"
+#include "fts/storage/delta_column.h"
 #include "fts/storage/dictionary_column.h"
+#include "fts/storage/for_column.h"
+#include "fts/storage/rle_column.h"
 #include "fts/storage/table.h"
 #include "fts/storage/table_builder.h"
 #include "fts/storage/table_statistics.h"
@@ -28,6 +31,23 @@ namespace {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
+void ExpectSameStatistics(const ColumnStatistics& actual,
+                          const ColumnStatistics& expected) {
+  EXPECT_EQ(Bits(actual.min), Bits(expected.min))
+      << actual.min << " vs " << expected.min;
+  EXPECT_EQ(Bits(actual.max), Bits(expected.max))
+      << actual.max << " vs " << expected.max;
+  EXPECT_EQ(Bits(actual.distinct_count), Bits(expected.distinct_count))
+      << actual.distinct_count << " vs " << expected.distinct_count;
+  EXPECT_EQ(actual.row_count, expected.row_count);
+  ASSERT_EQ(actual.zones.size(), expected.zones.size());
+  for (size_t z = 0; z < expected.zones.size(); ++z) {
+    EXPECT_EQ(Bits(actual.zones[z].min), Bits(expected.zones[z].min));
+    EXPECT_EQ(Bits(actual.zones[z].max), Bits(expected.zones[z].max));
+    EXPECT_EQ(actual.zones[z].row_count, expected.zones[z].row_count);
+  }
+}
+
 void ExpectMatchesReference(const Table& table, size_t sample_limit) {
   const TableStatistics stats = TableStatistics::Compute(table, sample_limit);
   const std::vector<ColumnStatistics> reference =
@@ -35,21 +55,7 @@ void ExpectMatchesReference(const Table& table, size_t sample_limit) {
   ASSERT_EQ(stats.column_count(), reference.size());
   for (size_t c = 0; c < reference.size(); ++c) {
     SCOPED_TRACE(table.schema()[c].name);
-    const ColumnStatistics& actual = stats.column(c);
-    const ColumnStatistics& expected = reference[c];
-    EXPECT_EQ(Bits(actual.min), Bits(expected.min))
-        << actual.min << " vs " << expected.min;
-    EXPECT_EQ(Bits(actual.max), Bits(expected.max))
-        << actual.max << " vs " << expected.max;
-    EXPECT_EQ(Bits(actual.distinct_count), Bits(expected.distinct_count))
-        << actual.distinct_count << " vs " << expected.distinct_count;
-    EXPECT_EQ(actual.row_count, expected.row_count);
-    ASSERT_EQ(actual.zones.size(), expected.zones.size());
-    for (size_t z = 0; z < expected.zones.size(); ++z) {
-      EXPECT_EQ(Bits(actual.zones[z].min), Bits(expected.zones[z].min));
-      EXPECT_EQ(Bits(actual.zones[z].max), Bits(expected.zones[z].max));
-      EXPECT_EQ(actual.zones[z].row_count, expected.zones[z].row_count);
-    }
+    ExpectSameStatistics(stats.column(c), reference[c]);
   }
 }
 
@@ -205,6 +211,81 @@ TEST(TableStatisticsReferenceTest, ChunksWithoutZoneMapsUseTheRowLoop) {
   const Table table({{"a", DataType::kInt32}}, std::move(chunks));
   ASSERT_EQ(table.chunk(0).zone_map(0), nullptr);
   ExpectMatchesReference(table, 700);
+}
+
+// The same rows stored plain, RLE, FoR and delta describe one column: the
+// encoded twins sample the rows the plain one samples and take the same
+// bounds, so every statistic is bit-identical — with zone maps (built by
+// TableBuilder) and without (hand-built chunks pay the row loop).
+template <typename T>
+void ExpectEncodedTwinsMatchPlain(DataType type, size_t sample_limit) {
+  constexpr ColumnEncoding kTwins[] = {ColumnEncoding::kPlain,
+                                       ColumnEncoding::kRle,
+                                       ColumnEncoding::kFor,
+                                       ColumnEncoding::kDelta};
+  Xoshiro256 rng(static_cast<uint64_t>(type) + 17);
+  // Runs of 1-16 equal values over a narrow range: RLE has runs, and FoR
+  // and delta fit every chunk.
+  T current = 0;
+  const auto values = ChunkValues<T>(5, 3001, [&](size_t, size_t r) {
+    if (r == 0 || rng.NextBounded(8) == 0) {
+      current = static_cast<T>(static_cast<int64_t>(rng.NextBounded(5000)) -
+                               (std::is_signed_v<T> ? 2500 : 0));
+    }
+    return current;
+  });
+  std::vector<ColumnDefinition> schema;
+  for (const ColumnEncoding encoding : kTwins) {
+    schema.push_back({ColumnEncodingName(encoding), type});
+  }
+  std::vector<std::vector<ColumnPtr>> hand_built(values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    hand_built[k] = {
+        std::make_shared<ValueColumn<T>>(values[k]),
+        std::make_shared<RleColumn<T>>(RleColumn<T>::FromValues(values[k])),
+        std::make_shared<ForColumn<T>>(
+            *ForColumn<T>::TryFromValues(values[k])),
+        std::make_shared<DeltaColumn<T>>(
+            *DeltaColumn<T>::TryFromValues(values[k]))};
+  }
+  TableBuilder zoned(schema, 3001);
+  for (size_t c = 0; c < std::size(kTwins); ++c) {
+    zoned.SetEncoding(c, kTwins[c]);
+  }
+  for (const AlignedVector<T>& chunk : values) {
+    for (const T v : chunk) {
+      FTS_CHECK(zoned.AppendRow(std::vector<Value>(schema.size(), Value(v)))
+                    .ok());
+    }
+  }
+  std::vector<std::shared_ptr<const Chunk>> chunks;
+  for (auto& columns : hand_built) {
+    chunks.push_back(std::make_shared<Chunk>(std::move(columns)));
+  }
+  const TablePtr with_zones = zoned.Build();
+  const Table without_zones(schema, std::move(chunks));
+  for (const Table* table : {with_zones.get(), &without_zones}) {
+    for (size_t c = 0; c < std::size(kTwins); ++c) {
+      for (ChunkId k = 0; k < table->chunk_count(); ++k) {
+        ASSERT_EQ(table->chunk(k).column(c).encoding(), kTwins[c]);
+        ASSERT_EQ(table->chunk(k).zone_map(c) != nullptr,
+                  table == with_zones.get());
+      }
+    }
+    ExpectMatchesReference(*table, sample_limit);
+    const TableStatistics stats = TableStatistics::Compute(*table,
+                                                           sample_limit);
+    for (size_t c = 1; c < std::size(kTwins); ++c) {
+      SCOPED_TRACE(ColumnEncodingName(kTwins[c]));
+      ExpectSameStatistics(stats.column(c), stats.column(0));
+    }
+  }
+}
+
+TEST(TableStatisticsReferenceTest, EncodedTwinsMatchPlain) {
+  ExpectEncodedTwinsMatchPlain<int32_t>(DataType::kInt32, 500);
+  ExpectEncodedTwinsMatchPlain<int64_t>(DataType::kInt64, 1 << 16);
+  ExpectEncodedTwinsMatchPlain<uint32_t>(DataType::kUInt32, 700);
 }
 
 // The sort + unique count of distinct doubles under ==: one value for both

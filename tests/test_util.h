@@ -283,22 +283,22 @@ inline std::vector<ColumnStatistics> ReferenceStatistics(
             add_dictionary(
                 static_cast<const BitPackedColumn<T>&>(column).dictionary());
             break;
-          case ColumnEncoding::kPlain: {
-            const auto& values =
-                static_cast<const ValueColumn<T>&>(column).values();
-            for (const T& v : values) add(static_cast<double>(v));
-            const size_t n = values.size();
+          default: {
+            // Plain, RLE, FoR and delta: every row through GetValue.
+            const auto value_at = [&](size_t i) {
+              return static_cast<double>(ValueAs<T>(column.GetValue(i)));
+            };
+            const size_t n = column.size();
+            for (size_t i = 0; i < n; ++i) add(value_at(i));
             const size_t stride =
                 std::max<size_t>(1, n / std::max<size_t>(1, sample_limit));
             for (size_t i = 0; i < n; i += stride) {
-              sampled_distinct.insert(static_cast<double>(values[i]));
+              sampled_distinct.insert(value_at(i));
               ++sampled_rows;
             }
             all_dictionary = false;
             break;
           }
-          default:
-            break;
         }
       });
     }
