@@ -6,29 +6,25 @@
 // chunks) it times, each on its own:
 //
 //   first_query   Database::Query in a process that has not yet computed
-//                 the table's statistics or the cost profile: both are
-//                 paid inside this query.
-//   steady_query  median Database::Query once both are cached.
+//                 the table's statistics: they are paid inside this
+//                 query.
+//   steady_query  median Database::Query once they are cached.
 //   statistics    median TableStatistics::Compute over the same table.
-//   calibrate     median CostProfile::Calibrate() (production sizes).
 //
-// The first query must land within a small multiple of steady + statistics
-// + calibrate. FTS_COST_PROFILE and FTS_CALIBRATE_FAST are cleared at
-// startup: a cached or shrunken profile would not be a cold start.
-// Every query's count is checked against the generator's ground truth.
+// The first query must land within a small multiple of steady +
+// statistics. Every query's count is checked against the generator's
+// ground truth.
 //
 // Emits one machine-readable line per phase:
-//   BENCH {"figure":"fig_cold_start","phase":"calibrate","median_ms":...}
+//   BENCH {"figure":"fig_cold_start","phase":"statistics","median_ms":...}
 //
 // Scaling knobs: FTS_BENCH_MAX_ROWS / FTS_BENCH_REPS (bench_util.h).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "fts/common/string_util.h"
-#include "fts/cost/cost_profile.h"
 #include "fts/db/database.h"
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
@@ -50,10 +46,7 @@ void Emit(const char* phase, size_t rows, int reps, double ms) {
 }  // namespace
 
 int main() {
-  unsetenv("FTS_COST_PROFILE");
-  unsetenv("FTS_CALIBRATE_FAST");
-  PrintTitle("Cold start -- first query vs statistics, calibration and a "
-             "steady query");
+  PrintTitle("Cold start -- first query vs statistics and a steady query");
   const size_t rows = ScaleRows(std::min(MaxRows(), size_t{16'000'000}));
   if (rows == 0) {
     std::printf("configuration skipped (FTS_BENCH_MAX_ROWS too small)\n");
@@ -93,10 +86,6 @@ int main() {
          const auto stats =
              fts::TableStatistics::Compute(*generated.table);
          fts::DoNotOptimizeAway(stats.row_count());
-       }));
-  Emit("calibrate", rows, reps, MedianMillis(reps, [] {
-         const auto profile = fts::cost::CostProfile::Calibrate();
-         fts::DoNotOptimizeAway(profile.rle_run_ns);
        }));
   return 0;
 }

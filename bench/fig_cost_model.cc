@@ -1,7 +1,7 @@
-// Cost-model figure (DESIGN.md §14, beyond the paper): what the
-// calibrated cost model buys and what it costs.
+// Cost-model figure (DESIGN.md §14, beyond the paper): what per-chunk
+// chain re-ranking buys and what it costs.
 //
-// Three claims, one arm each:
+// Two claims, one arm each:
 //
 //   skew_rerank        alternating chunk types with opposite value
 //                      distributions under one conjunction -- the static
@@ -11,22 +11,16 @@
 //   uniform_overhead   identical distribution in every chunk -- the model
 //                      estimates, ranks, and changes nothing. Acceptance:
 //                      <= ~2% added wall time (Prepare + Execute).
-//   prediction         EstimateScanNanos vs measured median across
-//                      encodings x the engines the model compares
-//                      (sisd-novec, sisd-autovec, best fused), on the
-//                      calibrated profile.
-//                      Acceptance: within ~15% for the kernel paths.
 //
 // Both sides of every comparison run the identical engine and verify
-// byte-identical match counts; the adaptive arms differ only in
-// FTS_ADAPTIVE seen at Prepare.
+// byte-identical match counts; the arms differ only in FTS_ADAPTIVE seen
+// at Prepare.
 //
 // Emits one machine-readable line per configuration:
 //   BENCH {"figure":"fig_cost_model","case":"skew_rerank",...}
 //
 // Scaling knobs: FTS_BENCH_MAX_ROWS / FTS_BENCH_REPS / FTS_BENCH_FULL
-// (see bench_util.h). The first adaptive Prepare calibrates the profile
-// (~0.15 s, once); set FTS_COST_PROFILE to cache it across runs.
+// (see bench_util.h).
 
 #include <algorithm>
 #include <cstdio>
@@ -38,10 +32,6 @@
 #include "fts/common/random.h"
 #include "fts/cost/cost_profile.h"
 #include "fts/scan/table_scan.h"
-#include "fts/storage/bitpacked_column.h"
-#include "fts/storage/delta_column.h"
-#include "fts/storage/for_column.h"
-#include "fts/storage/rle_column.h"
 #include "fts/storage/table_builder.h"
 #include "fts/storage/value_column.h"
 
@@ -144,136 +134,11 @@ PairedMillis PairedScanMillis(const TablePtr& table, const ScanSpec& spec,
   return {fts::Median(static_samples), fts::Median(adaptive_samples)};
 }
 
-// ---- prediction arm ----------------------------------------------------
-
-struct EncodingCase {
-  const char* name;
-  TablePtr table;
-  ScanSpec spec;
-};
-
-fts::ColumnPtr EncodeSlice64(const AlignedVector<int64_t>& slice,
-                             fts::ColumnEncoding encoding) {
-  switch (encoding) {
-    case fts::ColumnEncoding::kRle:
-      return std::make_shared<fts::RleColumn<int64_t>>(
-          fts::RleColumn<int64_t>::FromValues(slice));
-    case fts::ColumnEncoding::kFor: {
-      auto column = fts::ForColumn<int64_t>::TryFromValues(slice);
-      FTS_CHECK(column.has_value());
-      return std::make_shared<fts::ForColumn<int64_t>>(std::move(*column));
-    }
-    case fts::ColumnEncoding::kDelta: {
-      auto column = fts::DeltaColumn<int64_t>::TryFromValues(slice);
-      FTS_CHECK(column.has_value());
-      return std::make_shared<fts::DeltaColumn<int64_t>>(std::move(*column));
-    }
-    default:
-      return std::make_shared<fts::ValueColumn<int64_t>>(
-          AlignedVector<int64_t>(slice));
-  }
-}
-
-TablePtr BuildEncoded64(const std::vector<int64_t>& values,
-                        fts::ColumnEncoding encoding) {
-  fts::TableBuilder builder({{"c0", fts::DataType::kInt64}}, kChunkSize);
-  for (size_t begin = 0; begin < values.size(); begin += kChunkSize) {
-    const size_t n = std::min(kChunkSize, values.size() - begin);
-    AlignedVector<int64_t> slice(values.begin() + begin,
-                                 values.begin() + begin + n);
-    FTS_CHECK(builder.AddChunk({EncodeSlice64(slice, encoding)}).ok());
-  }
-  return builder.Build();
-}
-
-ScanSpec LtSpec64(int64_t literal) {
-  ScanSpec spec;
-  spec.predicates = {{"c0", fts::CompareOp::kLt, Value(literal)}};
-  return spec;
-}
-
-std::vector<EncodingCase> BuildEncodingCases(size_t rows) {
-  std::vector<EncodingCase> cases;
-  fts::Xoshiro256 rng(0xC057);
-
-  {  // plain32: uniform int32, ~50% below the literal.
-    TablePtr table = BuildTwoColumnTable(rows, [&](size_t, size_t) {
-      return std::pair<int32_t, int32_t>(
-          static_cast<int32_t>(rng.NextBounded(1'000'000)), 0);
-    });
-    ScanSpec spec;
-    spec.predicates = {{"c0", fts::CompareOp::kLt, Value(int32_t{500'000})}};
-    cases.push_back({"plain32", std::move(table), std::move(spec)});
-  }
-  {  // plain64.
-    std::vector<int64_t> values(rows);
-    for (auto& v : values) {
-      v = static_cast<int64_t>(rng.NextBounded(1u << 20));
-    }
-    cases.push_back({"plain64",
-                     BuildEncoded64(values, fts::ColumnEncoding::kPlain),
-                     LtSpec64(int64_t{1} << 19)});
-  }
-  {  // bitpacked: small-domain int32 codes, packed stream kernels.
-    fts::TableBuilder builder({{"c0", fts::DataType::kInt32}}, kChunkSize);
-    for (size_t begin = 0; begin < rows; begin += kChunkSize) {
-      const size_t n = std::min(kChunkSize, rows - begin);
-      AlignedVector<int32_t> slice(n);
-      for (auto& v : slice) {
-        v = static_cast<int32_t>(rng.NextBounded(512));
-      }
-      FTS_CHECK(builder
-                    .AddChunk({std::make_shared<fts::BitPackedColumn<int32_t>>(
-                        fts::BitPackedColumn<int32_t>::FromValues(slice))})
-                    .ok());
-    }
-    ScanSpec spec;
-    spec.predicates = {{"c0", fts::CompareOp::kLt, Value(int32_t{256})}};
-    cases.push_back({"bitpacked", builder.Build(), std::move(spec)});
-  }
-  {  // for: rebased packed codes over a shifted uniform domain.
-    std::vector<int64_t> values(rows);
-    for (auto& v : values) {
-      v = 1'000'000'000LL + static_cast<int64_t>(rng.NextBounded(1u << 20));
-    }
-    cases.push_back({"for", BuildEncoded64(values, fts::ColumnEncoding::kFor),
-                     LtSpec64(1'000'000'000LL + (int64_t{1} << 19))});
-  }
-  {  // rle: 512-row runs with *random* values, so every chunk's zone
-     // spans the domain and each run really gets classified (sequential
-     // run values would let the zone maps decide whole chunks instead).
-    std::vector<int64_t> values(rows);
-    int64_t run_value = 0;
-    for (size_t i = 0; i < rows; ++i) {
-      if (i % 512 == 0) {
-        run_value = static_cast<int64_t>(rng.NextBounded(1024));
-      }
-      values[i] = run_value;
-    }
-    cases.push_back({"rle", BuildEncoded64(values, fts::ColumnEncoding::kRle),
-                     LtSpec64(512)});
-  }
-  {  // delta: monotone timestamps, block min/max decide most blocks.
-    std::vector<int64_t> values(rows);
-    int64_t now = 1'700'000'000'000LL;
-    for (auto& v : values) {
-      now += static_cast<int64_t>(rng.NextBounded(1000));
-      v = now;
-    }
-    const int64_t median = values[rows / 2];
-    cases.push_back({"delta",
-                     BuildEncoded64(values, fts::ColumnEncoding::kDelta),
-                     LtSpec64(median)});
-  }
-  return cases;
-}
-
 }  // namespace
 
 int main() {
   PrintTitle(
-      "Calibrated cost model -- per-chunk re-ranking, overhead, and "
-      "prediction accuracy");
+      "Cost model -- per-chunk re-ranking and its overhead");
   const size_t rows = ScaleRows(std::min(MaxRows(), size_t{8'000'000}));
   if (rows == 0) {
     std::printf("configuration skipped (FTS_BENCH_MAX_ROWS too small)\n");
@@ -337,7 +202,7 @@ int main() {
         PairedScanMillis(table, spec, engine, reps);
     const double overhead_pct = (adaptive_ms / static_ms - 1.0) * 100.0;
     std::printf("uniform_overhead: static %8.3f ms   adaptive %8.3f ms   "
-                "overhead %+.2f%%\n\n",
+                "overhead %+.2f%%\n",
                 static_ms, adaptive_ms, overhead_pct);
     BenchLine("fig_cost_model")
         .Field("case", "uniform_overhead")
@@ -347,48 +212,6 @@ int main() {
         .Field("adaptive_ms", adaptive_ms)
         .Field("overhead_pct", overhead_pct)
         .Emit();
-  }
-
-  // ---- prediction: EstimateScanNanos vs measured, per encoding --------
-  // The estimating scanner is prepared with spec.adaptive so it carries
-  // the *calibrated* profile; the measured scanner is pinned so the
-  // executed engine is exactly the predicted one.
-  const size_t acc_rows = std::min(rows, size_t{4'000'000});
-  // The engines the model compares: the calibrated adaptation set.
-  const ScanEngine engines[] = {ScanEngine::kSisdNoVec,
-                                ScanEngine::kSisdAutoVec,
-                                fts::cost::BestFusedEngine()};
-  std::printf("%-11s%-14s%14s%13s%11s\n", "encoding", "engine",
-              "predicted_ms", "measured_ms", "error_pct");
-  PrintRule('-', 63);
-  for (const EncodingCase& c : BuildEncodingCases(acc_rows)) {
-    ScanSpec estimating = c.spec;
-    estimating.adaptive = true;
-    const TableScanner estimator = PrepareWith(c.table, estimating, true);
-    const TableScanner measured_scan = PrepareWith(c.table, c.spec, true);
-    for (const ScanEngine e : engines) {
-      const double predicted_ms = estimator.EstimateScanNanos(e) / 1e6;
-      const double measured_ms = MedianMillis(reps, [&] {
-        const auto matches =
-            RunSerial(fts::ExecuteParallelScan, measured_scan, {e, 0});
-        FTS_CHECK(matches.ok());
-        fts::DoNotOptimizeAway(matches->TotalMatches());
-      });
-      const double error_pct =
-          (predicted_ms / measured_ms - 1.0) * 100.0;
-      std::printf("%-11s%-14s%14.3f%13.3f%+10.1f%%\n", c.name,
-                  fts::ScanEngineToString(e), predicted_ms, measured_ms,
-                  error_pct);
-      BenchLine("fig_cost_model")
-          .Field("case", "prediction")
-          .Field("encoding", c.name)
-          .Field("engine", fts::ScanEngineToString(e))
-          .Field("rows", static_cast<uint64_t>(acc_rows))
-          .Field("predicted_ms", predicted_ms)
-          .Field("measured_ms", measured_ms)
-          .Field("error_pct", error_pct)
-          .Emit();
-    }
   }
   return 0;
 }

@@ -23,8 +23,8 @@ namespace {
 // Per-engine cost-model drift histograms for the query log
 // (`fts_cost_est_error_permille{engine="..."}`): |est - actual| relative
 // error in permille, recorded on every model-active query so dashboards
-// see calibration drift before adaptive choices go bad. Resolved once,
-// like EngineExecutionCounter.
+// see how far the zone-map estimates behind chain ranking miss. Resolved
+// once, like EngineExecutionCounter.
 obs::Histogram* CostEstErrorHistogram(ScanEngine engine) {
   static obs::Histogram* const* histograms = [] {
     static obs::Histogram* table[9];
@@ -175,10 +175,6 @@ StatusOr<PhysicalPlan> Database::Plan(const SelectStatement& statement,
   translator_options.threads = options.threads;
   translator_options.enable_aggregate_pushdown = options.aggregate_pushdown;
   translator_options.context = context;
-  // An explicit engine request pins every chunk to it; only when the
-  // caller left the choice to the system may the cost model adapt per
-  // chunk (FTS_ADAPTIVE=0 still disables it globally).
-  translator_options.adaptive = !options.engine.has_value();
   FTS_ASSIGN_OR_RETURN(PhysicalPlan plan,
                        TranslateLqp(lqp, translator_options));
   if (explain_text != nullptr) {

@@ -23,15 +23,11 @@ enum class MorselMode { kMaterialize, kAggregate };
 struct MorselOutcome {
   EngineChoice executed;  // Rung that ran when the morsel completed.
   size_t rung_index = 0;  // Ladder depth of `executed` (0 = requested).
-  // `executed` is a per-chunk choice, not a ladder rung: the cost model's
-  // pick (DESIGN.md §14), the static engine that runs a chunk no JIT
-  // operator covers (compressed-domain stages or the positions fold), or
-  // tier 0 of a JIT rung whose compile has not landed. A choice is not a
-  // degradation.
+  // `executed` is a per-chunk choice, not a ladder rung: the static engine
+  // that runs a chunk no JIT operator covers (compressed-domain stages or
+  // the positions fold), or tier 0 of a JIT rung whose compile has not
+  // landed. A choice is not a degradation.
   bool adapted = false;
-  // The cost model picked an engine other than the requested rung, and the
-  // pick ran (one of the `adapted` cases).
-  bool model_switched = false;
   std::vector<EngineAttempt> attempts;
   PosList positions;  // Materialize mode.
   uint64_t count = 0;  // Aggregate mode: the match count.
@@ -58,7 +54,6 @@ void FillPreparedReport(const TableScanner& scanner, ExecutionReport* report) {
   const std::array<uint64_t, 6>& mix = scanner.stage_encodings();
   std::copy(mix.begin(), mix.end(), report->stage_encodings);
   report->model_active = scanner.model_active();
-  report->adaptive_engines = scanner.adaptive();
   report->chunks_reordered = scanner.chunks_reordered();
   report->est_rows = scanner.est_rows();
   // RunMorsels fills this exactly once per scan, so this is also where
@@ -74,7 +69,7 @@ void FillPreparedReport(const TableScanner& scanner, ExecutionReport* report) {
 }
 
 // The report's one write site for the morsels' counters: adds one
-// morsel's ChunkStats and cost-model switch.
+// morsel's ChunkStats.
 void MergeOutcome(const MorselOutcome& outcome, ExecutionReport* report) {
   const ChunkStats& stats = outcome.stats;
   report->rle_runs_classified += stats.compressed.rle_runs_classified;
@@ -87,7 +82,6 @@ void MergeOutcome(const MorselOutcome& outcome, ExecutionReport* report) {
   report->jit_cache_hits += stats.jit_cache_hits;
   report->jit_cache_misses += stats.jit_compiles_queued;
   report->jit_compile_millis += stats.jit_compile_millis;
-  if (outcome.model_switched) ++report->adaptive_engine_switches;
 }
 
 std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
@@ -137,29 +131,10 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
   std::vector<AggAccumulator> aggs;
   if (fold) aggs.resize(scanner.num_agg_terms());
 
-  // Per-morsel engine adaptation (DESIGN.md §14): when the scan opted in,
-  // ask the cost model whether this chunk should run on a cheaper engine
-  // than the requested rung (near-empty / near-full chunks often should).
-  // The model's pick is prepended as an extra rung: if it somehow fails,
-  // the walk falls through to the original ladder unchanged.
-  std::vector<EngineChoice> walk;
-  const std::vector<EngineChoice>* walk_rungs = &rungs;
-  bool adapted_first = false;
-  if (scanner.adaptive() && !rungs.empty()) {
-    const EngineChoice adapted = scanner.AdaptEngine(rungs.front(), chunk_id);
-    if (!(adapted == rungs.front())) {
-      adapted_first = true;
-      walk.reserve(rungs.size() + 1);
-      walk.push_back(adapted);
-      walk.insert(walk.end(), rungs.begin(), rungs.end());
-      walk_rungs = &walk;
-    }
-  }
-
   Status error;
   bool jit_unavailable = false;
-  for (size_t r = 0; r < walk_rungs->size(); ++r) {
-    EngineChoice choice = (*walk_rungs)[r];
+  for (size_t r = 0; r < rungs.size(); ++r) {
+    EngineChoice choice = rungs[r];
     // No generated operator covers a compressed-domain chunk (its range
     // path works per run or block, so there is no per-row decision to
     // compile) or a chunk whose terms fold through the positions sink: a
@@ -210,14 +185,10 @@ Status RunMorsel(const TableScanner& scanner, JitCache& cache,
       }
       out->attempts.push_back({choice, Status::Ok()});
       out->executed = choice;
-      // Ladder depth stays relative to the ORIGINAL rungs so the
-      // deepest-rung report logic is unaffected by the prepended pick.
-      out->rung_index = adapted_first ? (r == 0 ? 0 : r - 1) : r;
+      out->rung_index = r;
       // Tier 0 of the requested rung is a choice; tier 0 of a lower JIT
       // width ran because the requested rung failed.
-      out->model_switched = adapted_first && r == 0;
-      out->adapted = out->model_switched || static_choice ||
-                     (tier0 && out->rung_index == 0);
+      out->adapted = static_choice || (tier0 && r == 0);
       if (span.active()) {
         span.AddArg("engine", choice.ToString());
         span.AddArg("matches", uint64_t{*result});
@@ -322,8 +293,8 @@ Status ScheduleMorsels(const TableScanner& scanner,
   }
   report->attempts = (*outcomes)[deepest].attempts;
   report->executed = (*outcomes)[deepest].executed;
-  // A cost-model engine pick is a choice, not a degradation: only a rung
-  // that ran because an earlier one failed counts as degraded.
+  // A per-chunk static choice is not a degradation: only a rung that ran
+  // because an earlier one failed counts as degraded.
   report->degraded = !(report->executed == report->requested) &&
                      !(*outcomes)[deepest].adapted;
   return Status::Ok();

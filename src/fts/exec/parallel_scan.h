@@ -27,9 +27,9 @@ namespace fts {
 //
 // JIT rungs are tiered: under kLadder a morsel whose operator is not
 // compiled yet queues the compile on the cache's worker and runs on
-// cost::BestFusedEngine() (tier 0, a choice like the cost model's picks,
-// not a degradation); later morsels switch to the compiled operator once
-// it lands. Only kStrict waits for the compile.
+// cost::BestFusedEngine() (tier 0, a per-chunk choice, not a
+// degradation); later morsels switch to the compiled operator once it
+// lands. Only kStrict waits for the compile.
 struct ParallelScanOptions {
   // Engine to run (any rung, including kJit with its register width).
   EngineChoice requested;

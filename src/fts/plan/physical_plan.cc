@@ -7,7 +7,6 @@
 #include "fts/common/query_context.h"
 #include "fts/common/string_util.h"
 #include "fts/common/timer.h"
-#include "fts/cost/cost_model.h"
 #include "fts/exec/parallel_project.h"
 #include "fts/exec/parallel_scan.h"
 #include "fts/exec/task_pool.h"
@@ -372,15 +371,6 @@ Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
   report.gather_kernel_rows = stats.kernel_rows;
   report.gather_typed_rows = stats.typed_rows;
   report.gather_delta_blocks = stats.delta_blocks_decoded;
-  // Price the gathered cells with the calibrated emit constants — the
-  // Project stage's est-vs-actual in EXPLAIN ANALYZE.
-  if (report.model_active) {
-    const cost::CostProfile& profile = cost::CalibratedProfile();
-    report.project_est_millis =
-        cost::GatherCostNs(profile, report.executed.engine,
-                           report.gather_rows) /
-        1e6;
-  }
   return Status::Ok();
 }
 
@@ -658,10 +648,6 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
               static_cast<unsigned long long>(report.gather_delta_blocks));
         }
       }
-      if (report.project_est_millis > 0.0 && output_stage != nullptr) {
-        out += StrFormat(", est=%.3f ms actual=%.3f ms",
-                         report.project_est_millis, output_stage->millis);
-      }
       out += "\n";
     }
   }
@@ -720,24 +706,16 @@ std::string RenderExplainAnalyze(const PhysicalPlan& plan,
                          report.worker_count, report.morsel_count,
                          report.EngineMix().c_str());
       }
-      // Calibrated cost model (DESIGN.md §14). Rendered unconditionally —
-      // harnesses grep for the `CostModel:` marker.
+      // Cost model (DESIGN.md §14). Rendered unconditionally — harnesses
+      // grep for the `CostModel:` marker.
       out += indent;
       if (!report.model_active) {
         out += "  CostModel: off\n";
       } else {
-        out += StrFormat("  CostModel: on%s, chunks reordered=%zu",
-                         report.adaptive_engines ? " (adaptive engines)" : "",
+        out += StrFormat("  CostModel: on, chunks reordered=%zu",
                          report.chunks_reordered);
-        out += StrFormat(", est rows=%.0f actual=%llu", report.est_rows,
+        out += StrFormat(", est rows=%.0f actual=%llu\n", report.est_rows,
                          static_cast<unsigned long long>(report.rows_matched));
-        // The engine mix is on the `parallel:` line above.
-        if (report.adaptive_engines && report.morsel_count > 0) {
-          out += StrFormat(", switches=%llu",
-                           static_cast<unsigned long long>(
-                               report.adaptive_engine_switches));
-        }
-        out += "\n";
       }
       if (report.jit_cache_hits + report.jit_cache_misses > 0) {
         out += indent;

@@ -67,7 +67,6 @@ void PlanAggregatePushdown(PhysicalPlan* plan,
     step = plan->scan_steps[0];
   } else {
     step.spec.context = options.context;
-    step.spec.adaptive = options.adaptive;
     step.engine = options.engine;
     step.jit_register_bits = options.jit_register_bits;
   }
@@ -128,7 +127,6 @@ StatusOr<PhysicalPlan> TranslateLqp(const LqpNodePtr& root,
         PhysicalPlan::ScanStep step;
         step.spec.predicates = {ToPredicateSpec(predicate->predicate())};
         step.spec.context = options.context;
-        step.spec.adaptive = options.adaptive;
         step.engine = options.engine;
         step.jit_register_bits = options.jit_register_bits;
         steps_root_first.push_back(std::move(step));
@@ -142,7 +140,6 @@ StatusOr<PhysicalPlan> TranslateLqp(const LqpNodePtr& root,
           step.spec.predicates.push_back(ToPredicateSpec(predicate));
         }
         step.spec.context = options.context;
-        step.spec.adaptive = options.adaptive;
         step.engine = options.engine;
         step.jit_register_bits = options.jit_register_bits;
         steps_root_first.push_back(std::move(step));

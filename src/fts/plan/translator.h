@@ -32,10 +32,9 @@ struct TranslatorOptions {
   // and the memory budget reach the scan/JIT/parallel layers. Borrowed —
   // must outlive plan execution.
   QueryContext* context = nullptr;
-  // Allow the calibrated cost model to pick the scan engine per chunk
-  // (ScanSpec::adaptive, DESIGN.md §14). The Database layer sets this when
-  // the caller left QueryOptions::engine unset — an explicit engine is a
-  // pin the model must not override.
+  // Read by nothing: every scan runs the engine its step names. Kept only
+  // because perfbench still sets it, until a benchmark change drops that
+  // line.
   bool adaptive = false;
 };
 

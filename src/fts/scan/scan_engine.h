@@ -117,9 +117,8 @@ struct ScanCounters {
 };
 
 // Counter totals attributed to one engine choice across the morsels it
-// executed. Lets EXPLAIN ANALYZE separate e.g. the
-// cycles/row of JIT morsels from the chunks the cost model demoted to a
-// SISD rung within the same query.
+// executed. Lets EXPLAIN ANALYZE separate e.g. the cycles/row of JIT
+// morsels from the tier-0 or degraded chunks of the same query.
 struct EngineCounters {
   EngineChoice choice;
   uint64_t regions = 0;  // Morsels measured.
@@ -209,15 +208,11 @@ struct ExecutionReport {
   // the SIMD gather kernels from the typed narrow-width/run/block loops.
   // `gather_delta_blocks` counts delta blocks the gather had to
   // prefix-reconstruct (blocks without survivors are never decoded).
-  // `project_est_millis` is the cost model's predicted Project-stage wall
-  // time (emit-constant pricing of the gathered cells); 0 when the model
-  // was off.
   std::string gather_engine;
   uint64_t gather_rows[6] = {0, 0, 0, 0, 0, 0};
   uint64_t gather_kernel_rows = 0;
   uint64_t gather_typed_rows = 0;
   uint64_t gather_delta_blocks = 0;
-  double project_est_millis = 0.0;
   // Aggregate pushdown: true when the plan folded its aggregates inside
   // the scan instead of materializing the query's position lists (a
   // pushed-down COUNT(*) is a one-term fold, so it sets this too);
@@ -254,19 +249,13 @@ struct ExecutionReport {
   size_t morsels_completed = 0;
   size_t morsels_aborted = 0;
   double queue_wait_millis = 0.0;
-  // Calibrated cost model (fts/cost, DESIGN.md §14). `model_active` is
-  // true when FTS_ADAPTIVE left the model on (per-chunk chain re-ranking
-  // eligible); `adaptive_engines` additionally means the model was free
-  // to pick the engine per chunk. `chunks_reordered` counts chunks whose
-  // fused chain ran in a different order than the spec's predicate
-  // order; `adaptive_engine_switches` counts morsels executed on a
-  // different engine than requested by the model's choice (not by
-  // degradation; `morsel_choices` holds the engine mix). `est_rows` is the
-  // model's predicted match count for the scan.
+  // Cost model (fts/cost, DESIGN.md §14). `model_active` is true when
+  // FTS_ADAPTIVE left the model on (per-chunk chain re-ranking eligible).
+  // `chunks_reordered` counts chunks whose fused chain ran in a different
+  // order than the spec's predicate order. `est_rows` is the model's
+  // predicted match count for the scan.
   bool model_active = false;
-  bool adaptive_engines = false;
   size_t chunks_reordered = 0;
-  uint64_t adaptive_engine_switches = 0;
   double est_rows = 0.0;
   // Wall time of the scan stages alone (excludes parse/plan/aggregate).
   double scan_millis = 0.0;
@@ -294,7 +283,7 @@ struct ExecutionReport {
 
   // The morsels' engine mix in first-seen order, e.g.
   // "JIT Fused (512-bit) x12, AVX-512 Fused (512) x19". It names tier-0,
-  // cost-model and demoted morsels alike; `degraded` tells a demotion.
+  // static-choice and demoted morsels alike; `degraded` tells a demotion.
   std::string EngineMix() const;
 
   // Multi-line human-readable rendering (one line per attempt).

@@ -48,15 +48,6 @@ struct ScanSpec {
   // the context keeps it alive for the duration of the scan.
   QueryContext* context = nullptr;
 
-  // Allow the calibrated cost model to pick the engine per chunk
-  // (DESIGN.md §14). Off by default: an explicitly requested engine is a
-  // pin, and direct API callers (tests, benches) rely on that. The
-  // Database layer turns this on when the caller left the engine to the
-  // system; FTS_ADAPTIVE=0 overrides it everywhere. Per-chunk chain
-  // re-ranking is independent of this flag (it is result- and
-  // engine-invariant, gated only by FTS_ADAPTIVE).
-  bool adaptive = false;
-
   std::string ToString() const;
 };
 

@@ -6,6 +6,8 @@
 #include <optional>
 
 #include "fts/common/string_util.h"
+#include "fts/cost/cost_model.h"
+#include "fts/cost/cost_profile.h"
 #include "fts/obs/metrics.h"
 #include "fts/obs/trace.h"
 #include "fts/scan/sisd_scan.h"
@@ -513,35 +515,6 @@ cost::EncClass EncClassOf(const ScanStage& stage) {
   }
 }
 
-// Cost-model inputs of one compressed-domain stage: how many runs/blocks
-// the range builder classifies, and (delta only) how many rows sit in
-// blocks whose min/max cannot decide the predicate — those get
-// prefix-reconstructed at execution.
-TableScanner::ChunkPlan::CompressedCostInput CompressedCostOf(
-    const BaseColumn& column, const CompressedScanStage& stage) {
-  TableScanner::ChunkPlan::CompressedCostInput input;
-  DispatchDataType(column.data_type(), [&](auto tag) {
-    using T = decltype(tag);
-    if (column.encoding() == ColumnEncoding::kRle) {
-      input.units = static_cast<const RleColumn<T>&>(column).run_count();
-      return;
-    }
-    if constexpr (std::is_integral_v<T>) {
-      const auto& delta = static_cast<const DeltaColumn<T>&>(column);
-      input.is_delta = true;
-      input.units = delta.blocks().size();
-      const T value = ValueAs<T>(stage.value);
-      for (const auto& block : delta.blocks()) {
-        if (ClassifyZone<T>(block.min, block.max, stage.op, value) ==
-            ZoneFate::kMaybe) {
-          input.decode_rows += block.rows;
-        }
-      }
-    }
-  });
-  return input;
-}
-
 }  // namespace
 
 StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
@@ -586,21 +559,12 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   }
 
   // Cost-model state for this scan (DESIGN.md §14). FTS_ADAPTIVE=0 turns
-  // the whole model off; engine adaptation additionally needs the spec's
-  // opt-in. The calibrated profile (first use triggers calibration) is
-  // only loaded when engines will actually be picked from it — re-ranking
-  // alone runs off the static default table, whose cost *ratios* are what
-  // the rank key consumes.
+  // the whole model off. Chains rank against one static table, the best
+  // fused engine's, whatever engine later runs a chunk: the order is a
+  // function of the chunk and the predicates alone, so a pinned and an
+  // unpinned request for the same scan run the same chains.
   const bool model_active = cost::AdaptiveEnabled();
-  const bool adaptive_engine = spec.adaptive && model_active;
-  const cost::CostProfile& profile =
-      adaptive_engine ? cost::CalibratedProfile() : cost::DefaultProfile();
-  // Engine whose calibrated constants order the chain. Re-ranking must not
-  // depend on which engine later runs the chunk (the order would then
-  // differ between adaptive on/off), so chains are ranked once against the
-  // best fused kernel this CPU has — the engine the rest_ns ratios of which
-  // best reflect how the fused chains actually behave.
-  const ScanEngine ranking_engine = cost::BestFusedEngine();
+  const cost::CostProfile& profile = cost::DefaultProfile();
   size_t chunks_reordered = 0;
   double est_rows = 0.0;
 
@@ -673,10 +637,6 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
       if (is_compressed) {
         plan.compressed.push_back(compressed_stage);
         plan.compressed_sel.push_back(selectivity);
-        if (model_active) {
-          plan.compressed_cost.push_back(
-              CompressedCostOf(column, compressed_stage));
-        }
       } else {
         plan.stages.push_back(stage);
         plan.stage_sel.push_back(selectivity);
@@ -686,7 +646,7 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
       // Re-rank the fused chain cheapest-effective-first for this chunk:
       // ascending cost/(1 - selectivity) from the chunk's own zone-map
       // estimates. Result-invariant for a conjunction (every order computes
-      // the same match set), so this applies regardless of spec.adaptive.
+      // the same match set), so this applies whatever engine runs it.
       // The stable sort makes ties (and chunks without bounds) keep the
       // spec's predicate order — uniform tables reorder nothing.
       if (model_active && plan.stages.size() > 1) {
@@ -694,10 +654,10 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
         std::iota(order.begin(), order.end(), size_t{0});
         std::stable_sort(order.begin(), order.end(),
                          [&](size_t a, size_t b) {
-                           return cost::StageRank(profile, ranking_engine,
+                           return cost::StageRank(profile,
                                                   EncClassOf(plan.stages[a]),
                                                   plan.stage_sel[a]) <
-                                  cost::StageRank(profile, ranking_engine,
+                                  cost::StageRank(profile,
                                                   EncClassOf(plan.stages[b]),
                                                   plan.stage_sel[b]);
                          });
@@ -738,9 +698,7 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   TableScanner scanner(std::move(table), std::move(plans), pruning,
                        spec.aggregates.size(), spec.context,
                        stage_encodings);
-  scanner.profile_ = &profile;
   scanner.model_active_ = model_active;
-  scanner.adaptive_engine_ = adaptive_engine;
   scanner.chunks_reordered_ = chunks_reordered;
   scanner.est_rows_ = est_rows;
   if (needs_sink) {
@@ -898,107 +856,6 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
     span.AddArg("matches", static_cast<uint64_t>(count));
   }
   return count;
-}
-
-EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
-                                       ChunkId chunk_id) const {
-  if (!adaptive_engine_ || profile_ == nullptr ||
-      chunk_id >= chunk_plans_.size()) {
-    return requested;
-  }
-  const ChunkPlan& plan = chunk_plans_[chunk_id];
-  if (plan.impossible || plan.row_count == 0 || !plan.compressed.empty() ||
-      plan.stages.empty() || !profile_->For(requested.engine).available) {
-    // Compressed chunks run the engine-independent range path; stage-free
-    // chunks are a pure emit; an engine outside the calibrated adaptation
-    // set has no constants to price it against the candidates.
-    return requested;
-  }
-  const double requested_ns = EstimateChunkNanos(requested.engine, chunk_id);
-  // Candidates never upgrade the ISA: the SISD engines always qualify, and
-  // a kJit request may fall back to the best static fused kernel (the JIT
-  // targets the same instruction set the fused kernels use).
-  ScanEngine candidates[3];
-  size_t num_candidates = 0;
-  if (requested.engine == ScanEngine::kJit) {
-    candidates[num_candidates++] = cost::BestFusedEngine();
-  }
-  candidates[num_candidates++] = ScanEngine::kSisdAutoVec;
-  candidates[num_candidates++] = ScanEngine::kSisdNoVec;
-  EngineChoice best = requested;
-  double best_ns = requested_ns;
-  for (size_t i = 0; i < num_candidates; ++i) {
-    if (!ScanEngineAvailable(candidates[i])) continue;
-    const double ns = EstimateChunkNanos(candidates[i], chunk_id);
-    if (ns < best_ns) {
-      best = EngineChoice{candidates[i], 0};
-      best_ns = ns;
-    }
-  }
-  // Hysteresis: stay on the requested engine unless the winner is
-  // predicted at least 1.25x faster — estimates carry error, and the
-  // requested engine is usually the globally sensible one.
-  if (!(best == requested) && requested_ns < best_ns * 1.25) {
-    return requested;
-  }
-  return best;
-}
-
-double TableScanner::EstimateChunkNanos(ScanEngine engine,
-                                        ChunkId chunk_id) const {
-  if (profile_ == nullptr || chunk_id >= chunk_plans_.size()) return 0.0;
-  const ChunkPlan& plan = chunk_plans_[chunk_id];
-  if (plan.impossible || plan.row_count == 0) return 0.0;
-  const double rows = static_cast<double>(plan.row_count);
-  const cost::EngineCostConstants& sisd =
-      profile_->For(ScanEngine::kSisdAutoVec);
-  if (!plan.compressed.empty()) {
-    // Range path: classify every run / block once, prefix-reconstruct the
-    // undecided delta blocks, then refine the surviving candidates with
-    // the kernel stages row-wise (the compressed executor evaluates those
-    // scalar, so SISD constants price them) and emit the matches.
-    double ns = 0.0;
-    double prefix = 1.0;
-    for (size_t i = 0; i < plan.compressed.size(); ++i) {
-      if (i < plan.compressed_cost.size()) {
-        const ChunkPlan::CompressedCostInput& input = plan.compressed_cost[i];
-        ns += static_cast<double>(input.units) *
-              (input.is_delta ? profile_->delta_block_ns
-                              : profile_->rle_run_ns);
-        ns += static_cast<double>(input.decode_rows) * profile_->delta_row_ns;
-      }
-      prefix *= i < plan.compressed_sel.size() ? plan.compressed_sel[i] : 0.5;
-    }
-    for (size_t s = 0; s < plan.stages.size(); ++s) {
-      ns += rows * prefix *
-            sisd.rest_ns[static_cast<size_t>(EncClassOf(plan.stages[s]))];
-      prefix *= s < plan.stage_sel.size() ? plan.stage_sel[s] : 0.5;
-    }
-    // Matches leave as `out[count++] = row` range expansion, not as a
-    // kernel's match store — priced by its own calibrated constant.
-    ns += rows * prefix * profile_->compressed_emit_ns;
-    return ns;
-  }
-  if (plan.stages.empty()) {
-    // Every row matches: the chunk is a pure position emit (iota).
-    return rows * profile_->compressed_emit_ns;
-  }
-  std::vector<cost::StageCost> stages;
-  stages.reserve(plan.stages.size());
-  for (size_t s = 0; s < plan.stages.size(); ++s) {
-    stages.push_back(
-        {EncClassOf(plan.stages[s]),
-         s < plan.stage_sel.size() ? plan.stage_sel[s] : 0.5});
-  }
-  return cost::ChainCostNs(*profile_, engine, stages, rows);
-}
-
-double TableScanner::EstimateScanNanos(ScanEngine engine) const {
-  double total = 0.0;
-  for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    total += EstimateChunkNanos(engine, chunk_id);
-  }
-  return total;
 }
 
 }  // namespace fts

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "fts/common/status.h"
-#include "fts/cost/cost_model.h"
-#include "fts/cost/cost_profile.h"
 #include "fts/scan/compressed_scan.h"
 #include "fts/scan/positions_fold.h"
 #include "fts/scan/scan_engine.h"
@@ -66,17 +64,6 @@ class TableScanner {
     // Estimated selectivities of the compressed-domain stages, parallel
     // to `compressed`.
     std::vector<double> compressed_sel;
-    // Cost-model inputs for the compressed stages (parallel to
-    // `compressed`, filled only while the model is active): the run/block
-    // unit count the range path touches, and for delta stages the rows in
-    // blocks whose min/max cannot decide the predicate (those get
-    // prefix-reconstructed).
-    struct CompressedCostInput {
-      uint64_t units = 0;
-      uint64_t decode_rows = 0;
-      bool is_delta = false;
-    };
-    std::vector<CompressedCostInput> compressed_cost;
     // Expected matches of the whole conjunction (independence assumption;
     // 0 for impossible chunks).
     double est_matches = 0.0;
@@ -206,32 +193,14 @@ class TableScanner {
   // boundaries.
   QueryContext* context() const { return context_; }
 
-  // ---- Calibrated cost model (fts/cost, DESIGN.md §14) ----
+  // ---- Cost model (fts/cost, DESIGN.md §14) ----
 
   // True when FTS_ADAPTIVE left the model on at Prepare (chains were
   // re-rank-eligible and estimates were computed).
   bool model_active() const { return model_active_; }
-  // True when per-chunk engine adaptation is allowed (spec.adaptive and
-  // the model is active).
-  bool adaptive() const { return adaptive_engine_; }
   size_t chunks_reordered() const { return chunks_reordered_; }
   // Model-estimated total matches across non-pruned chunks.
   double est_rows() const { return est_rows_; }
-
-  // Picks the engine for one chunk: the cheapest candidate at or below
-  // `requested` (never an ISA upgrade), keeping `requested` unless a
-  // candidate is predicted at least 1.25x faster. Returns `requested`
-  // unchanged when adaptation is off, the chunk runs in the compressed
-  // domain (engine-independent there), or the chunk has no stages.
-  EngineChoice AdaptEngine(const EngineChoice& requested,
-                           ChunkId chunk_id) const;
-
-  // Predicted execution cost of one chunk / the whole scan on `engine`,
-  // from the calibrated constants and the per-chunk estimates. Compressed
-  // chunks price the run/block range path; kJit prices the generated
-  // code alone (no query waits for a compile).
-  double EstimateChunkNanos(ScanEngine engine, ChunkId chunk_id) const;
-  double EstimateScanNanos(ScanEngine engine) const;
 
  private:
   TableScanner(TablePtr table, std::vector<ChunkPlan> chunk_plans,
@@ -265,12 +234,8 @@ class TableScanner {
   bool has_compressed_stages_ = false;
   // Folds the agg_positions chunks; null when no chunk needs it.
   std::shared_ptr<const PositionsFoldSink> agg_sink_;
-  // Cost model state (set by Prepare). `profile_` points at one of the
-  // process-lifetime profiles in fts/cost — the calibrated one when
-  // engine adaptation is on, the static default table otherwise.
-  const cost::CostProfile* profile_ = nullptr;
+  // Cost model state (set by Prepare).
   bool model_active_ = false;
-  bool adaptive_engine_ = false;
   size_t chunks_reordered_ = 0;
   double est_rows_ = 0.0;
 };

@@ -1,39 +1,26 @@
-// Calibrated cost model (fts/cost, DESIGN.md §14): profile round-trip and
-// version invalidation, selectivity estimation, chain-cost monotonicity,
-// and the per-chunk behaviors the model drives inside TableScanner —
-// re-ranking on adversarial skew and engine adaptation that never changes
-// results.
+// Cost model (fts/cost, DESIGN.md §14): selectivity estimation, the rank
+// key, and the per-chunk behaviors the model drives inside TableScanner —
+// re-ranking on adversarial skew that never changes results and never
+// depends on whether the caller pinned the engine.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "fts/common/cpu_info.h"
+#include "fts/common/string_util.h"
 #include "fts/cost/cost_model.h"
 #include "fts/cost/cost_profile.h"
 #include "fts/db/database.h"
 #include "fts/scan/table_scan.h"
-#include "fts/storage/bitpacked_column.h"
 #include "fts/storage/table_builder.h"
 #include "test_util.h"
 
 namespace fts {
 namespace {
-
-using cost::CostProfile;
-
-// Calibration is process-lifetime (CalibratedProfile() measures once);
-// force the fast mode before any test can trigger it so the suite stays
-// quick under TSan too.
-const bool kFastCalibration = [] {
-  setenv("FTS_CALIBRATE_FAST", "1", 1);
-  return true;
-}();
 
 // Toggles FTS_ADAPTIVE for the duration of a scope. Prepare() reads the
 // switch once, so a scanner prepared inside the scope keeps its behavior
@@ -45,177 +32,6 @@ class ScopedAdaptive {
   }
   ~ScopedAdaptive() { unsetenv("FTS_ADAPTIVE"); }
 };
-
-TEST(CostProfileTest, SerializeParseRoundTrip) {
-  CostProfile profile = CostProfile::Defaults();
-  profile.calibrated = true;
-  profile.rle_run_ns = 7.25;
-  profile.delta_block_ns = 19.5;
-  profile.delta_row_ns = 2.125;
-  profile.jit_speed_factor = 0.75;
-
-  const auto parsed = CostProfile::Parse(profile.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->version, CostProfile::kVersion);
-  EXPECT_EQ(parsed->cpu, profile.cpu);
-  EXPECT_TRUE(parsed->calibrated);
-  EXPECT_DOUBLE_EQ(parsed->rle_run_ns, profile.rle_run_ns);
-  EXPECT_DOUBLE_EQ(parsed->delta_block_ns, profile.delta_block_ns);
-  EXPECT_DOUBLE_EQ(parsed->delta_row_ns, profile.delta_row_ns);
-  EXPECT_DOUBLE_EQ(parsed->jit_speed_factor, profile.jit_speed_factor);
-  for (size_t i = 0; i < cost::kNumEngines; ++i) {
-    SCOPED_TRACE(i);
-    ASSERT_EQ(parsed->engines[i].available, profile.engines[i].available);
-    if (!profile.engines[i].available) continue;
-    for (size_t e = 0; e < cost::kNumEncClasses; ++e) {
-      EXPECT_DOUBLE_EQ(parsed->engines[i].first_ns[e],
-                       profile.engines[i].first_ns[e]);
-      EXPECT_DOUBLE_EQ(parsed->engines[i].rest_ns[e],
-                       profile.engines[i].rest_ns[e]);
-    }
-    EXPECT_DOUBLE_EQ(parsed->engines[i].emit_ns, profile.engines[i].emit_ns);
-  }
-}
-
-TEST(CostProfileTest, ParseRejectsVersionMismatch) {
-  std::string text = CostProfile::Defaults().Serialize();
-  const std::string header = "fts-cost-profile v2";
-  ASSERT_EQ(text.compare(0, header.size(), header), 0);
-  text.replace(0, header.size(), "fts-cost-profile v1");
-  EXPECT_FALSE(CostProfile::Parse(text).ok());
-}
-
-TEST(CostProfileTest, ParseRejectsMalformedInput) {
-  EXPECT_FALSE(CostProfile::Parse("").ok());
-  EXPECT_FALSE(CostProfile::Parse("not a profile\n").ok());
-  EXPECT_FALSE(
-      CostProfile::Parse("fts-cost-profile v2\nbogus_key 3\n").ok());
-  // Version 1's compile constant is gone with the compile share it priced.
-  EXPECT_FALSE(
-      CostProfile::Parse("fts-cost-profile v2\njit_compile_millis 150\n")
-          .ok());
-  EXPECT_FALSE(
-      CostProfile::Parse("fts-cost-profile v2\nengine warp-drive first\n")
-          .ok());
-  EXPECT_FALSE(CostProfile::Parse(
-                   "fts-cost-profile v2\nengine scalar-fused first 1 2\n")
-                   .ok());
-}
-
-TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
-  // Direct Calibrate() (not the cached CalibratedProfile()) so the test
-  // owns its run; FTS_CALIBRATE_FAST was pinned above.
-  const CostProfile profile = CostProfile::Calibrate();
-  EXPECT_TRUE(profile.calibrated);
-  EXPECT_EQ(profile.cpu, GetCpuFeatures().ToString());
-  // Exactly the adaptation set is calibrated: the SISD pair and the best
-  // fused engine (the default request and the ranking engine), whose
-  // constants must come out positive in every encoding class, plus kJit
-  // derived from the best fused engine.
-  const ScanEngine best = Database::DefaultEngine();
-  EXPECT_EQ(best, cost::BestFusedEngine());
-  for (const ScanEngine engine :
-       {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec, best}) {
-    const cost::EngineCostConstants& e = profile.For(engine);
-    ASSERT_TRUE(e.available) << ScanEngineToString(engine);
-    for (size_t c = 0; c < cost::kNumEncClasses; ++c) {
-      EXPECT_GT(e.first_ns[c], 0.0) << ScanEngineToString(engine);
-      EXPECT_GT(e.rest_ns[c], 0.0) << ScanEngineToString(engine);
-    }
-  }
-  // A zero emit would price every gathered kernel cell at nothing.
-  for (const ScanEngine engine : {ScanEngine::kSisdNoVec,
-                                  ScanEngine::kSisdAutoVec, best,
-                                  ScanEngine::kJit}) {
-    EXPECT_GT(profile.For(engine).emit_ns, 0.0) << ScanEngineToString(engine);
-  }
-  for (size_t i = 0; i < cost::kNumEngines; ++i) {
-    const auto engine = static_cast<ScanEngine>(i);
-    const bool expected = engine == ScanEngine::kSisdNoVec ||
-                          engine == ScanEngine::kSisdAutoVec ||
-                          engine == best || engine == ScanEngine::kJit;
-    EXPECT_EQ(profile.For(engine).available, expected)
-        << ScanEngineToString(engine);
-  }
-  const cost::EngineCostConstants& jit = profile.For(ScanEngine::kJit);
-  EXPECT_DOUBLE_EQ(jit.first_ns[0],
-                   profile.For(best).first_ns[0] * profile.jit_speed_factor);
-  EXPECT_GT(profile.rle_run_ns, 0.0);
-  EXPECT_GT(profile.delta_block_ns, 0.0);
-  EXPECT_GT(profile.delta_row_ns, 0.0);
-  // And the measurement round-trips through the on-disk format.
-  const auto parsed = CostProfile::Parse(profile.Serialize());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->calibrated);
-  EXPECT_EQ(parsed->cpu, profile.cpu);
-}
-
-TEST(CostProfileTest, ParseRejectsIncompleteCalibratedProfile) {
-  // What Calibrate() writes: the SISD pair, the best fused engine and the
-  // derived kJit, in that (enum) order, then the scalar constants.
-  CostProfile profile = CostProfile::Defaults();
-  profile.calibrated = true;
-  for (size_t i = 0; i < cost::kNumEngines; ++i) {
-    const auto engine = static_cast<ScanEngine>(i);
-    profile.engines[i].available =
-        engine == ScanEngine::kSisdNoVec ||
-        engine == ScanEngine::kSisdAutoVec ||
-        engine == cost::BestFusedEngine() || engine == ScanEngine::kJit;
-  }
-  const std::string text = profile.Serialize();
-  ASSERT_TRUE(CostProfile::Parse(text).ok());
-
-  // Without the best fused engine's line, `calibrated 1` must not parse,
-  // so the loader recalibrates instead of running with adaptation
-  // silently degraded.
-  size_t begin = text.find("\nengine ");  // The third engine line.
-  for (int i = 0; i < 2; ++i) begin = text.find("\nengine ", begin + 1);
-  ASSERT_NE(begin, std::string::npos);
-  const size_t end = text.find('\n', begin + 1);
-  EXPECT_FALSE(
-      CostProfile::Parse(text.substr(0, begin) + text.substr(end)).ok());
-
-  // A file cut short at any line boundary never loads as calibrated.
-  for (size_t cut = text.find('\n'); cut + 1 < text.size();
-       cut = text.find('\n', cut + 1)) {
-    const auto parsed = CostProfile::Parse(text.substr(0, cut + 1));
-    EXPECT_FALSE(parsed.ok() && parsed->calibrated)
-        << text.substr(0, cut + 1);
-  }
-}
-
-TEST(CostProfileTest, DirectPackedFixtureMatchesFromValues) {
-  // The fast-size calibration fixture: its directly written 9-bit stream
-  // must be byte for byte what BitPackedColumn::FromValues builds.
-  constexpr size_t kRows = size_t{1} << 14;
-  std::vector<uint32_t> values(kRows);
-  AlignedVector<int32_t> codes(kRows);
-  cost::internal::FillCalibrationColumns(kRows, values.data(), codes.data());
-  const BitPackedColumn<int32_t> direct =
-      cost::internal::PackCalibrationCodes(codes);
-  const BitPackedColumn<int32_t> reference =
-      BitPackedColumn<int32_t>::FromValues(codes);
-  EXPECT_EQ(direct.dictionary(), reference.dictionary());
-  EXPECT_EQ(direct.dictionary().size(), cost::internal::kCalibrationCodes);
-  ASSERT_EQ(direct.bit_width(), 9);
-  ASSERT_EQ(direct.bit_width(), reference.bit_width());
-  ASSERT_EQ(direct.packed_bytes(), reference.packed_bytes());
-  EXPECT_EQ(std::memcmp(direct.scan_data(), reference.scan_data(),
-                        direct.packed_bytes() + kBitPackedSlackBytes),
-            0);
-}
-
-TEST(CostModelTest, GatherCostFallsBackToBestFusedEmit) {
-  // An engine without constants prices its gathered kernel cells with the
-  // best fused engine's emit constant; compressed cells keep their own.
-  const CostProfile& profile = cost::DefaultProfile();
-  ASSERT_FALSE(profile.For(ScanEngine::kBlockwise).available);
-  const uint64_t cells[6] = {1000, 0, 0, 10, 0, 0};
-  EXPECT_DOUBLE_EQ(
-      cost::GatherCostNs(profile, ScanEngine::kBlockwise, cells),
-      1000 * profile.For(cost::BestFusedEngine()).emit_ns +
-          10 * profile.compressed_emit_ns);
-}
 
 TEST(CostModelTest, UniformSelectivityEndpoints) {
   using cost::EstimateUniformSelectivity;
@@ -250,41 +66,15 @@ TEST(CostModelTest, UniformSelectivityEndpoints) {
       0.0);
 }
 
-TEST(CostModelTest, ChainCostMonotonicInSelectivityAndRows) {
-  const CostProfile& profile = cost::DefaultProfile();
-  const auto chain = [](double first_sel) {
-    return std::vector<cost::StageCost>{
-        {cost::EncClass::kPlain32, first_sel},
-        {cost::EncClass::kPlain32, 0.5}};
-  };
-  double previous = -1.0;
-  for (const double sel : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-    const double cost_ns =
-        cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(sel), 1e6);
-    EXPECT_GT(cost_ns, previous) << "sel=" << sel;
-    previous = cost_ns;
-  }
-  const double small =
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e5);
-  const double large =
-      cost::ChainCostNs(profile, ScanEngine::kScalarFused, chain(0.5), 1e6);
-  EXPECT_GT(large, small);
-  EXPECT_NEAR(large / small, 10.0, 0.01);
-}
-
 TEST(CostModelTest, StageRankPrefersSelectiveStages) {
-  const CostProfile& profile = cost::DefaultProfile();
+  const cost::CostProfile& profile = cost::DefaultProfile();
   // Same per-row cost: the stage that filters more ranks first.
-  EXPECT_LT(cost::StageRank(profile, ScanEngine::kScalarFused,
-                            cost::EncClass::kPlain32, 0.01),
-            cost::StageRank(profile, ScanEngine::kScalarFused,
-                            cost::EncClass::kPlain32, 0.9));
+  EXPECT_LT(cost::StageRank(profile, cost::EncClass::kPlain32, 0.01),
+            cost::StageRank(profile, cost::EncClass::kPlain32, 0.9));
   // A stage that filters nothing ranks (effectively) last regardless of
   // how cheap it is.
-  EXPECT_GT(cost::StageRank(profile, ScanEngine::kScalarFused,
-                            cost::EncClass::kPlain32, 1.0),
-            cost::StageRank(profile, ScanEngine::kScalarFused,
-                            cost::EncClass::kPacked, 0.99));
+  EXPECT_GT(cost::StageRank(profile, cost::EncClass::kPlain32, 1.0),
+            cost::StageRank(profile, cost::EncClass::kPacked, 0.99));
 }
 
 // Two chunk types with opposite value distributions under one conjunction:
@@ -312,6 +102,32 @@ class AdversarialSkewTest : public ::testing::Test {
                     .AppendRow({Value(static_cast<int32_t>(r % 11)),
                                 Value(static_cast<int32_t>(r % 1001))})
                     .ok());
+    }
+    return builder.Build();
+  }
+
+  // Plain, bit-packed and FoR int32 columns whose per-chunk ranges drift
+  // against each other, so the zone-map selectivities of their conjuncts
+  // cross at a different ratio in every chunk.
+  static TablePtr BuildMixedEncodingSkewTable() {
+    constexpr size_t kChunks = 40;
+    constexpr size_t kRowsPerChunk = 512;
+    TableBuilder builder({{"p", DataType::kInt32},
+                          {"b", DataType::kInt32},
+                          {"f", DataType::kInt32}},
+                         kRowsPerChunk);
+    builder.SetEncoding(1, ColumnEncoding::kBitPacked);
+    builder.SetEncoding(2, ColumnEncoding::kFor);
+    for (size_t chunk = 0; chunk < kChunks; ++chunk) {
+      const size_t widths[3] = {4 + 3 * chunk, 4 + 3 * (kChunks - 1 - chunk),
+                                4 + 3 * (chunk * 7 % kChunks)};
+      for (size_t r = 0; r < kRowsPerChunk; ++r) {
+        std::vector<Value> row;
+        for (const size_t width : widths) {
+          row.emplace_back(static_cast<int32_t>(r % (width + 1)));
+        }
+        FTS_CHECK(builder.AppendRow(row).ok());
+      }
     }
     return builder.Build();
   }
@@ -349,14 +165,6 @@ TEST_F(AdversarialSkewTest, PerChunkReorderFollowsZoneSelectivity) {
   // The estimate sees the skew: ~5/1001 * ~5/11 of each chunk.
   EXPECT_GT(prepared->est_rows(), 0.0);
   EXPECT_LT(prepared->est_rows(), 100.0);
-
-  // Predicted cost is positive for every engine the model compares.
-  for (const ScanEngine engine :
-       {ScanEngine::kSisdNoVec, ScanEngine::kSisdAutoVec,
-        cost::BestFusedEngine()}) {
-    const double ns = prepared->EstimateScanNanos(engine);
-    EXPECT_GT(ns, 0.0) << ScanEngineToString(engine);
-  }
 }
 
 TEST_F(AdversarialSkewTest, ReorderedChainIsByteIdenticalToStatic) {
@@ -401,127 +209,62 @@ TEST_F(AdversarialSkewTest, ReorderedChainIsByteIdenticalToStatic) {
   }
 }
 
-TEST_F(AdversarialSkewTest, AdaptiveEngineNeverChangesResults) {
-  const TablePtr table = BuildSkewTable();
-
-  ScanSpec pinned = SkewSpec();
-  ScanSpec adaptive_spec = SkewSpec();
-  adaptive_spec.adaptive = true;
+TEST_F(AdversarialSkewTest, PinnedAndUnpinnedQueriesRankAlike) {
+  // Chains rank from one static table whatever engine the caller asked
+  // for: naming Database::DefaultEngine() must reorder the same chunks,
+  // estimate the same rows and return the same answer as leaving the
+  // engine unset.
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", BuildMixedEncodingSkewTable()).ok());
+  Database::QueryOptions unpinned;
+  Database::QueryOptions pinned;
+  pinned.engine = Database::DefaultEngine();
 
   ScopedAdaptive adaptive(true);
-  const auto pinned_scan = TableScanner::Prepare(table, pinned);
-  const auto adaptive_scan = TableScanner::Prepare(table, adaptive_spec);
-  ASSERT_TRUE(pinned_scan.ok());
-  ASSERT_TRUE(adaptive_scan.ok());
-  // An explicit engine request pins every chunk; only spec.adaptive frees
-  // the model to switch.
-  EXPECT_FALSE(pinned_scan->adaptive());
-  EXPECT_TRUE(adaptive_scan->adaptive());
-
-  const ScanEngine requested = ScanEngineAvailable(ScanEngine::kAvx512Fused512)
-                                   ? ScanEngine::kAvx512Fused512
-                                   : ScanEngine::kScalarFused;
-  // A pinned scanner's AdaptEngine is the identity.
-  for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
-    EXPECT_EQ(pinned_scan->AdaptEngine({requested, 0}, chunk).engine,
-              requested);
-  }
-  // The adaptive scanner may switch, but never upward past the request
-  // and never to an unavailable engine.
-  for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
-    const ScanEngine picked =
-        adaptive_scan->AdaptEngine({requested, 0}, chunk).engine;
-    EXPECT_TRUE(ScanEngineAvailable(picked)) << ScanEngineToString(picked);
-  }
-
-  const ParallelScanOptions options = testing::StrictOptions({requested, 0});
-  ExecutionReport report;
-  const auto pinned_matches = ExecuteParallelScan(*pinned_scan, options);
-  const auto adaptive_matches =
-      ExecuteParallelScan(*adaptive_scan, options, &report);
-  ASSERT_TRUE(pinned_matches.ok());
-  ASSERT_TRUE(adaptive_matches.ok());
-  ASSERT_EQ(pinned_matches->chunks.size(), adaptive_matches->chunks.size());
-  for (size_t i = 0; i < pinned_matches->chunks.size(); ++i) {
-    EXPECT_EQ(pinned_matches->chunks[i].positions,
-              adaptive_matches->chunks[i].positions)
-        << "chunk " << i;
-  }
-  // One decision per runnable chunk, whatever the probes above asked. A
-  // strict static request leaves its engine only by the model's pick.
-  EXPECT_TRUE(report.adaptive_engines);
-  EXPECT_EQ(report.morsel_count, table->chunk_count());
-  ASSERT_EQ(report.morsel_choices.size(), table->chunk_count());
-  uint64_t switched = 0;
-  for (const EngineChoice& choice : report.morsel_choices) {
-    if (choice.engine != requested) ++switched;
-  }
-  EXPECT_EQ(report.adaptive_engine_switches, switched);
-}
-
-TEST_F(AdversarialSkewTest, UncalibratedRequestStaysUnchanged) {
-  // A fused engine outside the calibrated adaptation set has no constants
-  // to price: AdaptEngine keeps the request instead of comparing the
-  // candidates against a 0 ns estimate, so the scan switches nothing.
-  ScanEngine uncalibrated = ScanEngine::kBlockwise;
-  for (const ScanEngine engine :
-       {ScanEngine::kScalarFused, ScanEngine::kAvx2Fused128,
-        ScanEngine::kAvx512Fused128, ScanEngine::kAvx512Fused256}) {
-    if (engine != cost::BestFusedEngine() && ScanEngineAvailable(engine)) {
-      uncalibrated = engine;
-      break;
+  size_t reordered = 0;
+  for (const char* where :
+       {"p < 5 AND b < 5", "p < 20 AND b < 40", "b < 10 AND f < 10",
+        "b < 40 AND f < 20", "p < 10 AND f < 40", "p < 40 AND f < 10",
+        "p < 20 AND b < 20 AND f < 20", "p < 60 AND b < 10 AND f < 30"}) {
+    for (const char* select : {"COUNT(*)", "SUM(f)"}) {
+      const std::string sql =
+          StrFormat("SELECT %s FROM t WHERE %s", select, where);
+      SCOPED_TRACE(sql);
+      const auto free = db.Query(sql, unpinned);
+      const auto pin = db.Query(sql, pinned);
+      ASSERT_TRUE(free.ok()) << free.status().ToString();
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      const ExecutionReport& a = free->execution_report;
+      const ExecutionReport& b = pin->execution_report;
+      ASSERT_TRUE(a.model_active);
+      EXPECT_EQ(a.chunks_reordered, b.chunks_reordered);
+      EXPECT_DOUBLE_EQ(a.est_rows, b.est_rows);
+      EXPECT_EQ(a.rows_matched, b.rows_matched);
+      EXPECT_EQ(free->ToString(), pin->ToString());
+      reordered += a.chunks_reordered;
     }
   }
-  if (uncalibrated == ScanEngine::kBlockwise) {
-    GTEST_SKIP() << "only the best fused engine runs on this CPU";
-  }
-  const TablePtr table = BuildSkewTable();
-  ScanSpec spec = SkewSpec();
-  spec.adaptive = true;
-  ScopedAdaptive adaptive(true);
-  const auto prepared = TableScanner::Prepare(table, spec);
-  ASSERT_TRUE(prepared.ok());
-  ASSERT_TRUE(prepared->adaptive());
-  ASSERT_FALSE(cost::CalibratedProfile().For(uncalibrated).available);
-
-  for (ChunkId chunk = 0; chunk < table->chunk_count(); ++chunk) {
-    EXPECT_EQ(prepared->AdaptEngine({uncalibrated, 0}, chunk).engine,
-              uncalibrated);
-  }
-  ExecutionReport report;
-  ASSERT_TRUE(ExecuteParallelScan(
-                  *prepared, testing::StrictOptions({uncalibrated, 0}),
-                  &report)
-                  .ok());
-  EXPECT_EQ(report.morsel_choices.size(), table->chunk_count());
-  for (const EngineChoice& choice : report.morsel_choices) {
-    EXPECT_EQ(choice.engine, uncalibrated);
-  }
-  EXPECT_EQ(report.adaptive_engine_switches, 0u);
+  // The skew is strong enough that ranking reorders some chains.
+  EXPECT_GT(reordered, 0u);
 }
 
 TEST_F(AdversarialSkewTest, KillSwitchDisablesModelEntirely) {
   const TablePtr table = BuildSkewTable();
-  ScanSpec spec = SkewSpec();
-  spec.adaptive = true;
+  const ScanSpec spec = SkewSpec();
 
   ScopedAdaptive adaptive(false);
   const auto prepared = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(prepared.ok());
   EXPECT_FALSE(prepared->model_active());
-  EXPECT_FALSE(prepared->adaptive());
   EXPECT_EQ(prepared->chunks_reordered(), 0u);
   for (const TableScanner::ChunkPlan& plan : prepared->chunk_plans()) {
     EXPECT_FALSE(plan.reordered);
   }
-  // With the model off AdaptEngine is the identity even for spec.adaptive.
-  EXPECT_EQ(prepared->AdaptEngine({ScanEngine::kScalarFused, 0}, 0).engine,
-            ScanEngine::kScalarFused);
 }
 
 // The counters of a scan describe that run alone: a prepared scanner
-// holds no execution state, so rerunning it, at any thread count, and
-// asking AdaptEngine in between change no count in its report.
+// holds no execution state, so rerunning it, at any thread count, changes
+// no count in its report.
 TEST(ScanCountersTest, ReusedScannerReportsEachRunAlone) {
   // Four chunks: RLE `r` with delta `d`, RLE `r` alone, delta `d` alone,
   // and a plain chunk the kernels scan and fold. `d` climbs by one per row
@@ -552,11 +295,9 @@ TEST(ScanCountersTest, ReusedScannerReportsEachRunAlone) {
   spec.predicates = {{"r", CompareOp::kLt, Value(int32_t{5})},
                      {"d", CompareOp::kLt, Value(int32_t{2600})}};
   spec.aggregates = {{AggOp::kSum, "d"}, {AggOp::kCount, ""}};
-  spec.adaptive = true;
   ScopedAdaptive adaptive(true);
   const auto scanner = TableScanner::Prepare(table, spec);
   ASSERT_TRUE(scanner.ok()) << scanner.status().ToString();
-  ASSERT_TRUE(scanner->adaptive());
   ASSERT_EQ(scanner->chunk_plans().size(), 4u);
 
   // Every count a morsel contributes, by name.
@@ -570,14 +311,8 @@ TEST(ScanCountersTest, ReusedScannerReportsEachRunAlone) {
         {"agg_kernel_chunks", report.agg_kernel_chunks},
         {"agg_positions_chunks", report.agg_positions_chunks},
         {"agg_delta_blocks", report.agg_delta_blocks},
-        {"adaptive_engine_switches", report.adaptive_engine_switches},
         {"jit_cache_hits", report.jit_cache_hits},
         {"jit_cache_misses", report.jit_cache_misses}};
-  };
-  const auto probe_model = [&] {
-    for (ChunkId chunk = 0; chunk < 4; ++chunk) {
-      scanner->AdaptEngine({cost::BestFusedEngine(), 0}, chunk);
-    }
   };
 
   std::vector<std::pair<std::string, uint64_t>> first_scan, first_fold;
@@ -588,10 +323,8 @@ TEST(ScanCountersTest, ReusedScannerReportsEachRunAlone) {
     options.threads = threads;
     for (int run = 0; run < 2; ++run) {
       SCOPED_TRACE(run);
-      probe_model();
       ExecutionReport scan;
       ASSERT_TRUE(ExecuteParallelScan(*scanner, options, &scan).ok());
-      probe_model();
       ExecutionReport fold;
       ASSERT_TRUE(
           ExecuteParallelScanAggregate(*scanner, options, &fold).ok());

@@ -16,13 +16,6 @@
 namespace fts {
 namespace {
 
-// Queries without an explicit engine run adaptively, and the first one in
-// the process calibrates the cost model; keep that run short.
-const bool kFastCalibration = [] {
-  setenv("FTS_CALIBRATE_FAST", "1", 1);
-  return true;
-}();
-
 class ExplainAnalyzeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -144,10 +137,8 @@ TEST_F(ExplainAnalyzeTest, AnalyzeShowsEstimatedVersusActualRows) {
   const ExecutionReport& report = result->execution_report;
   const std::string& text = result->explain_text;
 
-  // No explicit engine in the options: the cost model is active and the
-  // model may adapt engines per chunk.
+  // FTS_ADAPTIVE is unset, so the cost model is active.
   ASSERT_TRUE(report.model_active) << text;
-  EXPECT_TRUE(report.adaptive_engines) << text;
 
   // Every executed stage renders estimated next to actual rows...
   ASSERT_FALSE(report.stages.empty());
